@@ -1,6 +1,8 @@
 PYTHON ?= python3
+OUT ?= out
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test acceptance reproduce clean
+.PHONY: test acceptance reproduce verify-out clean
 
 test:
 	$(PYTHON) -m pytest tests -q
@@ -9,16 +11,22 @@ acceptance:
 	$(PYTHON) -m pytest tests/test_acceptance.py -s -v
 
 reproduce:
-	mkdir -p out
-	$(PYTHON) -m framesync.cli threshold --bsc 0.1 --out out/threshold_bsc.json
-	$(PYTHON) -m framesync.cli threshold --onoff-bsc 0.5 0.1 --out out/threshold_onoff.json
-	$(PYTHON) -m framesync.cli threshold --rayleigh 100 1 1 --out out/threshold_rayleigh.json
-	$(PYTHON) -m framesync.cli lemma1-grid --out out/fading_bound_grid.csv
-	$(PYTHON) -m framesync.cli rayleigh-sweep --out out/rayleigh_sweep.csv
-	$(PYTHON) -m framesync.cli sequence --n 100 --k 4 --out out/sequence_63.json
-	$(PYTHON) -m framesync.cli simulate --preset single_bsc --out out/single_bsc.json
-	$(PYTHON) -m framesync.cli simulate --preset bsc_scaling --out out/bsc_scaling.csv
-	$(PYTHON) -m framesync.cli simulate --preset energy_scaling --out out/energy_scaling.csv
+	mkdir -p $(OUT)
+	$(PYTHON) -m framesync.cli threshold --bsc 0.1 --out $(OUT)/threshold_bsc.json
+	$(PYTHON) -m framesync.cli threshold --onoff-bsc 0.5 0.1 --out $(OUT)/threshold_onoff.json
+	$(PYTHON) -m framesync.cli threshold --rayleigh 100 1 1 --out $(OUT)/threshold_rayleigh.json
+	$(PYTHON) -m framesync.cli lemma1-grid --out $(OUT)/fading_bound_grid.csv
+	$(PYTHON) -m framesync.cli rayleigh-sweep --out $(OUT)/rayleigh_sweep.csv
+	$(PYTHON) -m framesync.cli sequence --n 100 --k 4 --out $(OUT)/sequence_63.json
+	$(PYTHON) -m framesync.cli simulate --preset single_bsc --out $(OUT)/single_bsc.json
+	$(PYTHON) -m framesync.cli simulate --preset bsc_scaling --out $(OUT)/bsc_scaling.csv
+	$(PYTHON) -m framesync.cli simulate --preset energy_scaling --out $(OUT)/energy_scaling.csv
+
+# rebuild out/ into a temporary directory and compare it with the committed files
+verify-out:
+	@tmp=$$(mktemp -d) && $(MAKE) --no-print-directory reproduce OUT=$$tmp \
+		&& diff -r $$tmp out; status=$$?; rm -rf $$tmp; \
+		if [ $$status -eq 0 ]; then echo "out/ reproduced byte for byte"; fi; exit $$status
 
 clean:
 	rm -rf out

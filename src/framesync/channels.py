@@ -200,16 +200,21 @@ def sample_output(channel: Dmc, input_symbol: int, rng: np.random.Generator) -> 
 def sample_outputs(channel: Dmc, input_symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized channel pass: one output draw per input symbol."""
     x = np.asarray(input_symbols)
+    return inverse_cdf_outputs(channel, x, rng.random(x.shape))
+
+
+def inverse_cdf_outputs(channel: Dmc, input_symbols: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Channel outputs for given uniforms in [0, 1), one per input symbol (same shape)."""
+    x = np.asarray(input_symbols)
     if x.size and (x.min() < 0 or x.max() >= channel.n_inputs):
         raise IndexOutOfRange("input symbol out of range")
     cdf = np.cumsum(channel.rows, axis=1)
-    u = rng.random(x.shape)
     # per-symbol inverse CDF; tiny alphabets, so a loop over inputs is fine
     out = np.empty(x.shape, dtype=np.int64)
     for s in range(channel.n_inputs):
         mask = x == s
         if np.any(mask):
-            out[mask] = np.searchsorted(cdf[s], u[mask], side="right")
+            out[mask] = np.searchsorted(cdf[s], uniforms[mask], side="right")
     return np.clip(out, 0, channel.n_outputs - 1)
 
 

@@ -27,6 +27,7 @@ from .channels import bsc, compose, dmc_new, load_channel, on_off_fading_matrix
 from .continuous import AwgnSpec, QuantizationGrid, RayleighAwgnSpec, quantize_to_dmc
 from .decoder import (
     TrialConfig,
+    _window_from_exponent,
     bsc_scaling_rows,
     energy_scaling_rows,
     monte_carlo,
@@ -272,8 +273,7 @@ def _run_single(cfg: dict[str, str]) -> tuple[dict, str]:
     if "a" in cfg:
         a = int(cfg["a"])
     elif "beta" in cfg:
-        alpha = sync_threshold(channel).alpha
-        a = max(1, int(round(math.exp(float(cfg["beta"]) * alpha * n))))
+        a = _window_from_exponent(float(cfg["beta"]) * sync_threshold(channel).alpha * n)
     else:
         raise CliError("single mode needs either 'a' or 'beta'")
     config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)

@@ -11,10 +11,19 @@ v in {1..A} and classifies the outcome:
   E2       v_hat in {v-N+1..v-1}           (false alarm on a partial overlap)
   E3       no declaration by the scan limit (miss)
 
-For asynchronism windows too large to scan exhaustively, far windows that see
-pure idle noise are skipped only when an exact binomial bound certifies that
-the chance any of them fires is below CERT_SLIP; otherwise the full stream is
-simulated slot by slot.
+One engine runs every trial, a block of trials at a time. Trial i draws from
+the Philox stream keyed by (master seed, i): one uniform places the word at
+slot v, the rest drive an inverse-CDF channel pass over the trial's segment.
+Window joint counts are exact integers (cumulative sums of each output
+indicator, taken over the word's runs of each symbol), and distances add
+their cells input by input, then output by output. A block, one trial, one
+stream and one window are views of this kernel and decide identically.
+
+In full mode (A <= FULL_SIM_MAX_A) the segment is the whole stream. Beyond,
+it is the 3N - 2 slots around the word (word at offset N - 1, 2N - 1 windows;
+fewer for v < N or at a custom scan limit), and the far windows that see pure
+idle noise are skipped only when an exact binomial bound certifies that the
+chance any of them fires is below CERT_SLIP; otherwise the engine refuses.
 """
 
 from __future__ import annotations
@@ -26,12 +35,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import binom
 
-from .channels import Dmc, IndexOutOfRange, sample_outputs
+from .channels import Dmc, IndexOutOfRange, inverse_cdf_outputs
 from .sequences import SyncWord
 
 FULL_SIM_MAX_A = 50_000
 CERT_SLIP = 1e-9
 Z_95 = 1.959963984540054
+# stream slots per block of trials; bounds the engine's working arrays near 1 MB
+_BLOCK_SLOTS = 2**14
 
 
 class LengthMismatch(ValueError):
@@ -81,7 +92,8 @@ def typicality_distance(empirical: np.ndarray, reference: np.ndarray, norm: str 
     if norm == "linf":
         return float(dev.max())
     if norm == "l1":
-        return float(dev.sum())
+        # cell by cell in row order, as the decoder adds them (numpy's sum pairs them)
+        return float(np.cumsum(dev)[-1])
     raise ValueError(f"unknown norm {norm!r} (expected 'linf' or 'l1')")
 
 
@@ -108,11 +120,15 @@ class TypicalityDecoder:
         wi = self.word_inputs
         ref = np.zeros((self.channel.n_inputs, self.channel.n_outputs))
         n = len(self.word)
+        runs = {}  # [start, end) of each run of every word symbol, symbols ascending
         for x in np.unique(wi):
             ref[x] = np.count_nonzero(wi == x) / n * self.channel.rows[x]
+            edges = np.diff((wi == x).astype(np.int8), prepend=0, append=0)
+            runs[int(x)] = (np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
         assert abs(ref.sum() - 1.0) < 1e-12
         ref.flags.writeable = False
         object.__setattr__(self, "reference", ref)
+        object.__setattr__(self, "_runs", runs)
 
     @property
     def word_inputs(self) -> np.ndarray:
@@ -120,34 +136,78 @@ class TypicalityDecoder:
         z = self.channel.zero_input
         return np.where(self.word.symbols == 1, self.active_input, z).astype(np.int64)
 
+    def _window_counts(self, outputs: np.ndarray, width: int) -> dict[tuple[int, int], np.ndarray]:
+        """Exact joint counts of (word symbol x, output y) in windows 0..width-1 of each row.
+
+        Sums of the cumulative indicator of y over the word's runs of x; the
+        symbol with the most runs follows from the window totals, and each
+        symbol's last output from its length.
+        """
+        n, n_out = len(self.word), self.channel.n_outputs
+        m, slots = outputs.shape
+        derived = max(self._runs, key=lambda x: len(self._runs[x][0]))
+        counts = {}
+        dtype = np.int16 if slots < 2**15 else np.int32  # holds every cumulative count
+        cum = np.zeros((m, slots + 1), dtype=dtype)
+        for y in range(n_out - 1):
+            np.cumsum(outputs == y, axis=1, dtype=dtype, out=cum[:, 1:])
+            rest = cum[:, n : n + width] - cum[:, :width]
+            for x, (starts, ends) in self._runs.items():
+                if x == derived:
+                    continue
+                c = np.zeros((m, width), dtype=dtype)
+                for a, b in zip(starts, ends):
+                    c += cum[:, b : b + width]
+                    c -= cum[:, a : a + width]
+                counts[x, y] = c
+                rest -= c
+            counts[derived, y] = rest
+        for x, (starts, ends) in self._runs.items():
+            last = np.full((m, width), int((ends - starts).sum()), dtype=dtype)
+            for y in range(n_out - 1):
+                last -= counts[x, y]
+            counts[x, n_out - 1] = last
+        return counts
+
+    def distances(self, outputs: np.ndarray, width: int) -> np.ndarray:
+        """Typicality distances of windows 0..width-1 of each row of an output block.
+
+        Cells accumulate input by input, then output by output, each as
+        |count / N - reference| looked up by count; the order fixes the l1 sum
+        to the last bit.
+        """
+        outputs = np.asarray(outputs)
+        if outputs.size and (outputs.min() < 0 or outputs.max() >= self.channel.n_outputs):
+            raise IndexOutOfRange("output symbol out of range")
+        n = len(self.word)
+        counts = self._window_counts(outputs, width)
+        fractions = np.arange(n + 1) / n
+        acc = np.zeros((len(outputs), width))
+        for x in self._runs:
+            for y in range(self.channel.n_outputs):
+                dev = np.abs(fractions - self.reference[x, y])[counts[x, y]]
+                if self.norm == "linf":
+                    np.maximum(acc, dev, out=acc)
+                else:
+                    acc += dev
+        return acc
+
+    def first_typical(self, outputs: np.ndarray, n_windows) -> np.ndarray:
+        """Per row, the index of the first typical window among its first n_windows; -1 if none."""
+        width = outputs.shape[1] - len(self.word) + 1
+        if width < 1:
+            return np.full(len(outputs), -1)
+        typical = self.distances(outputs, width) <= self.mu
+        typical &= np.arange(width) < np.reshape(n_windows, (-1, 1))
+        return np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
+
     def window_distance(self, window: np.ndarray) -> float:
-        emp = empirical_joint(
-            self.word_inputs, window, self.channel.n_inputs, self.channel.n_outputs
-        )
-        return typicality_distance(emp, self.reference, self.norm)
-
-
-def _sliding_distances(
-    word_inputs: np.ndarray,
-    reference: np.ndarray,
-    stream: np.ndarray,
-    n_windows: int,
-    norm: str,
-) -> np.ndarray:
-    """Distances for windows starting at stream offsets 0..n_windows-1."""
-    n = len(word_inputs)
-    acc = np.zeros(n_windows)
-    for x in np.unique(word_inputs):
-        wx = (word_inputs == x).astype(np.float64)
-        for y in range(reference.shape[1]):
-            ind = (stream == y).astype(np.float64)
-            c = np.correlate(ind, wx, mode="valid")[:n_windows]
-            dev = np.abs(c / n - reference[x, y])
-            if norm == "linf":
-                np.maximum(acc, dev, out=acc)
-            else:
-                acc += dev
-    return acc
+        window = np.asarray(window)
+        if window.shape != (len(self.word),):
+            raise LengthMismatch(
+                f"window length {window.shape} does not match word length {(len(self.word),)}"
+            )
+        return float(self.distances(window[None, :], 1)[0, 0])
 
 
 def run_decoder(decoder: TypicalityDecoder, output_stream, scan_limit: int) -> int | None:
@@ -164,12 +224,9 @@ def run_decoder(decoder: TypicalityDecoder, output_stream, scan_limit: int) -> i
     available = len(stream) - n + 1
     n_windows = min(scan_limit, max(available, 0))
     if n_windows > 0:
-        dist = _sliding_distances(
-            decoder.word_inputs, decoder.reference, stream, n_windows, decoder.norm
-        )
-        fired = np.nonzero(dist <= decoder.mu)[0]
-        if fired.size:
-            return int(fired[0]) + 1
+        first = int(decoder.first_typical(stream[None, : n_windows + n - 1], n_windows)[0])
+        if first >= 0:
+            return first + 1
     if available < scan_limit:
         raise StreamExhausted(
             f"stream of {len(stream)} symbols supports {max(available, 0)} windows; "
@@ -264,19 +321,20 @@ def _noise_window_log_bound(decoder: TypicalityDecoder) -> float:
 
 
 class TrialEngine:
-    """Per-config trial runner; immutable after construction and picklable."""
+    """Per-config trial runner; immutable after construction and picklable.
 
-    # full-mode streams up to this length get the vectorized batch path
-    BATCH_MAX_STREAM = 64
+    A trial draws v, then one uniform per slot of its segment (windows + N - 1).
+    """
 
     def __init__(self, config: TrialConfig, full_sim_max_a: int = FULL_SIM_MAX_A):
         self.config = config
         self.decoder = config.decoder()
         self.n = len(config.word)
         self.scan_limit = config.effective_scan_limit
-        self.stream_len = self.scan_limit + self.n - 1
         self.word_inputs = self.decoder.word_inputs
         self.full_mode = config.a <= full_sim_max_a
+        stream_len = self.scan_limit + self.n - 1
+        self.segment = stream_len if self.full_mode else min(stream_len, 3 * self.n - 2)
         if not self.full_mode:
             log_bound = _noise_window_log_bound(self.decoder)
             n_far = math.log(2.0 * float(config.a) + 2.0 * self.n)
@@ -287,103 +345,68 @@ class TrialEngine:
                     f"exceeds {CERT_SLIP}"
                 )
 
-    def _draw_v(self, rng: np.random.Generator) -> int:
-        u = rng.random()
-        return min(int(u * float(self.config.a)) + 1, self.config.a)
+    def _geometry(self, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per trial: v, the word's offset in its segment and its window count.
+
+        v = min(floor(u A) + 1, A) is exact at any A (Python ints past int64);
+        the count is below 1 only past a custom scan limit.
+        """
+        a, n = self.config.a, self.n
+        w = u0 * float(a)
+        v = w.astype(np.int64) if a < 2**62 else np.array([int(t) for t in w.tolist()], dtype=object)
+        v = np.minimum(v + 1, a)
+        if self.full_mode:
+            return v, v - 1, np.full(len(v), self.scan_limit)
+        offset = np.minimum(v, n) - 1
+        windows = np.maximum(np.minimum(self.scan_limit - v, n - 1) + offset + 1, 1 - n)
+        return v, offset.astype(np.int64), windows.astype(np.int64)
+
+    def _first_typical(self, uniforms: np.ndarray, offset: np.ndarray, windows: np.ndarray) -> np.ndarray:
+        """First typical window of each trial's segment (-1 if none), from its uniforms."""
+        n = self.n
+        rel = np.arange(uniforms.shape[1]) - offset[:, None]
+        x = np.where(
+            (rel >= 0) & (rel < n),
+            self.word_inputs[np.clip(rel, 0, n - 1)],
+            self.config.channel.zero_input,
+        )
+        outputs = inverse_cdf_outputs(self.config.channel, x, uniforms)
+        return self.decoder.first_typical(outputs, windows)
 
     def run(self, rng: np.random.Generator) -> TrialOutcome:
-        v = self._draw_v(rng)
-        if self.full_mode:
-            seg_lo = 1
-            t_lo, t_hi = 1, self.scan_limit
-        else:
-            seg_lo = max(1, v - self.n + 1)
-            t_lo = seg_lo
-            t_hi = min(self.scan_limit, v + self.n - 1)
-        seg_hi = self.stream_len if self.full_mode else min(self.stream_len, v + 2 * self.n - 2)
-        x = np.full(seg_hi - seg_lo + 1, self.config.channel.zero_input, dtype=np.int64)
-        word_pos = v - seg_lo
-        x[word_pos : word_pos + self.n] = self.word_inputs
-        stream = sample_outputs(self.config.channel, x, rng)
-        n_windows = t_hi - t_lo + 1
-        v_hat = None
-        if n_windows > 0:
-            dist = _sliding_distances(
-                self.word_inputs, self.decoder.reference, stream, n_windows, self.decoder.norm
-            )
-            fired = np.nonzero(dist <= self.decoder.mu)[0]
-            if fired.size:
-                v_hat = t_lo + int(fired[0])
-        klass = classify(v, v_hat, self.n)
+        """One trial on rng: the same draws and decision as that trial in run_batch."""
+        v, offset, windows = self._geometry(np.array([rng.random()]))
+        uniforms = rng.random((1, int(windows[0]) + self.n - 1))
+        first = int(self._first_typical(uniforms, offset, windows)[0])
+        v = int(v[0])
+        v_hat = None if first < 0 else v + first - int(offset[0])
         stop = None if v_hat is None else v_hat + self.n - 1
-        return TrialOutcome(v_true=v, v_hat=v_hat, klass=klass, stop_time=stop)
-
-    @property
-    def batchable(self) -> bool:
-        return self.full_mode and self.stream_len <= self.BATCH_MAX_STREAM
+        return TrialOutcome(v_true=v, v_hat=v_hat, klass=classify(v, v_hat, self.n), stop_time=stop)
 
     def run_batch(self, master_seed: int, lo: int, hi: int) -> dict[str, int]:
-        """Vectorized full-mode trials [lo, hi); draw-identical to run()."""
-        assert self.batchable
-        n, L, T = self.n, self.stream_len, self.scan_limit
-        channel = self.config.channel
+        """Class counts of trials [lo, hi); trial i is run(trial_rng(master_seed, i))."""
         counts = dict.fromkeys(CLASSES, 0)
-        m = hi - lo
-        u = np.empty((m, 1 + L))
-        # reused Philox with a per-trial key reset: stream-identical to
-        # trial_rng(master_seed, i).random(1 + L), an order of magnitude cheaper
+        block = max(1, _BLOCK_SLOTS // self.segment)
+        # one Philox re-keyed per trial is stream-identical to trial_rng(master_seed, i)
+        # and far cheaper; a trial's draws are a prefix of its row of the longest segment
         bit_gen = np.random.Philox(key=np.array([master_seed % 2**64, 0], dtype=np.uint64))
         gen = np.random.Generator(bit_gen)
-        state = bit_gen.state
-        for i in range(m):
-            state["state"]["key"][1] = (lo + i) % 2**64
-            state["state"]["counter"][:] = 0
-            state["buffer_pos"] = 4
-            bit_gen.state = state
-            u[i] = gen.random(1 + L)
-        v = np.minimum((u[:, 0] * float(self.config.a)).astype(np.int64) + 1, self.config.a)
-        x = np.full((m, L), channel.zero_input, dtype=np.int64)
-        cols = (v - 1)[:, None] + np.arange(n)[None, :]
-        x[np.arange(m)[:, None], cols] = self.word_inputs[None, :]
-        # same inverse-CDF transform as sample_outputs, on the same uniforms
-        cdf = np.cumsum(channel.rows, axis=1)
-        y = np.empty((m, L), dtype=np.int64)
-        for s in range(channel.n_inputs):
-            mask = x == s
-            if np.any(mask):
-                y[mask] = np.searchsorted(cdf[s], u[:, 1:][mask], side="right")
-        np.clip(y, 0, channel.n_outputs - 1, out=y)
-
-        ref = self.decoder.reference
-        mu, norm = self.decoder.mu, self.decoder.norm
-        v_hat = np.zeros(m, dtype=np.int64)  # 0 marks "no declaration"
-        alive = np.ones(m, dtype=bool)
-        for t in range(1, T + 1):
-            if not np.any(alive):
-                break
-            window = y[:, t - 1 : t - 1 + n]
-            acc = np.zeros(m)
-            for s in np.unique(self.word_inputs):
-                wmask = self.word_inputs == s
-                sub = window[:, wmask]
-                for yv in range(channel.n_outputs):
-                    dev = np.abs((sub == yv).sum(axis=1) / n - ref[s, yv])
-                    if norm == "linf":
-                        np.maximum(acc, dev, out=acc)
-                    else:
-                        acc += dev
-            fired = alive & (acc <= mu)
-            v_hat[fired] = t
-            alive &= ~fired
-        counts["E3"] += int(np.count_nonzero(v_hat == 0))
-        declared = v_hat > 0
-        counts["Correct"] += int(np.count_nonzero(declared & (v_hat == v)))
-        counts["E2"] += int(
-            np.count_nonzero(declared & (v_hat >= v - n + 1) & (v_hat <= v - 1))
-        )
-        counts["E1"] += int(
-            np.count_nonzero(declared & (v_hat != v) & ((v_hat < v - n + 1) | (v_hat > v)))
-        )
+        state = bit_gen.state  # counter 0 and an empty buffer, as for a new generator
+        key = state["state"]["key"]
+        for start in range(lo, hi, block):
+            u = np.empty((min(block, hi - start), 1 + self.segment))
+            for i, row in enumerate(u):
+                key[1] = (start + i) % 2**64
+                bit_gen.state = state
+                gen.random(out=row)
+            _, offset, windows = self._geometry(u[:, 0])
+            first = self._first_typical(u[:, 1:], offset, windows)
+            shift = first - offset  # v_hat - v where declared
+            declared = first >= 0
+            counts["E3"] += int(np.count_nonzero(~declared))
+            counts["Correct"] += int(np.count_nonzero(declared & (shift == 0)))
+            counts["E2"] += int(np.count_nonzero(declared & (shift < 0) & (shift > -self.n)))
+        counts["E1"] = (hi - lo) - counts["Correct"] - counts["E2"] - counts["E3"]
         return counts
 
 
@@ -470,24 +493,6 @@ class ErrorReport:
         }
 
 
-_BATCH_CHUNK = 8192
-
-
-def _count_range(config: TrialConfig, master_seed: int, lo: int, hi: int, full_sim_max_a: int):
-    engine = TrialEngine(config, full_sim_max_a)
-    counts = dict.fromkeys(CLASSES, 0)
-    if engine.batchable:
-        for start in range(lo, hi, _BATCH_CHUNK):
-            part = engine.run_batch(master_seed, start, min(start + _BATCH_CHUNK, hi))
-            for k in CLASSES:
-                counts[k] += part[k]
-        return counts
-    for i in range(lo, hi):
-        out = engine.run(trial_rng(master_seed, i))
-        counts[out.klass] += 1
-    return counts
-
-
 def monte_carlo(
     config: TrialConfig,
     trials: int,
@@ -502,28 +507,20 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    engine = TrialEngine(config, full_sim_max_a)
     if workers <= 1:
-        counts = _count_range(config, master_seed, 0, trials, full_sim_max_a)
+        parts = [engine.run_batch(master_seed, 0, trials)]
     else:
-        counts = dict.fromkeys(CLASSES, 0)
         bounds = np.linspace(0, trials, workers + 1).astype(int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_count_range, config, master_seed, int(lo), int(hi), full_sim_max_a)
+                pool.submit(engine.run_batch, master_seed, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:])
                 if hi > lo
             ]
-            for fut in futures:
-                part = fut.result()
-                for k in CLASSES:
-                    counts[k] += part[k]
-    return ErrorReport(
-        trials=trials,
-        n_correct=counts["Correct"],
-        n_e1=counts["E1"],
-        n_e2=counts["E2"],
-        n_e3=counts["E3"],
-    )
+            parts = [fut.result() for fut in futures]
+    # ErrorReport's count fields follow CLASSES: Correct, E1, E2, E3
+    return ErrorReport(trials, *(sum(part[k] for part in parts) for k in CLASSES))
 
 
 @dataclass(frozen=True)

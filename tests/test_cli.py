@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import framesync
 from framesync import bsc_threshold_closed_form, composite_binary_threshold_closed_form
 from framesync.cli import main
 
@@ -181,6 +185,20 @@ class TestSimulate:
     def test_unknown_preset(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--preset", "nope")
         assert code == 2
+
+    def test_single_window_overflow_is_validation_error(self, tmp_path):
+        # beta * alpha * N = 1355 at N = 1023: exp overflows, so A cannot be formed
+        out = tmp_path / "never.json"
+        src = os.path.dirname(os.path.dirname(framesync.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "framesync.cli", "simulate", "--preset", "single_bsc",
+             "--set", "n=1023", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "overflows" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_midrun_failure_flushes_partial_rows(self, capsys, tmp_path):
         # second row needs an uncertifiable far-window skip and must fail,

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from framesync import (
+    AwgnSpec,
+    QuantizationGrid,
     SimulationInfeasible,
     StreamExhausted,
     SyncWord,
@@ -16,6 +20,7 @@ from framesync import (
     energy_scaling_rows,
     joint_counts,
     monte_carlo,
+    quantize_to_dmc,
     run_decoder,
     scaling_experiment,
     scaling_to_csv,
@@ -24,6 +29,7 @@ from framesync import (
     typicality_distance,
     wilson_interval,
 )
+from framesync.channels import IndexOutOfRange
 from framesync.decoder import LengthMismatch, TrialEngine, classify
 
 from exact_oracle import (
@@ -31,6 +37,7 @@ from exact_oracle import (
     exact_error_probability_enum,
     exact_no_declare_probability_dp,
 )
+from naive_trials import naive_counts, naive_trial
 
 
 def word_from_bits(bits):
@@ -229,17 +236,10 @@ class TestMonteCarlo:
         rep2 = monte_carlo(cfg, 3000, master_seed=77, workers=2)
         rep3 = monte_carlo(cfg, 3000, master_seed=77, workers=3)
         assert rep1 == rep2 == rep3
-
-    def test_batched_equals_scalar(self):
-        rng = np.random.default_rng(31)
-        for _ in range(4):
-            cfg = random_small_config(rng)
-            eng = TrialEngine(cfg)
-            assert eng.batchable
-            scalar = {"Correct": 0, "E1": 0, "E2": 0, "E3": 0}
-            for i in range(800):
-                scalar[eng.run(trial_rng(55, i)).klass] += 1
-            assert scalar == eng.run_batch(55, 0, 800)
+        # skip mode, with the huge-A geometry kept in Python ints
+        cfg = TrialConfig(a=int(round(math.exp(83.0))), word=build_sync_word(63, 4), channel=bsc(0.05), mu=0.05)
+        reps = [monte_carlo(cfg, 1000, master_seed=77, workers=w) for w in (1, 2, 3)]
+        assert reps[0] == reps[1] == reps[2]
 
     def test_wilson_interval(self):
         lo, hi = wilson_interval(0, 100)
@@ -348,3 +348,125 @@ class TestScaling:
         lines = csv1.strip().splitlines()
         assert lines[0] == "n,a,alpha,p_err,ci_lo,ci_hi,p_e1,p_e2,p_e3"
         assert len(lines) == 3
+
+
+PROPERTY = settings(
+    max_examples=25, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.filter_too_much]
+)
+
+
+@st.composite
+def channels(draw, noisy=True):
+    """BSC, or quantized AWGN with 3-8 outputs; near noiseless unless noisy."""
+    if draw(st.booleans()):
+        return bsc(draw(st.floats(0.0, 0.45 if noisy else 0.01)))
+    power = draw(st.floats(0.5, 9.0) if noisy else st.floats(36.0, 64.0))
+    bins = draw(st.integers(3, 8))
+    return quantize_to_dmc(AwgnSpec(power=power, noise_var=1.0), QuantizationGrid(-5.0, math.sqrt(power) + 5.0, bins))
+
+
+@st.composite
+def trial_configs(draw, n_range=(2, 8), a_max=40, noisy=True):
+    n = draw(st.integers(*n_range))
+    bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    a = draw(st.integers(1, a_max))
+    scan_limit = draw(st.one_of(st.none(), st.integers(n, a + 2 * n)))
+    return TrialConfig(
+        a=a,
+        word=word_from_bits(bits),
+        channel=draw(channels(noisy)),
+        mu=draw(st.floats(0.02, 0.8)),
+        norm=draw(st.sampled_from(["linf", "l1"])),
+        scan_limit=scan_limit,
+    )
+
+
+def engine_or_skip(cfg, full_sim_max_a):
+    try:
+        return TrialEngine(cfg, full_sim_max_a)
+    except SimulationInfeasible:
+        assume(False)
+
+
+class TestEngineProperties:
+    """The batched engine against the naive per-trial reference in naive_trials.py."""
+
+    @PROPERTY
+    @given(cfg=trial_configs(), seed=st.integers(0, 2**64 - 1), lo=st.integers(0, 10**6))
+    def test_full_mode_counts_match_naive(self, cfg, seed, lo):
+        engine = TrialEngine(cfg)
+        assert engine.full_mode
+        assert engine.run_batch(seed, lo, lo + 150) == naive_counts(cfg, seed, lo, lo + 150, True)
+
+    @PROPERTY
+    @given(cfg=trial_configs(n_range=(8, 20), a_max=60, noisy=False), seed=st.integers(0, 2**32))
+    def test_forced_skip_mode_counts_match_naive(self, cfg, seed):
+        engine = engine_or_skip(cfg, 0)
+        assert not engine.full_mode
+        assert engine.run_batch(seed, 0, 150) == naive_counts(cfg, seed, 0, 150, False)
+
+    @PROPERTY
+    @given(cfg=trial_configs(), skip=st.booleans(), seed=st.integers(0, 2**32))
+    def test_batched_equals_scalar(self, cfg, skip, seed):
+        # run() on trial_rng(seed, i) is trial i of run_batch, and draws and decides as the reference
+        engine = engine_or_skip(cfg, 0 if skip else cfg.a)
+        scalar = dict.fromkeys(("Correct", "E1", "E2", "E3"), 0)
+        for i in range(20):
+            rng, ref_rng = trial_rng(seed, i), trial_rng(seed, i)
+            out = engine.run(rng)
+            scalar[out.klass] += 1
+            assert (out.v_true, out.v_hat) == naive_trial(cfg, ref_rng, not skip)
+            assert out.stop_time == (None if out.v_hat is None else out.v_hat + len(cfg.word) - 1)
+            assert rng.random() == ref_rng.random()  # same number of draws
+        assert engine.run_batch(seed, 0, 20) == scalar
+
+    @PROPERTY
+    @given(
+        cfg=trial_configs(),
+        skip=st.booleans(),
+        m=st.integers(1, 2500),
+        cut=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32),
+    )
+    def test_counts_split_invariant(self, cfg, skip, m, cut, seed):
+        engine = engine_or_skip(cfg, 0 if skip else cfg.a)
+        k = int(cut * m)
+        whole = engine.run_batch(seed, 0, m)
+        left, right = engine.run_batch(seed, 0, k), engine.run_batch(seed, k, m)
+        assert whole == {c: left[c] + right[c] for c in whole}
+        assert sum(whole.values()) == m
+
+    def test_huge_window_matches_naive(self):
+        # A ~ e^83 is far past int64: v and the segment geometry must stay exact
+        cfg = TrialConfig(
+            a=int(round(math.exp(83.0))), word=build_sync_word(63, 4), channel=bsc(0.05), mu=0.05
+        )
+        engine = TrialEngine(cfg)
+        assert engine.run_batch(6, 0, 60) == naive_counts(cfg, 6, 0, 60, False)
+        for i in range(10):
+            out = engine.run(trial_rng(6, i))
+            assert (out.v_true, out.v_hat) == naive_trial(cfg, trial_rng(6, i), False)
+
+    def test_window_views_agree(self):
+        rng = np.random.default_rng(12)
+        channel = quantize_to_dmc(AwgnSpec(power=2.0, noise_var=1.0), QuantizationGrid(-5.0, 6.5, 8))
+        word = build_sync_word(21, 3)
+        dec = TypicalityDecoder(word=word, channel=channel, mu=0.3, norm="l1")
+        stream = rng.integers(0, 8, size=60)
+        dists = dec.distances(stream[None, :], 40)[0]
+        for t in range(40):
+            emp = empirical_joint(dec.word_inputs, stream[t : t + 21], 2, 8)
+            assert dec.window_distance(stream[t : t + 21]) == dists[t]
+            assert typicality_distance(emp, dec.reference, "l1") == dists[t]
+        fired = np.nonzero(dists <= dec.mu)[0]
+        assert run_decoder(dec, stream, scan_limit=40) == (fired[0] + 1 if fired.size else None)
+        # a stream past 2**15 slots takes the wider count type
+        long_stream = rng.integers(0, 8, size=40_000)
+        long_dists = dec.distances(long_stream[None, :], 40_000 - 20)[0]
+        for t in rng.integers(0, 40_000 - 20, size=50).tolist() + [0, 40_000 - 21]:
+            assert dec.window_distance(long_stream[t : t + 21]) == long_dists[t]
+
+    def test_out_of_range_outputs_rejected(self):
+        dec = TypicalityDecoder(word=build_sync_word(7, 2), channel=bsc(0.1), mu=0.1)
+        with pytest.raises(IndexOutOfRange):
+            run_decoder(dec, np.array([0, 1, 2, 0, 1, 0, 1, 1]), scan_limit=2)
