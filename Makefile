@@ -2,7 +2,7 @@ PYTHON ?= python3
 OUT ?= out
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test acceptance reproduce verify-out clean
+.PHONY: test acceptance reproduce verify-out check clean
 
 test:
 	$(PYTHON) -m pytest tests -q
@@ -27,6 +27,12 @@ verify-out:
 	@tmp=$$(mktemp -d) && $(MAKE) --no-print-directory reproduce OUT=$$tmp \
 		&& diff -r $$tmp out; status=$$?; rm -rf $$tmp; \
 		if [ $$status -eq 0 ]; then echo "out/ reproduced byte for byte"; fi; exit $$status
+
+# the tests, then the out/ check whatever the tests gave; fails if either fails
+# (criteria 4 and 11 fail by design, see README)
+check:
+	@$(MAKE) --no-print-directory test; status=$$?; \
+		$(MAKE) --no-print-directory verify-out && exit $$status
 
 clean:
 	rm -rf out

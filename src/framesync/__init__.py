@@ -13,13 +13,11 @@ from .channels import (
     IndexOutOfRange,
     NegativeEntry,
     NonStochasticRow,
-    OnOffFadingSpec,
     bsc,
     compose,
     dmc_new,
     load_channel,
     on_off_fading_matrix,
-    sample_output,
     sample_outputs,
     save_channel,
 )
@@ -32,6 +30,7 @@ from .continuous import (
     default_grid,
     export_quantized,
     quantize_to_dmc,
+    quantized_awgn,
     rayleigh_awgn_density,
     sample_continuous,
 )
@@ -52,6 +51,7 @@ from .decoder import (
     scaling_experiment,
     scaling_to_csv,
     simulate_trial,
+    single_rows,
     trial_rng,
     typicality_distance,
     wilson_interval,

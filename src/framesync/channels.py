@@ -68,17 +68,6 @@ BINARY = default_alphabet(2)
 
 
 @dataclass(frozen=True)
-class OnOffFadingSpec:
-    """ON-OFF fading: the input passes with probability p, else drops to x(0)."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ChannelError(f"ON probability must be in [0,1], got {self.p}")
-
-
-@dataclass(frozen=True)
 class Dmc:
     """Discrete memoryless channel: one row per input, one column per output.
 
@@ -98,6 +87,8 @@ class Dmc:
                 f"table shape {rows.shape} does not match alphabets "
                 f"({len(self.input_alphabet)}, {len(self.output_alphabet)})"
             )
+        if not np.all(np.isfinite(rows)):
+            raise ChannelError("transition probabilities must be finite")
         if np.any(rows < 0.0):
             raise NegativeEntry("transition probabilities must be non-negative")
         sums = rows.sum(axis=1)
@@ -162,14 +153,14 @@ def bsc(eps: float) -> Dmc:
     return Dmc(BINARY, BINARY, np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
 
 
-def on_off_fading_matrix(spec: OnOffFadingSpec | float, alphabet: Alphabet = BINARY) -> Dmc:
-    """ON-OFF fading table: mass p at h=x and 1-p at h=x(0); the x(0) row is degenerate."""
-    if not isinstance(spec, OnOffFadingSpec):
-        spec = OnOffFadingSpec(float(spec))
+def on_off_fading_matrix(p: float, alphabet: Alphabet = BINARY) -> Dmc:
+    """ON-OFF fading table: x passes with probability p, else drops to x(0) (a degenerate row)."""
+    if not 0.0 <= p <= 1.0:
+        raise ChannelError(f"ON probability must be in [0,1], got {p}")
     n = len(alphabet)
     z = alphabet.zero_index
-    rows = spec.p * np.eye(n)
-    rows[:, z] += 1.0 - spec.p
+    rows = p * np.eye(n)
+    rows[:, z] += 1.0 - p
     return Dmc(alphabet, alphabet, rows)
 
 
@@ -186,15 +177,6 @@ def compose(fading: Dmc, noise: Dmc) -> Dmc:
     # matrix product of stochastic tables is stochastic up to rounding dust
     rows = rows / rows.sum(axis=1, keepdims=True)
     return Dmc(fading.input_alphabet, noise.output_alphabet, rows)
-
-
-def sample_output(channel: Dmc, input_symbol: int, rng: np.random.Generator) -> int:
-    """Draw one output symbol from the row distribution of ``input_symbol``."""
-    if not 0 <= input_symbol < channel.n_inputs:
-        raise IndexOutOfRange(f"input symbol {input_symbol} out of range")
-    row = channel.rows[input_symbol]
-    u = rng.random()
-    return int(np.searchsorted(np.cumsum(row), u, side="right").clip(0, channel.n_outputs - 1))
 
 
 def sample_outputs(channel: Dmc, input_symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:

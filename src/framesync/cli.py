@@ -24,14 +24,13 @@ from importlib import resources
 import numpy as np
 
 from .channels import bsc, compose, dmc_new, load_channel, on_off_fading_matrix
-from .continuous import AwgnSpec, QuantizationGrid, RayleighAwgnSpec, quantize_to_dmc
+from .continuous import AwgnSpec, RayleighAwgnSpec, quantized_awgn
 from .decoder import (
-    TrialConfig,
-    _window_from_exponent,
     bsc_scaling_rows,
     energy_scaling_rows,
-    monte_carlo,
+    scaling_experiment,
     scaling_to_csv,
+    single_rows,
 )
 from .quadrature import QuadratureNonConvergence
 from .sequences import build_sync_word, min_shift_hamming_distance, nearest_valid_length
@@ -88,27 +87,38 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _parse_channel(spec: str, bins: int = 8):
+    """Channel of a spec 'bsc:EPS', 'onoff:P,EPS', 'awgn:P,SIGMA2' (quantized on bins cells) or 'file:PATH'."""
+    kind, _, params = spec.partition(":")
+    if kind == "file":
+        return load_channel(params)
+    arity = {"bsc": 1, "onoff": 2, "awgn": 2}
+    if kind not in arity:
+        raise CliError(f"unknown channel spec {spec!r}")
+    vals = _float_list(params)
+    if len(vals) != arity[kind]:
+        raise CliError(f"channel {kind!r} takes {arity[kind]} comma-separated values, got {params!r}")
+    if kind == "bsc":
+        return bsc(vals[0])
+    if kind == "onoff":
+        return compose(on_off_fading_matrix(vals[0]), bsc(vals[1]))
+    return quantized_awgn(AwgnSpec(*vals), bins)
+
+
 # ---------------------------------------------------------------- threshold
 
 
 def _parse_channel_args(args) -> tuple:
     """Resolve the channel source flags into (description dict, ThresholdReport)."""
     if args.bsc is not None:
-        eps = args.bsc
-        report = sync_threshold(bsc(eps))
-        return {"channel": f"bsc:{eps:g}"}, report
+        return {"channel": f"bsc:{args.bsc:g}"}, sync_threshold(_parse_channel(f"bsc:{args.bsc!r}"))
     if args.onoff_bsc is not None:
-        vals = [float(tok.split("=")[-1]) for tok in args.onoff_bsc]
-        if len(vals) != 2:
-            raise CliError("--onoff-bsc takes two values: P EPS")
-        p, eps = vals
-        channel = compose(on_off_fading_matrix(p), bsc(eps))
-        report = sync_threshold(channel)
+        p, eps = (float(tok.split("=")[-1]) for tok in args.onoff_bsc)
+        report = sync_threshold(_parse_channel(f"onoff:{p!r},{eps!r}"))
         return {"channel": f"onoff-bsc:{p:g},{eps:g}"}, report
     if args.awgn is not None:
         power, sigma2 = args.awgn
-        spec = AwgnSpec(power=power, noise_var=sigma2)
-        alpha = awgn_threshold(spec)
+        alpha = awgn_threshold(AwgnSpec(power=power, noise_var=sigma2))
         report = ThresholdReport(
             alpha=alpha, argmax_symbol=1, method="closed-form", per_symbol_divergences=(0.0, alpha)
         )
@@ -122,8 +132,7 @@ def _parse_channel_args(args) -> tuple:
         )
         return {"channel": f"rayleigh:{power:g},{sigma2:g},{scale:g}"}, report
     if args.file is not None:
-        report = sync_threshold(load_channel(args.file))
-        return {"channel": f"file:{args.file}"}, report
+        return {"channel": f"file:{args.file}"}, sync_threshold(_parse_channel(f"file:{args.file}"))
     if args.inline is not None:
         rows = [[float(v) for v in row.split(",")] for row in args.inline.split(";")]
         report = sync_threshold(dmc_new(np.array(rows)))
@@ -184,7 +193,9 @@ def cmd_rayleigh_sweep(args) -> int:
     sigma_h_list = _float_list(args.sigma_h_list) if args.sigma_h_list else DEFAULT_SIGMA_H
     cells = rayleigh_ratio_sweep(snr_list, sigma_h_list, noise_var=args.sigma2)
     _emit(sweep_to_csv(cells), args.out)
-    if any(math.isnan(c.ratio) for c in cells):
+    failed = sum(math.isnan(c.ratio) for c in cells)
+    if failed:
+        print(f"error: {failed} of {len(cells)} sweep cells failed (written as nan)", file=sys.stderr)
         return EXIT_RUNTIME
     return EXIT_OK
 
@@ -233,98 +244,71 @@ def _config_from_replay(path: str) -> dict[str, str]:
     return cfg
 
 
-def _build_channel(desc: str, bins: int):
-    kind, _, params = desc.partition(":")
-    if kind == "bsc":
-        return bsc(float(params))
-    if kind == "onoff":
-        p, eps = _float_list(params)
-        return compose(on_off_fading_matrix(p), bsc(eps))
-    if kind == "awgn":
-        vals = _float_list(params)
-        power, sigma2 = vals[0], vals[1]
-        s = math.sqrt(sigma2)
-        grid = QuantizationGrid(-5.0 * s, math.sqrt(power) + 5.0 * s, bins)
-        return quantize_to_dmc(AwgnSpec(power=power, noise_var=sigma2), grid)
-    if kind == "file":
-        return load_channel(params)
-    raise CliError(f"unknown channel spec {desc!r}")
+# keys each simulate mode reads beside mode, trials, seed and workers; any other key is an error
+MODE_KEYS = {
+    "single": ("channel", "n", "k", "a", "beta", "mu", "norm", "bins"),
+    "bsc-scaling": ("eps", "k", "n_list", "beta", "mu", "norm"),
+    "energy-scaling": ("energy", "sigma2", "n_list", "bins", "mu_coeff", "norm"),
+}
+RUN_KEYS = ("mode", "trials", "seed", "workers")
 
 
-def _require(cfg: dict[str, str], key: str) -> str:
-    if key not in cfg:
-        raise CliError(f"config key {key!r} is required for mode {cfg.get('mode')!r}")
-    return cfg[key]
+def _config_rows(cfg: dict[str, str]) -> tuple[str, list, dict]:
+    """(mode, rows, run settings for scaling_experiment) of a simulate config."""
+    mode = cfg.get("mode", "single")
+    if mode not in MODE_KEYS:
+        raise CliError(f"unknown simulate mode {mode!r}")
+    unread = sorted(set(cfg) - set(RUN_KEYS) - set(MODE_KEYS[mode]))
+    if unread:
+        raise CliError(f"config keys not read by mode {mode!r}: {', '.join(unread)}")
 
+    def get(key: str, default: str | None = None) -> str:
+        if key in cfg:
+            return cfg[key]
+        if default is None:
+            raise CliError(f"config key {key!r} is required for mode {mode!r}")
+        return default
 
-def _run_single(cfg: dict[str, str]) -> tuple[dict, str]:
-    trials = int(_require(cfg, "trials"))
-    if trials < 1:
-        raise CliError(f"trials must be >= 1, got {trials}")
-    seed = int(cfg.get("seed", "0"))
-    workers = int(cfg.get("workers", "1"))
-    bins = int(cfg.get("bins", "8"))
-    channel = _build_channel(_require(cfg, "channel"), bins)
-    n = int(_require(cfg, "n"))
-    k = int(_require(cfg, "k"))
-    word = build_sync_word(n, k)
-    mu = float(cfg["mu"]) if "mu" in cfg else None
-    norm = cfg.get("norm", "linf")
-    if "a" in cfg:
-        a = int(cfg["a"])
-    elif "beta" in cfg:
-        a = _window_from_exponent(float(cfg["beta"]) * sync_threshold(channel).alpha * n)
+    def optional(key: str, parse):
+        return parse(cfg[key]) if key in cfg else None
+
+    run = {"trials": int(get("trials")), "master_seed": int(get("seed", "0")), "workers": int(get("workers", "1"))}
+    if run["trials"] < 1:
+        raise CliError(f"trials must be >= 1, got {run['trials']}")
+    if mode == "single":
+        rows = single_rows(
+            channel=_parse_channel(get("channel"), int(get("bins", "8"))),
+            n=int(get("n")),
+            k=int(get("k")),
+            mu=optional("mu", float),
+            norm=get("norm", "linf"),
+            a=optional("a", int),
+            beta=optional("beta", float),
+        )
+    elif mode == "bsc-scaling":
+        rows = bsc_scaling_rows(
+            eps=float(get("eps")),
+            k=int(get("k")),
+            n_list=_int_list(get("n_list")),
+            beta=float(get("beta")),
+            mu=float(get("mu")),
+            norm=get("norm", "linf"),
+        )
     else:
-        raise CliError("single mode needs either 'a' or 'beta'")
-    config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
-    report = monte_carlo(config, trials, master_seed=seed, workers=workers)
-    payload = {"config": _echo_dict(cfg), "a": float(a), "report": report.to_json_dict()}
-    return payload, _json_dumps(payload)
+        rows = energy_scaling_rows(
+            energy=float(get("energy")),
+            sigma2=float(get("sigma2", "1.0")),
+            n_list=_int_list(get("n_list")),
+            bins=int(get("bins", "8")),
+            mu_coeff=float(get("mu_coeff", "1.2")),
+            norm=get("norm", "l1"),
+        )
+    return mode, rows, run
 
 
 def _echo_dict(cfg: dict[str, str]) -> dict[str, str]:
     # worker count is an execution detail; outputs must not depend on it
     return {k: v for k, v in cfg.items() if k != "workers"}
-
-
-def _echo_header(cfg: dict[str, str]) -> str:
-    return "".join(f"# {k} = {v}\n" for k, v in sorted(_echo_dict(cfg).items()))
-
-
-def _run_scaling(rows, cfg: dict[str, str]) -> tuple[str, Exception | None]:
-    """Monte Carlo per row; on a mid-run failure the completed rows survive."""
-    trials = int(_require(cfg, "trials"))
-    seed = int(cfg.get("seed", "0"))
-    workers = int(cfg.get("workers", "1"))
-    results, failure = [], None
-    for row in rows:
-        try:
-            report = monte_carlo(row.config, trials, master_seed=seed, workers=workers)
-        except RuntimeError as exc:
-            failure = exc
-            break
-        results.append((row, report))
-    return _echo_header(cfg) + scaling_to_csv(results), failure
-
-
-def _build_rows(mode: str, cfg: dict[str, str]):
-    if mode == "bsc-scaling":
-        return bsc_scaling_rows(
-            eps=float(_require(cfg, "eps")),
-            k=int(_require(cfg, "k")),
-            n_list=_int_list(_require(cfg, "n_list")),
-            beta=float(_require(cfg, "beta")),
-            mu=float(_require(cfg, "mu")),
-            norm=cfg.get("norm", "linf"),
-        )
-    return energy_scaling_rows(
-        energy=float(_require(cfg, "energy")),
-        sigma2=float(cfg.get("sigma2", "1.0")),
-        n_list=_int_list(_require(cfg, "n_list")),
-        bins=int(cfg.get("bins", "8")),
-        mu_coeff=float(cfg.get("mu_coeff", "1.2")),
-        norm=cfg.get("norm", "l1"),
-    )
 
 
 def cmd_simulate(args) -> int:
@@ -344,19 +328,20 @@ def cmd_simulate(args) -> int:
         key, value = override.split("=", 1)
         cfg[key.strip()] = value.strip()
 
-    mode = cfg.get("mode", "single")
     t0 = time.monotonic()
-    failure: Exception | None = None
+    mode, rows, run = _config_rows(cfg)
+    try:
+        results, failure = scaling_experiment(rows, **run), None
+    except RuntimeError as exc:
+        results, failure = exc.completed, exc
     if mode == "single":
-        try:
-            _, text = _run_single(cfg)
-        except (QuadratureNonConvergence, RuntimeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_RUNTIME
-    elif mode in ("bsc-scaling", "energy-scaling"):
-        text, failure = _run_scaling(_build_rows(mode, cfg), cfg)
+        if failure is not None:
+            raise CliError(str(failure), EXIT_RUNTIME)
+        row, report = results[0]
+        text = _json_dumps({"config": _echo_dict(cfg), "a": float(row.a), "report": report.to_json_dict()})
     else:
-        raise CliError(f"unknown simulate mode {mode!r}")
+        echo = "".join(f"# {k} = {v}\n" for k, v in sorted(_echo_dict(cfg).items()))
+        text = echo + scaling_to_csv(results)
     _emit(text, args.out)
     print(f"wall_time_s {time.monotonic() - t0:.3f}", file=sys.stderr)
     if failure is not None:

@@ -40,9 +40,10 @@ class AwgnSpec:
     noise_var: float
 
     def __post_init__(self):
-        if self.power < 0.0:
+        # negated comparisons, so NaN fails them too
+        if not self.power >= 0.0:
             raise ValueError(f"power must be >= 0, got {self.power}")
-        if self.noise_var <= 0.0:
+        if not self.noise_var > 0.0:
             raise ValueError(f"noise variance must be > 0, got {self.noise_var}")
 
     @property
@@ -63,11 +64,8 @@ class RayleighAwgnSpec:
     scale: float
 
     def __post_init__(self):
-        if self.power < 0.0:
-            raise ValueError(f"power must be >= 0, got {self.power}")
-        if self.noise_var <= 0.0:
-            raise ValueError(f"noise variance must be > 0, got {self.noise_var}")
-        if self.scale <= 0.0:
+        AwgnSpec(self.power, self.noise_var)  # the same checks on P and sigma^2
+        if not self.scale > 0.0:
             raise ValueError(f"Rayleigh scale must be > 0, got {self.scale}")
 
     @property
@@ -88,8 +86,8 @@ class QuantizationGrid:
     bins: int
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
+        if not -math.inf < self.lo < self.hi < math.inf:
+            raise ValueError(f"grid needs finite lo < hi, got [{self.lo}, {self.hi}]")
         if self.bins < 2:
             raise ValueError(f"grid needs at least 2 bins, got {self.bins}")
 
@@ -214,6 +212,12 @@ def quantize_to_dmc(
     if return_tail_mass:
         return dmc, tail
     return dmc
+
+
+def quantized_awgn(spec: AwgnSpec, bins: int) -> Dmc:
+    """AWGN quantized on ``bins`` cells of [-5 sigma, sqrt(P) + 5 sigma], the simulation grid."""
+    s = spec.sigma
+    return quantize_to_dmc(spec, QuantizationGrid(-5.0 * s, math.sqrt(spec.power) + 5.0 * s, bins))
 
 
 def sample_continuous(

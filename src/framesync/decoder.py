@@ -110,8 +110,8 @@ class TypicalityDecoder:
 
     def __post_init__(self):
         mu = default_mu(self.channel) if self.mu is None else self.mu
-        if mu <= 0.0:
-            raise ValueError(f"mu must be > 0, got {mu}")
+        if not 0.0 < mu < math.inf:
+            raise ValueError(f"mu must be finite and > 0, got {mu}")
         object.__setattr__(self, "mu", float(mu))
         if self.norm not in ("linf", "l1"):
             raise ValueError(f"unknown norm {self.norm!r}")
@@ -250,6 +250,8 @@ class TrialConfig:
     def __post_init__(self):
         if self.a < 1:
             raise ValueError(f"asynchronism window must be >= 1, got {self.a}")
+        if self.a >= 2**1023:  # A must convert to a float
+            raise ValueError("asynchronism window too large (2^1023 or more)")
         if self.effective_scan_limit < len(self.word):
             raise ValueError("scan limit must be at least the word length")
 
@@ -416,11 +418,9 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def simulate_trial(
-    config: TrialConfig, rng: np.random.Generator, full_sim_max_a: int = FULL_SIM_MAX_A
-) -> TrialOutcome:
+def simulate_trial(config: TrialConfig, rng: np.random.Generator) -> TrialOutcome:
     """Run one trial: draw v, synthesize outputs, decode, classify."""
-    return TrialEngine(config, full_sim_max_a).run(rng)
+    return TrialEngine(config).run(rng)
 
 
 def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
@@ -536,8 +536,31 @@ class ScalingRow:
 
 def _window_from_exponent(ln_a: float) -> int:
     if ln_a > 700.0:
-        raise ValueError(f"exp({ln_a:.1f}) overflows; asynchronism window too large")
+        raise ValueError(f"exp({ln_a:.6g}) overflows; asynchronism window too large")
     return max(1, int(round(math.exp(ln_a))))
+
+
+def single_rows(
+    channel: Dmc,
+    n: int,
+    k: int,
+    mu: float | None = None,
+    norm: str = "linf",
+    a: int | None = None,
+    beta: float | None = None,
+) -> list[ScalingRow]:
+    """One row over a given channel: A as given, else round(exp(beta * alpha * N))."""
+    from .sequences import build_sync_word
+    from .thresholds import sync_threshold
+
+    word = build_sync_word(n, k)
+    alpha = sync_threshold(channel).alpha
+    if a is None:
+        if beta is None:
+            raise ValueError("single mode needs either 'a' or 'beta'")
+        a = _window_from_exponent(beta * alpha * n)
+    config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
+    return [ScalingRow(n=n, a=a, alpha=alpha, config=config)]
 
 
 def bsc_scaling_rows(
@@ -592,19 +615,18 @@ def energy_scaling_rows(
     The feasibility threshold exp(E / (2 sigma^2)) is carried per row so
     reports can print it against A.
     """
-    from .continuous import AwgnSpec, QuantizationGrid, quantize_to_dmc
+    from .continuous import AwgnSpec, quantized_awgn
     from .sequences import build_sync_word
     from .thresholds import sync_threshold
 
+    AwgnSpec(power=energy, noise_var=sigma2)  # checks E and sigma^2 before they divide
     a = _window_from_exponent(energy / (4.0 * sigma2))
     feas = math.exp(energy / (2.0 * sigma2)) if energy / (2.0 * sigma2) < 700 else math.inf
-    s = math.sqrt(sigma2)
     rows = []
     for n in n_list:
+        word = build_sync_word(n, smallest_valid_k(n))  # rejects n < 1 before P = E/N
         power = energy / n
-        grid = QuantizationGrid(-5.0 * s, math.sqrt(power) + 5.0 * s, bins)
-        channel = quantize_to_dmc(AwgnSpec(power=power, noise_var=sigma2), grid)
-        word = build_sync_word(n, smallest_valid_k(n))
+        channel = quantized_awgn(AwgnSpec(power=power, noise_var=sigma2), bins)
         mu = mu_coeff / math.sqrt(n)
         config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
         rows.append(
@@ -624,14 +646,19 @@ def scaling_experiment(
     trials: int,
     master_seed: int,
     workers: int = 1,
-    full_sim_max_a: int = FULL_SIM_MAX_A,
 ) -> list[tuple[ScalingRow, ErrorReport]]:
-    """One Monte Carlo run per row, deterministic under the master seed."""
+    """One Monte Carlo run per row, deterministic under the master seed.
+
+    A RuntimeError in a row propagates with the (row, report) pairs finished
+    before it attached as its ``completed`` attribute, so they can be written.
+    """
     results = []
     for row in rows:
-        report = monte_carlo(
-            row.config, trials, master_seed, workers=workers, full_sim_max_a=full_sim_max_a
-        )
+        try:
+            report = monte_carlo(row.config, trials, master_seed, workers=workers)
+        except RuntimeError as exc:
+            exc.completed = results
+            raise
         results.append((row, report))
     return results
 

@@ -3,18 +3,17 @@ import pytest
 
 from framesync import (
     Alphabet,
+    ChannelError,
     DimensionMismatch,
     Dmc,
     IndexOutOfRange,
     NegativeEntry,
     NonStochasticRow,
-    OnOffFadingSpec,
     bsc,
     compose,
     dmc_new,
     load_channel,
     on_off_fading_matrix,
-    sample_output,
     sample_outputs,
     save_channel,
 )
@@ -25,6 +24,13 @@ class TestDmcNew:
     def test_identity_table_is_valid(self):
         dmc = dmc_new(np.eye(2))
         assert np.array_equal(dmc.rows, np.eye(2))
+
+    def test_nan_and_inf_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ChannelError):
+                dmc_new([[bad, 0.5], [0.5, 0.5]])
+            with pytest.raises(ChannelError):
+                dmc_new([[0.5, 0.5], [bad, 0.5]], normalize=True)
 
     def test_short_row_rejected(self):
         with pytest.raises(NonStochasticRow):
@@ -79,12 +85,13 @@ class TestOnOffFading:
         assert np.array_equal(dmc.rows, expected)
 
     def test_binary_p03(self):
-        dmc = on_off_fading_matrix(OnOffFadingSpec(0.3))
+        dmc = on_off_fading_matrix(0.3)
         assert np.allclose(dmc.rows, [[1.0, 0.0], [0.7, 0.3]], atol=1e-15)
 
     def test_p_out_of_range(self):
-        with pytest.raises(ValueError):
-            OnOffFadingSpec(1.5)
+        for p in (1.5, -0.1, float("nan")):
+            with pytest.raises(ChannelError):
+                on_off_fading_matrix(p)
 
 
 class TestCompose:
@@ -145,15 +152,17 @@ class TestSampling:
     def test_identity_channel_is_deterministic(self):
         dmc = dmc_new(np.eye(2))
         rng = np.random.default_rng(0)
-        assert all(sample_output(dmc, 1, rng) == 1 for _ in range(50))
+        assert np.array_equal(sample_outputs(dmc, np.array([1, 0] * 25), rng), [1, 0] * 25)
 
     def test_bsc0_never_flips(self):
         rng = np.random.default_rng(0)
-        assert all(sample_output(bsc(0.0), 0, rng) == 0 for _ in range(50))
+        assert not sample_outputs(bsc(0.0), np.zeros(50, dtype=int), rng).any()
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexOutOfRange):
-            sample_output(bsc(0.1), 2, np.random.default_rng(0))
+            sample_outputs(bsc(0.1), np.array([2]), np.random.default_rng(0))
+        with pytest.raises(IndexOutOfRange):
+            sample_outputs(bsc(0.1), np.array([-1, 0]), np.random.default_rng(0))
         with pytest.raises(IndexOutOfRange):
             sample_outputs(bsc(0.1), np.array([0, 3]), np.random.default_rng(0))
 

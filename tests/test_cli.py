@@ -8,7 +8,7 @@ import pytest
 
 import framesync
 from framesync import bsc_threshold_closed_form, composite_binary_threshold_closed_form
-from framesync.cli import main
+from framesync.cli import _config_from_replay, main
 
 
 def run_cli(capsys, *argv):
@@ -57,6 +57,11 @@ class TestThreshold:
         assert code == 2
         assert "error" in err
 
+    def test_nan_inputs_exit_2(self, capsys):
+        for argv in (("--awgn", "nan", "1"), ("--awgn", "1", "nan"), ("--inline", "nan,1;0.5,0.5")):
+            code, out, err = run_cli(capsys, "threshold", *argv)
+            assert code == 2 and err.startswith("error:") and out == ""
+
     def test_inline(self, capsys):
         code, out, _ = run_cli(capsys, "threshold", "--inline", "0.9,0.1;0.2,0.8")
         assert code == 0
@@ -98,6 +103,18 @@ class TestRayleighSweep:
         # alpha_q column is the absolute threshold, increasing with SNR
         alphas = [float(line.split(",")[2]) for line in lines[1:]]
         assert alphas[1] > alphas[0]
+
+
+    def test_nan_snr_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "nan", "--sigma-h-list", "1")
+        assert code == 2 and err.startswith("error:") and out == ""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_cell_exits_3_with_error_line(self, capsys):
+        # infinite noise variance: the KL quadrature cannot converge
+        code, out, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "1", "--sigma-h-list", "1", "--sigma2", "inf")
+        assert code == 3 and out.splitlines()[1] == "1,1,nan,nan,nan"
+        assert "error: 1 of 1 sweep cells failed" in err
 
 
 class TestSequence:
@@ -217,6 +234,31 @@ class TestSimulate:
         rows = [l for l in out.read_text().splitlines() if not l.startswith("#")]
         assert len(rows) == 2  # header plus the completed first row
         assert rows[1].startswith("6,")
+
+
+    @pytest.mark.parametrize(
+        "preset, override",
+        [
+            ("single_bsc", "channel=awgn:1"),  # one value where awgn takes P,SIGMA2
+            ("energy_scaling", "sigma2=0"),  # A = exp(E / (4 sigma^2)) cannot be formed
+            ("single_bsc", "tirals=5"),  # a key the mode does not read
+            ("bsc_scaling", "channel=bsc:0.1"),  # a single-mode key in a scaling mode
+            ("single_bsc", "a=" + "9" * 400),  # A beyond float range
+        ],
+    )
+    def test_bad_override_is_validation_error(self, capsys, preset, override):
+        code, out, err = run_cli(capsys, "simulate", "--preset", preset, "--set", override)
+        assert code == 2
+        assert err.startswith("error:") and out == ""
+
+    @pytest.mark.parametrize("name", ["single_bsc.json", "bsc_scaling.csv", "energy_scaling.csv"])
+    def test_committed_outputs_replay(self, capsys, tmp_path, name):
+        # every key a committed output echoes is one its mode reads
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "out", name)
+        out = tmp_path / name
+        code, _, _ = run_cli(capsys, "simulate", "--replay", path, "--set", "trials=20", "--out", str(out))
+        assert code == 0
+        assert _config_from_replay(str(out)) == {**_config_from_replay(path), "trials": "20"}
 
 
 class TestDeterminism:

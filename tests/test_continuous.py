@@ -48,11 +48,23 @@ class TestSpecs:
         with pytest.raises(ValueError):
             RayleighAwgnSpec(power=1.0, noise_var=1.0, scale=0.0)
 
+    def test_nan_rejected(self):
+        nan = math.nan
+        for power, noise_var in ((nan, 1.0), (1.0, nan)):
+            with pytest.raises(ValueError):
+                AwgnSpec(power=power, noise_var=noise_var)
+        for power, noise_var, scale in ((nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan)):
+            with pytest.raises(ValueError):
+                RayleighAwgnSpec(power=power, noise_var=noise_var, scale=scale)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             QuantizationGrid(1.0, 1.0, 8)
         with pytest.raises(ValueError):
             QuantizationGrid(0.0, 1.0, 1)
+        for lo, hi in ((-math.inf, 1.0), (0.0, math.inf), (math.nan, 1.0)):
+            with pytest.raises(ValueError):
+                QuantizationGrid(lo, hi, 8)
 
 
 class TestDensities:

@@ -21,10 +21,13 @@ from framesync import (
     joint_counts,
     monte_carlo,
     quantize_to_dmc,
+    quantized_awgn,
     run_decoder,
     scaling_experiment,
     scaling_to_csv,
     simulate_trial,
+    single_rows,
+    sync_threshold,
     trial_rng,
     typicality_distance,
     wilson_interval,
@@ -124,8 +127,15 @@ class TestDecoderState:
         assert dec.mu == pytest.approx(0.05, abs=1e-15)
 
     def test_mu_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TypicalityDecoder(word=build_sync_word(21, 3), channel=bsc(0.1), mu=0.0)
+        for mu in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                TypicalityDecoder(word=build_sync_word(21, 3), channel=bsc(0.1), mu=mu)
+
+    def test_window_must_fit_a_float(self):
+        word = build_sync_word(21, 3)
+        for a in (0, 2**1023):
+            with pytest.raises(ValueError):
+                TrialConfig(a=a, word=word, channel=bsc(0.1))
 
 
 class TestRunDecoder:
@@ -339,6 +349,29 @@ class TestScaling:
             )
             assert row.extra["power"] == pytest.approx(24.0 / row.n)
 
+    def test_single_row_window(self):
+        channel = quantized_awgn(AwgnSpec(power=4.0, noise_var=1.0), 8)
+        alpha = sync_threshold(channel).alpha
+        (row,) = single_rows(channel, 21, 3, beta=0.5)
+        assert row.a == int(round(math.exp(0.5 * alpha * 21))) and row.alpha == alpha
+        assert single_rows(channel, 21, 3, a=7, beta=0.5)[0].a == 7
+        with pytest.raises(ValueError):
+            single_rows(channel, 21, 3)
+
+    def test_energy_rows_validate_before_dividing(self):
+        for sigma2 in (0.0, math.nan):
+            with pytest.raises(ValueError):
+                energy_scaling_rows(32.0, sigma2, [32])
+        with pytest.raises(ValueError):
+            energy_scaling_rows(32.0, 1.0, [0])
+
+    def test_failed_row_carries_completed_rows(self):
+        # the second row needs an uncertifiable far-window skip
+        rows = bsc_scaling_rows(0.4, 2, [6, 254], beta=0.99, mu=0.4)
+        with pytest.raises(SimulationInfeasible) as info:
+            scaling_experiment(rows, trials=50, master_seed=1)
+        assert [row.n for row, _ in info.value.completed] == [6]
+
     def test_csv_shape_and_determinism(self):
         rows = bsc_scaling_rows(0.1, 2, [14, 30], beta=0.2, mu=0.2, norm="l1")
         res1 = scaling_experiment(rows, trials=400, master_seed=8)
@@ -361,8 +394,7 @@ def channels(draw, noisy=True):
     if draw(st.booleans()):
         return bsc(draw(st.floats(0.0, 0.45 if noisy else 0.01)))
     power = draw(st.floats(0.5, 9.0) if noisy else st.floats(36.0, 64.0))
-    bins = draw(st.integers(3, 8))
-    return quantize_to_dmc(AwgnSpec(power=power, noise_var=1.0), QuantizationGrid(-5.0, math.sqrt(power) + 5.0, bins))
+    return quantized_awgn(AwgnSpec(power=power, noise_var=1.0), draw(st.integers(3, 8)))
 
 
 @st.composite
