@@ -6,7 +6,6 @@ joint-typicality decoder with a reproducible Monte Carlo harness.
 """
 
 from .channels import (
-    Alphabet,
     ChannelError,
     DimensionMismatch,
     Dmc,

@@ -1,9 +1,10 @@
 """Finite-alphabet channels: stochastic transition tables, fading composition, sampling.
 
-A channel is a row-stochastic table Q(y|x) over finite input/output alphabets.
-The idle symbol x(0) sits at a designated index (index 0 by convention
-throughout this package); the composite fading-plus-noise construction and the
-ON-OFF fading table both key off it.
+A channel is its row-stochastic table Q(y|x): one row per input, one column
+per output, indexed from 0. Row 0 is the idle symbol x(0) and row 1 the sync
+symbol x(1); the binary sync word's 0/1 symbols index these rows directly.
+Inputs from 2 on enter only the thresholds (the best input against x(0)).
+The ON-OFF fading table drops every input to x(0).
 """
 
 from __future__ import annotations
@@ -29,64 +30,36 @@ class NegativeEntry(ChannelError):
 
 
 class DimensionMismatch(ChannelError):
-    """Table shape inconsistent with the declared alphabets."""
+    """Table shape is not 2-D, or two tables' sizes do not chain."""
 
 
 class IndexOutOfRange(ChannelError):
-    """Symbol index outside the alphabet."""
+    """Symbol index outside the table."""
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Ordered symbol labels with a designated idle symbol x(0).
-
-    By package convention the idle symbol is at index 0; the field is kept
-    explicit so tables loaded from elsewhere can declare a different slot.
-    """
-
-    symbols: tuple[str, ...]
-    zero_index: int = 0
-
-    def __post_init__(self):
-        if len(self.symbols) == 0:
-            raise ChannelError("alphabet must be non-empty")
-        if len(set(self.symbols)) != len(self.symbols):
-            raise ChannelError("alphabet labels must be unique")
-        if not 0 <= self.zero_index < len(self.symbols):
-            raise ChannelError(f"zero_index {self.zero_index} out of range")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-def default_alphabet(n: int) -> Alphabet:
-    """Alphabet with labels '0'..'n-1' and x(0) at index 0."""
-    return Alphabet(tuple(str(i) for i in range(n)))
-
-
-BINARY = default_alphabet(2)
+def _table(rows) -> np.ndarray:
+    """rows as a 2-D float64 table with at least one input and one output."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise DimensionMismatch(f"expected a 2-D table, got ndim={rows.ndim}")
+    if 0 in rows.shape:
+        raise ChannelError(f"table needs at least one input and one output, got shape {rows.shape}")
+    return rows
 
 
 @dataclass(frozen=True)
 class Dmc:
     """Discrete memoryless channel: one row per input, one column per output.
 
-    Rows are validated (non-negative, stochastic to 1e-12) and frozen; the
-    array is marked read-only so instances are safely shareable across
+    Rows are validated (non-negative, finite, stochastic to 1e-12) and frozen;
+    the array is marked read-only so instances are safely shareable across
     concurrent workers.
     """
 
-    input_alphabet: Alphabet
-    output_alphabet: Alphabet
     rows: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape != (len(self.input_alphabet), len(self.output_alphabet)):
-            raise DimensionMismatch(
-                f"table shape {rows.shape} does not match alphabets "
-                f"({len(self.input_alphabet)}, {len(self.output_alphabet)})"
-            )
+        rows = _table(self.rows)
         if not np.all(np.isfinite(rows)):
             raise ChannelError("transition probabilities must be finite")
         if np.any(rows < 0.0):
@@ -103,36 +76,21 @@ class Dmc:
 
     @property
     def n_inputs(self) -> int:
-        return len(self.input_alphabet)
+        return self.rows.shape[0]
 
     @property
     def n_outputs(self) -> int:
-        return len(self.output_alphabet)
-
-    @property
-    def zero_input(self) -> int:
-        return self.input_alphabet.zero_index
+        return self.rows.shape[1]
 
 
-def dmc_new(
-    rows,
-    input_alphabet: Alphabet | None = None,
-    output_alphabet: Alphabet | None = None,
-    normalize: bool = False,
-) -> Dmc:
+def dmc_new(rows, normalize: bool = False) -> Dmc:
     """Validate a probability table into a Dmc.
 
     With ``normalize=True`` rows whose sum deviates from 1 by less than 1e-9
     are rescaled (for tables produced by quantization); larger deviations are
     still rejected.
     """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D table, got ndim={rows.ndim}")
-    if input_alphabet is None:
-        input_alphabet = default_alphabet(rows.shape[0])
-    if output_alphabet is None:
-        output_alphabet = default_alphabet(rows.shape[1])
+    rows = _table(rows)
     if normalize:
         if np.any(rows < 0.0):
             raise NegativeEntry("transition probabilities must be non-negative")
@@ -143,40 +101,38 @@ def dmc_new(
                 f"row {bad[0]} sums to {sums[bad[0]]!r}; deviation too large to normalize"
             )
         rows = rows / sums[:, None]
-    return Dmc(input_alphabet, output_alphabet, rows)
+    return Dmc(rows)
 
 
 def bsc(eps: float) -> Dmc:
     """Binary symmetric channel with crossover probability eps."""
     if not 0.0 <= eps <= 1.0:
         raise ChannelError(f"crossover probability must be in [0,1], got {eps}")
-    return Dmc(BINARY, BINARY, np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
+    return Dmc(np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
 
 
-def on_off_fading_matrix(p: float, alphabet: Alphabet = BINARY) -> Dmc:
-    """ON-OFF fading table: x passes with probability p, else drops to x(0) (a degenerate row)."""
+def on_off_fading_matrix(p: float, n_inputs: int = 2) -> Dmc:
+    """ON-OFF fading table over n_inputs symbols: x passes with probability p, else drops to x(0)."""
     if not 0.0 <= p <= 1.0:
         raise ChannelError(f"ON probability must be in [0,1], got {p}")
-    n = len(alphabet)
-    z = alphabet.zero_index
-    rows = p * np.eye(n)
-    rows[:, z] += 1.0 - p
-    return Dmc(alphabet, alphabet, rows)
+    rows = p * np.eye(n_inputs)
+    rows[:, :1] += 1.0 - p  # column x(0); a slice, so Dmc reports an empty table
+    return Dmc(rows)
 
 
 def compose(fading: Dmc, noise: Dmc) -> Dmc:
     """Cascade two channels: Q(y|x) = sum_h H(h|x) Qn(y|h).
 
-    The fading output alphabet must equal the noise input alphabet.
+    The fading table's output count must equal the noise table's input count.
     """
-    if fading.output_alphabet != noise.input_alphabet:
+    if fading.n_outputs != noise.n_inputs:
         raise DimensionMismatch(
-            "fading output alphabet does not match noise input alphabet"
+            f"fading has {fading.n_outputs} outputs but noise has {noise.n_inputs} inputs"
         )
     rows = fading.rows @ noise.rows
     # matrix product of stochastic tables is stochastic up to rounding dust
     rows = rows / rows.sum(axis=1, keepdims=True)
-    return Dmc(fading.input_alphabet, noise.output_alphabet, rows)
+    return Dmc(rows)
 
 
 def sample_outputs(channel: Dmc, input_symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -83,6 +83,14 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _grid_option(text: str | None, default: list[float], name: str) -> list[float]:
+    """The values of a list option, or its default when absent; an empty list is an error."""
+    values = _float_list(text) if text else default
+    if not values:
+        raise CliError(f"{name} must list at least one value")
+    return values
+
+
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -159,10 +167,8 @@ DEFAULT_EPS_GRID = [round(0.01 * i, 10) for i in range(1, 50)]
 
 
 def cmd_lemma1_grid(args) -> int:
-    p_list = _float_list(args.p_list) if args.p_list else DEFAULT_P_GRID
-    eps_list = _float_list(args.eps_list) if args.eps_list else DEFAULT_EPS_GRID
-    if not p_list or not eps_list:
-        raise CliError("p and eps lists must be non-empty")
+    p_list = _grid_option(args.p_list, DEFAULT_P_GRID, "--p-list")
+    eps_list = _grid_option(args.eps_list, DEFAULT_EPS_GRID, "--eps-list")
     lines = ["p,eps,alpha_q,p_alpha_qn,slack,holds"]
     violated = False
     for p in p_list:
@@ -189,8 +195,8 @@ DEFAULT_SIGMA_H = [1.0, 2.0, 3.0]
 
 
 def cmd_rayleigh_sweep(args) -> int:
-    snr_list = _float_list(args.snr_list) if args.snr_list else DEFAULT_SNR_GRID
-    sigma_h_list = _float_list(args.sigma_h_list) if args.sigma_h_list else DEFAULT_SIGMA_H
+    snr_list = _grid_option(args.snr_list, DEFAULT_SNR_GRID, "--snr-list")
+    sigma_h_list = _grid_option(args.sigma_h_list, DEFAULT_SIGMA_H, "--sigma-h-list")
     cells = rayleigh_ratio_sweep(snr_list, sigma_h_list, noise_var=args.sigma2)
     _emit(sweep_to_csv(cells), args.out)
     failed = sum(math.isnan(c.ratio) for c in cells)

@@ -40,11 +40,11 @@ class AwgnSpec:
     noise_var: float
 
     def __post_init__(self):
-        # negated comparisons, so NaN fails them too
-        if not self.power >= 0.0:
-            raise ValueError(f"power must be >= 0, got {self.power}")
-        if not self.noise_var > 0.0:
-            raise ValueError(f"noise variance must be > 0, got {self.noise_var}")
+        # chained comparisons against inf, so NaN and inf fail them too
+        if not 0.0 < self.noise_var < math.inf:
+            raise ValueError(f"noise variance must be finite and > 0, got {self.noise_var}")
+        if not 0.0 <= self.power < math.inf:
+            raise ValueError(f"power must be finite and >= 0, got {self.power}")
 
     @property
     def sigma(self) -> float:
@@ -65,8 +65,8 @@ class RayleighAwgnSpec:
 
     def __post_init__(self):
         AwgnSpec(self.power, self.noise_var)  # the same checks on P and sigma^2
-        if not self.scale > 0.0:
-            raise ValueError(f"Rayleigh scale must be > 0, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"Rayleigh scale must be finite and > 0, got {self.scale}")
 
     @property
     def sigma(self) -> float:

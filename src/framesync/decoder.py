@@ -1,15 +1,17 @@
 """Sequential joint-typicality decoding and Monte Carlo trial simulation.
 
-The decoder slides a length-N window over the output stream; at each slot t it
-forms the empirical joint distribution of (sync word symbol, output symbol)
-and declares v_hat = t the first time that distribution is within mu of the
-expected joint P_hat_s(x) Q(y|x). A trial transmits the word at a uniform slot
-v in {1..A} and classifies the outcome:
+The word's symbols 0 and 1 are the channel's rows x(0) and x(1), so the
+channel needs at least two inputs. The decoder slides a length-N window over
+the output stream; at each slot t it forms the empirical joint distribution of
+(sync word symbol, output symbol) and declares v_hat = t the first time that
+distribution is within mu of the expected joint P_hat_s(x) Q(y|x). A trial
+transmits the word at a uniform slot v in {1..A}, every other slot carrying
+x(0), scans slots 1..A + N - 1 and classifies the outcome:
 
   Correct  v_hat == v
   E1       v_hat in {1..v-N} or v_hat > v  (false alarm away from the word)
   E2       v_hat in {v-N+1..v-1}           (false alarm on a partial overlap)
-  E3       no declaration by the scan limit (miss)
+  E3       no declaration by slot A + N - 1 (miss)
 
 One engine runs every trial, a block of trials at a time. Trial i draws from
 the Philox stream keyed by (master seed, i): one uniform places the word at
@@ -19,11 +21,12 @@ indicator, taken over the word's runs of each symbol), and distances add
 their cells input by input, then output by output. A block, one trial, one
 stream and one window are views of this kernel and decide identically.
 
-In full mode (A <= FULL_SIM_MAX_A) the segment is the whole stream. Beyond,
-it is the 3N - 2 slots around the word (word at offset N - 1, 2N - 1 windows;
-fewer for v < N or at a custom scan limit), and the far windows that see pure
-idle noise are skipped only when an exact binomial bound certifies that the
-chance any of them fires is below CERT_SLIP; otherwise the engine refuses.
+In full mode (A <= FULL_SIM_MAX_A) the segment is the whole stream of
+A + 2N - 2 slots. Beyond, it is the 3N - 2 slots around the word (word at
+offset N - 1 and 2N - 1 windows; offset v - 1 and v + N - 1 windows for
+v < N), and the far windows that see pure idle noise are skipped only when an
+exact binomial bound certifies that the chance any of them fires is below
+CERT_SLIP; otherwise the engine refuses.
 """
 
 from __future__ import annotations
@@ -61,22 +64,22 @@ def default_mu(channel: Dmc) -> float:
     return 0.1 / channel.n_outputs
 
 
-def joint_counts(word_inputs: np.ndarray, window: np.ndarray, n_inputs: int, n_outputs: int) -> np.ndarray:
+def joint_counts(word_symbols: np.ndarray, window: np.ndarray, n_inputs: int, n_outputs: int) -> np.ndarray:
     """Integer joint occurrence counts of (word symbol, output symbol)."""
-    word_inputs = np.asarray(word_inputs)
+    word_symbols = np.asarray(word_symbols)
     window = np.asarray(window)
-    if word_inputs.shape != window.shape:
+    if word_symbols.shape != window.shape:
         raise LengthMismatch(
-            f"window length {window.shape} does not match word length {word_inputs.shape}"
+            f"window length {window.shape} does not match word length {word_symbols.shape}"
         )
     counts = np.zeros((n_inputs, n_outputs), dtype=np.int64)
-    np.add.at(counts, (word_inputs, window), 1)
+    np.add.at(counts, (word_symbols, window), 1)
     return counts
 
 
-def empirical_joint(word_inputs: np.ndarray, window: np.ndarray, n_inputs: int, n_outputs: int) -> np.ndarray:
+def empirical_joint(word_symbols: np.ndarray, window: np.ndarray, n_inputs: int, n_outputs: int) -> np.ndarray:
     """Empirical joint distribution; entries are counts over the word length."""
-    counts = joint_counts(word_inputs, window, n_inputs, n_outputs)
+    counts = joint_counts(word_symbols, window, n_inputs, n_outputs)
     return counts / counts.sum()
 
 
@@ -105,7 +108,6 @@ class TypicalityDecoder:
     channel: Dmc
     mu: float | None = None
     norm: str = "linf"
-    active_input: int = 1
     reference: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -115,9 +117,11 @@ class TypicalityDecoder:
         object.__setattr__(self, "mu", float(mu))
         if self.norm not in ("linf", "l1"):
             raise ValueError(f"unknown norm {self.norm!r}")
-        if not 0 <= self.active_input < self.channel.n_inputs:
-            raise IndexOutOfRange(f"active input {self.active_input} out of range")
-        wi = self.word_inputs
+        if self.channel.n_inputs < 2:
+            raise IndexOutOfRange(
+                f"the sync word needs inputs x(0) and x(1); the channel has {self.channel.n_inputs}"
+            )
+        wi = self.word.symbols
         ref = np.zeros((self.channel.n_inputs, self.channel.n_outputs))
         n = len(self.word)
         runs = {}  # [start, end) of each run of every word symbol, symbols ascending
@@ -129,12 +133,6 @@ class TypicalityDecoder:
         ref.flags.writeable = False
         object.__setattr__(self, "reference", ref)
         object.__setattr__(self, "_runs", runs)
-
-    @property
-    def word_inputs(self) -> np.ndarray:
-        """Word symbols mapped to channel input indices."""
-        z = self.channel.zero_input
-        return np.where(self.word.symbols == 1, self.active_input, z).astype(np.int64)
 
     def _window_counts(self, outputs: np.ndarray, width: int) -> dict[tuple[int, int], np.ndarray]:
         """Exact joint counts of (word symbol x, output y) in windows 0..width-1 of each row.
@@ -244,29 +242,15 @@ class TrialConfig:
     channel: Dmc
     mu: float | None = None
     norm: str = "linf"
-    active_input: int = 1
-    scan_limit: int | None = None  # default A + N - 1
 
     def __post_init__(self):
         if self.a < 1:
             raise ValueError(f"asynchronism window must be >= 1, got {self.a}")
         if self.a >= 2**1023:  # A must convert to a float
             raise ValueError("asynchronism window too large (2^1023 or more)")
-        if self.effective_scan_limit < len(self.word):
-            raise ValueError("scan limit must be at least the word length")
-
-    @property
-    def effective_scan_limit(self) -> int:
-        return self.a + len(self.word) - 1 if self.scan_limit is None else self.scan_limit
 
     def decoder(self) -> TypicalityDecoder:
-        return TypicalityDecoder(
-            word=self.word,
-            channel=self.channel,
-            mu=self.mu,
-            norm=self.norm,
-            active_input=self.active_input,
-        )
+        return TypicalityDecoder(word=self.word, channel=self.channel, mu=self.mu, norm=self.norm)
 
 
 CLASSES = ("Correct", "E1", "E2", "E3")
@@ -300,10 +284,9 @@ def _noise_window_log_bound(decoder: TypicalityDecoder) -> float:
     window must have every cell count inside its mu band, so the binomial
     probability of the hardest cell bounds the whole event.
     """
-    wi = decoder.word_inputs
+    wi = decoder.word.symbols
     n = len(wi)
-    z = decoder.channel.zero_input
-    noise_row = decoder.channel.rows[z]
+    noise_row = decoder.channel.rows[0]
     best = 0.0
     for x in np.unique(wi):
         nx = int(np.count_nonzero(wi == x))
@@ -325,15 +308,15 @@ def _noise_window_log_bound(decoder: TypicalityDecoder) -> float:
 class TrialEngine:
     """Per-config trial runner; immutable after construction and picklable.
 
-    A trial draws v, then one uniform per slot of its segment (windows + N - 1).
+    A trial draws v, then one uniform per slot of its segment (windows + N - 1);
+    the scan limit is A + N - 1.
     """
 
     def __init__(self, config: TrialConfig, full_sim_max_a: int = FULL_SIM_MAX_A):
         self.config = config
         self.decoder = config.decoder()
         self.n = len(config.word)
-        self.scan_limit = config.effective_scan_limit
-        self.word_inputs = self.decoder.word_inputs
+        self.scan_limit = config.a + self.n - 1
         self.full_mode = config.a <= full_sim_max_a
         stream_len = self.scan_limit + self.n - 1
         self.segment = stream_len if self.full_mode else min(stream_len, 3 * self.n - 2)
@@ -350,8 +333,8 @@ class TrialEngine:
     def _geometry(self, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per trial: v, the word's offset in its segment and its window count.
 
-        v = min(floor(u A) + 1, A) is exact at any A (Python ints past int64);
-        the count is below 1 only past a custom scan limit.
+        v = min(floor(u A) + 1, A) is exact at any A (Python ints past int64).
+        Skip mode puts the word at offset min(v, N) - 1 and scans offset + N windows.
         """
         a, n = self.config.a, self.n
         w = u0 * float(a)
@@ -359,9 +342,8 @@ class TrialEngine:
         v = np.minimum(v + 1, a)
         if self.full_mode:
             return v, v - 1, np.full(len(v), self.scan_limit)
-        offset = np.minimum(v, n) - 1
-        windows = np.maximum(np.minimum(self.scan_limit - v, n - 1) + offset + 1, 1 - n)
-        return v, offset.astype(np.int64), windows.astype(np.int64)
+        offset = (np.minimum(v, n) - 1).astype(np.int64)
+        return v, offset, offset + n
 
     def _first_typical(self, uniforms: np.ndarray, offset: np.ndarray, windows: np.ndarray) -> np.ndarray:
         """First typical window of each trial's segment (-1 if none), from its uniforms."""
@@ -369,8 +351,8 @@ class TrialEngine:
         rel = np.arange(uniforms.shape[1]) - offset[:, None]
         x = np.where(
             (rel >= 0) & (rel < n),
-            self.word_inputs[np.clip(rel, 0, n - 1)],
-            self.config.channel.zero_input,
+            self.config.word.symbols[np.clip(rel, 0, n - 1)],
+            0,
         )
         outputs = inverse_cdf_outputs(self.config.channel, x, uniforms)
         return self.decoder.first_typical(outputs, windows)
@@ -507,8 +489,10 @@ def monte_carlo(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     engine = TrialEngine(config, full_sim_max_a)
-    if workers <= 1:
+    if workers == 1:
         parts = [engine.run_batch(master_seed, 0, trials)]
     else:
         bounds = np.linspace(0, trials, workers + 1).astype(int)
@@ -532,6 +516,11 @@ class ScalingRow:
     alpha: float
     config: TrialConfig
     extra: dict = field(default_factory=dict)
+
+
+def _check_n_list(n_list: list[int]) -> None:
+    if not n_list:
+        raise ValueError("n_list must name at least one word length")
 
 
 def _window_from_exponent(ln_a: float) -> int:
@@ -578,6 +567,7 @@ def bsc_scaling_rows(
 
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0,1), got {beta}")
+    _check_n_list(n_list)
     alpha = bsc_threshold_closed_form(eps)
     channel = make_bsc(eps)
     rows = []
@@ -620,6 +610,7 @@ def energy_scaling_rows(
     from .thresholds import sync_threshold
 
     AwgnSpec(power=energy, noise_var=sigma2)  # checks E and sigma^2 before they divide
+    _check_n_list(n_list)
     a = _window_from_exponent(energy / (4.0 * sigma2))
     feas = math.exp(energy / (2.0 * sigma2)) if energy / (2.0 * sigma2) < 700 else math.inf
     rows = []

@@ -74,9 +74,8 @@ class ThresholdReport:
 
 
 def sync_threshold(channel: Dmc) -> ThresholdReport:
-    """Maximize D(Q(.|x) || Q(.|x(0))) over inputs; ties break to the lowest index."""
-    z = channel.zero_input
-    base = channel.rows[z]
+    """Maximize D(Q(.|x) || Q(.|x(0))) over inputs, x(0) being row 0; ties break to the lowest index."""
+    base = channel.rows[0]
     divs = [kl_divergence(channel.rows[x], base) for x in range(channel.n_inputs)]
     best = 0
     for x in range(1, channel.n_inputs):
@@ -131,7 +130,7 @@ def fading_bound_check(p: float, noise: Dmc) -> FadingBoundReport:
     """Verify the ON-OFF fading bound for a given noise channel."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
-    fading = on_off_fading_matrix(p, noise.input_alphabet)
+    fading = on_off_fading_matrix(p, noise.n_inputs)
     composite = compose(fading, noise)
     rep_c = sync_threshold(composite)
     rep_n = sync_threshold(noise)

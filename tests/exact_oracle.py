@@ -1,7 +1,8 @@
 """Independent exact computations for small decoder instances.
 
 Two routes to P(v_hat != v) that share no code with the package internals
-beyond the channel table itself:
+beyond the channel table itself. The word's symbols 0/1 are the channel rows
+x(0)/x(1), every other slot carries x(0), and slots 1..A + N - 1 are scanned:
 
   * exact_error_probability_enum: enumerate every output sequence, classify
     each with the production run_decoder, and weight by its probability.
@@ -21,14 +22,8 @@ import numpy as np
 from framesync.decoder import TrialConfig, run_decoder
 
 
-def _word_inputs(config: TrialConfig) -> list[int]:
-    z = config.channel.zero_input
-    active = config.active_input
-    return [active if b == 1 else z for b in config.word.symbols.tolist()]
-
-
 def _reference(config: TrialConfig) -> dict[tuple[int, int], float]:
-    w = _word_inputs(config)
+    w = config.word.symbols.tolist()
     n = len(w)
     rows = config.channel.rows
     ref = {}
@@ -53,21 +48,20 @@ def _fires(window: tuple[int, ...], w: list[int], ref, mu: float, norm: str) -> 
     return dist <= mu
 
 
-def _input_at(slot: int, v: int, w: list[int], zero: int) -> int:
+def _input_at(slot: int, v: int, w: list[int]) -> int:
     if v <= slot < v + len(w):
         return w[slot - v]
-    return zero
+    return 0
 
 
 def exact_error_probability_dp(config: TrialConfig) -> float:
     """P(v_hat != v) by a forward DP over output prefixes."""
-    w = _word_inputs(config)
+    w = config.word.symbols.tolist()
     n = len(w)
-    t_max = config.effective_scan_limit
+    t_max = config.a + n - 1
     length = t_max + n - 1
     rows = config.channel.rows
     n_out = config.channel.n_outputs
-    zero = config.channel.zero_input
     ref = _reference(config)
     mu = _mu(config)
     err_total = 0.0
@@ -75,7 +69,7 @@ def exact_error_probability_dp(config: TrialConfig) -> float:
         states: dict[tuple[int, ...], float] = {(): 1.0}
         declared: dict[int, float] = defaultdict(float)
         for slot in range(1, length + 1):
-            x = _input_at(slot, v, w, zero)
+            x = _input_at(slot, v, w)
             nxt: dict[tuple[int, ...], float] = defaultdict(float)
             for state, prob in states.items():
                 for y in range(n_out):
@@ -96,20 +90,19 @@ def exact_error_probability_dp(config: TrialConfig) -> float:
 
 def exact_no_declare_probability_dp(config: TrialConfig) -> float:
     """P(no declaration by the scan limit), the exact E3 rate."""
-    w = _word_inputs(config)
+    w = config.word.symbols.tolist()
     n = len(w)
-    t_max = config.effective_scan_limit
+    t_max = config.a + n - 1
     length = t_max + n - 1
     rows = config.channel.rows
     n_out = config.channel.n_outputs
-    zero = config.channel.zero_input
     ref = _reference(config)
     mu = _mu(config)
     total = 0.0
     for v in range(1, config.a + 1):
         states: dict[tuple[int, ...], float] = {(): 1.0}
         for slot in range(1, length + 1):
-            x = _input_at(slot, v, w, zero)
+            x = _input_at(slot, v, w)
             nxt: dict[tuple[int, ...], float] = defaultdict(float)
             for state, prob in states.items():
                 for y in range(n_out):
@@ -127,13 +120,12 @@ def exact_no_declare_probability_dp(config: TrialConfig) -> float:
 
 def exact_error_probability_enum(config: TrialConfig) -> float:
     """P(v_hat != v) by enumerating output sequences and running the decoder."""
-    w = _word_inputs(config)
+    w = config.word.symbols.tolist()
     n = len(w)
-    t_max = config.effective_scan_limit
+    t_max = config.a + n - 1
     length = t_max + n - 1
     rows = config.channel.rows
     n_out = config.channel.n_outputs
-    zero = config.channel.zero_input
     decoder = config.decoder()
     err_total = 0.0
     for y_seq in product(range(n_out), repeat=length):
@@ -143,7 +135,7 @@ def exact_error_probability_enum(config: TrialConfig) -> float:
                 continue
             prob = 1.0
             for slot, y in enumerate(y_seq, start=1):
-                prob *= rows[_input_at(slot, v, w, zero), y]
+                prob *= rows[_input_at(slot, v, w), y]
                 if prob == 0.0:
                     break
             err_total += prob

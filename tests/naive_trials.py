@@ -5,9 +5,10 @@ sample_outputs and tests its windows one at a time with empirical_joint and
 typicality_distance. Nothing is batched and v stays a Python int, so the
 reference is exact at any asynchronism window A.
 
-Segments: the whole stream (scan limit + N - 1 slots) in full mode; otherwise
-the slots max(1, v - N + 1) .. min(stream end, v + 2N - 2) around the word.
-Word symbols that fall past the end of the stream are not sent.
+The word's symbols 0/1 are the channel rows x(0)/x(1) and every other slot
+carries x(0); the stream runs to slot A + 2N - 2, so windows 1..A + N - 1.
+Segments: the whole stream in full mode; otherwise the slots
+max(1, v - N + 1) .. v + 2N - 2 around the word.
 """
 
 from __future__ import annotations
@@ -21,20 +22,16 @@ from framesync.decoder import CLASSES, TrialConfig, empirical_joint, trial_rng, 
 def naive_trial(config: TrialConfig, rng: np.random.Generator, full_mode: bool) -> tuple[int, int | None]:
     """(v, v_hat) of one trial on rng; v_hat is None when no window is typical."""
     decoder = config.decoder()
-    word = decoder.word_inputs
+    word = config.word.symbols
     n, a = len(word), config.a
-    scan = config.effective_scan_limit
-    stream_end = scan + n - 1
     v = min(int(rng.random() * float(a)) + 1, a)
     if full_mode:
-        seg_lo, seg_hi, t_hi = 1, stream_end, scan
+        seg_lo, seg_hi, t_hi = 1, a + 2 * n - 2, a + n - 1
     else:
-        seg_lo, seg_hi, t_hi = max(1, v - n + 1), min(stream_end, v + 2 * n - 2), min(scan, v + n - 1)
-    x = [config.channel.zero_input] * max(seg_hi - seg_lo + 1, 0)
-    for j, symbol in enumerate(word.tolist()):
-        if 0 <= v - seg_lo + j < len(x):
-            x[v - seg_lo + j] = symbol
-    y = sample_outputs(config.channel, np.array(x, dtype=np.int64), rng)
+        seg_lo, seg_hi, t_hi = max(1, v - n + 1), v + 2 * n - 2, v + n - 1
+    x = np.zeros(seg_hi - seg_lo + 1, dtype=np.int64)
+    x[v - seg_lo : v - seg_lo + n] = word
+    y = sample_outputs(config.channel, x, rng)
     for t in range(seg_lo, t_hi + 1):
         window = y[t - seg_lo : t - seg_lo + n]
         emp = empirical_joint(word, window, config.channel.n_inputs, config.channel.n_outputs)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import framesync as fs
-from framesync.channels import Dmc, default_alphabet
+from framesync.channels import Dmc
 from framesync.cli import main as cli_main
 
 from exact_oracle import exact_error_probability_dp, exact_error_probability_enum
@@ -71,7 +71,7 @@ def test_criterion_03_lemma1_grid():
                 n_out = int(rng.integers(2, 6))
                 rows = rng.random((n_in, n_out)) + 0.05
                 rows /= rows.sum(axis=1, keepdims=True)
-                noise = Dmc(default_alphabet(n_in), default_alphabet(n_out), rows)
+                noise = Dmc(rows)
                 assert fs.fading_bound_check(p, noise).holds, p
 
 

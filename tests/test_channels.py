@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from framesync import (
-    Alphabet,
     ChannelError,
     DimensionMismatch,
     Dmc,
@@ -17,7 +16,6 @@ from framesync import (
     sample_outputs,
     save_channel,
 )
-from framesync.channels import default_alphabet
 
 
 class TestDmcNew:
@@ -45,8 +43,23 @@ class TestDmcNew:
             dmc_new([[1.5, -0.5], [0.5, 0.5]])
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatch):
-            Dmc(default_alphabet(3), default_alphabet(2), np.eye(2))
+        for rows in (np.full(2, 0.5), np.full((2, 2, 2), 0.5)):
+            with pytest.raises(DimensionMismatch):
+                Dmc(rows)
+            with pytest.raises(DimensionMismatch):
+                dmc_new(rows)
+
+    def test_empty_table_rejected(self):
+        for shape in ((0, 2), (2, 0)):
+            for normalize in (False, True):
+                with pytest.raises(ChannelError):
+                    dmc_new(np.zeros(shape), normalize=normalize)
+            with pytest.raises(ChannelError):
+                Dmc(np.zeros(shape))
+
+    def test_sizes_from_shape(self):
+        dmc = dmc_new(np.full((3, 5), 0.2))
+        assert (dmc.n_inputs, dmc.n_outputs) == (3, 5)
 
     def test_normalize_rescales_tiny_deviation(self):
         rows = np.array([[0.5, 0.5 + 3e-10], [0.25, 0.75]])
@@ -63,23 +76,13 @@ class TestDmcNew:
             dmc.rows[0, 0] = 0.3
 
 
-class TestAlphabet:
-    def test_duplicate_labels_rejected(self):
-        with pytest.raises(ValueError):
-            Alphabet(("a", "a"))
-
-    def test_zero_index_must_be_in_range(self):
-        with pytest.raises(ValueError):
-            Alphabet(("a", "b"), zero_index=2)
-
-
 class TestOnOffFading:
     def test_p_one_is_identity(self):
         dmc = on_off_fading_matrix(1.0)
         assert np.array_equal(dmc.rows, np.eye(2))
 
     def test_p_zero_concentrates_on_idle(self):
-        dmc = on_off_fading_matrix(0.0, default_alphabet(3))
+        dmc = on_off_fading_matrix(0.0, 3)
         expected = np.zeros((3, 3))
         expected[:, 0] = 1.0
         assert np.array_equal(dmc.rows, expected)
@@ -115,8 +118,12 @@ class TestCompose:
         assert np.allclose(out.rows, expected, atol=1e-15)
 
     def test_alphabet_mismatch(self):
+        # the fading table's output count must equal the noise table's input count
         with pytest.raises(DimensionMismatch):
             compose(dmc_new(np.eye(3)), bsc(0.1))
+        with pytest.raises(DimensionMismatch):
+            compose(bsc(0.1), dmc_new(np.full((3, 2), 0.5)))
+        assert compose(dmc_new(np.full((3, 2), 0.5)), bsc(0.1)).rows.shape == (3, 2)
 
     def test_associativity_on_random_chains(self):
         rng = np.random.default_rng(0)
@@ -126,9 +133,7 @@ class TestCompose:
             for a, b in zip(sizes[:-1], sizes[1:]):
                 rows = rng.random((a, b)) + 0.05
                 rows /= rows.sum(axis=1, keepdims=True)
-                chain.append(
-                    Dmc(default_alphabet(int(a)), default_alphabet(int(b)), rows)
-                )
+                chain.append(Dmc(rows))
             left = compose(compose(chain[0], chain[1]), chain[2])
             right = compose(chain[0], compose(chain[1], chain[2]))
             assert np.allclose(left.rows, right.rows, atol=1e-12)
@@ -140,9 +145,9 @@ class TestCompose:
             n_out = int(rng.integers(2, 6))
             rows = rng.random((3, n_out)) + 0.02
             rows /= rows.sum(axis=1, keepdims=True)
-            noise = Dmc(default_alphabet(3), default_alphabet(n_out), rows)
+            noise = Dmc(rows)
             p = float(rng.random())
-            comp = compose(on_off_fading_matrix(p, noise.input_alphabet), noise)
+            comp = compose(on_off_fading_matrix(p, noise.n_inputs), noise)
             for x in range(3):
                 expected = p * rows[x] + (1 - p) * rows[0]
                 assert np.allclose(comp.rows[x], expected, atol=1e-12)

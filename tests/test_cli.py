@@ -7,7 +7,8 @@ import sys
 import pytest
 
 import framesync
-from framesync import bsc_threshold_closed_form, composite_binary_threshold_closed_form
+import framesync.thresholds
+from framesync import QuadratureNonConvergence, bsc_threshold_closed_form, composite_binary_threshold_closed_form
 from framesync.cli import _config_from_replay, main
 
 
@@ -58,9 +59,23 @@ class TestThreshold:
         assert "error" in err
 
     def test_nan_inputs_exit_2(self, capsys):
-        for argv in (("--awgn", "nan", "1"), ("--awgn", "1", "nan"), ("--inline", "nan,1;0.5,0.5")):
+        for argv in (
+            ("--awgn", "nan", "1"),
+            ("--awgn", "1", "nan"),
+            ("--inline", "nan,1;0.5,0.5"),
+            ("--awgn", "1", "inf"),  # infinite parameters too
+            ("--rayleigh", "inf", "1", "1"),
+            ("--rayleigh", "1", "1", "inf"),
+        ):
             code, out, err = run_cli(capsys, "threshold", *argv)
-            assert code == 2 and err.startswith("error:") and out == ""
+            assert code == 2 and err.startswith("error:") and out == "", argv
+
+    def test_empty_table_file_exits_2(self, capsys, tmp_path):
+        for header in ("0 2", "2 0"):
+            path = tmp_path / "empty.mat"
+            path.write_text(header + "\n")
+            code, out, err = run_cli(capsys, "threshold", "--file", str(path))
+            assert code == 2 and err.startswith("error:") and out == "", header
 
     def test_inline(self, capsys):
         code, out, _ = run_cli(capsys, "threshold", "--inline", "0.9,0.1;0.2,0.8")
@@ -109,12 +124,30 @@ class TestRayleighSweep:
         code, out, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "nan", "--sigma-h-list", "1")
         assert code == 2 and err.startswith("error:") and out == ""
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_failed_cell_exits_3_with_error_line(self, capsys):
-        # infinite noise variance: the KL quadrature cannot converge
-        code, out, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "1", "--sigma-h-list", "1", "--sigma2", "inf")
-        assert code == 3 and out.splitlines()[1] == "1,1,nan,nan,nan"
+    def test_failed_cell_exits_3_with_error_line(self, capsys, monkeypatch):
+        def not_converging(spec):
+            raise QuadratureNonConvergence("forced failure")
+
+        monkeypatch.setattr(framesync.thresholds, "rayleigh_threshold_numeric", not_converging)
+        code, out, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "1", "--sigma-h-list", "1")
+        assert code == 3 and out.splitlines()[1] == "1,1,nan,0.5,nan"
         assert "error: 1 of 1 sweep cells failed" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--sigma-h-list", "inf"),
+            ("--snr-list", "inf"),
+            ("--sigma2", "inf"),
+            ("--snr-list", ","),  # empty lists
+            ("--sigma-h-list", ","),
+        ],
+    )
+    def test_bad_grid_exits_2_writing_nothing(self, capsys, tmp_path, argv):
+        out = tmp_path / "sweep.csv"
+        code, stdout, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "1", *argv, "--out", str(out))
+        assert code == 2 and err.startswith("error:") and stdout == ""
+        assert not out.exists()
 
 
 class TestSequence:
@@ -244,12 +277,25 @@ class TestSimulate:
             ("single_bsc", "tirals=5"),  # a key the mode does not read
             ("bsc_scaling", "channel=bsc:0.1"),  # a single-mode key in a scaling mode
             ("single_bsc", "a=" + "9" * 400),  # A beyond float range
+            ("bsc_scaling", "n_list="),  # an empty list of word lengths
+            ("energy_scaling", "n_list="),
+            ("single_bsc", "workers=0"),
+            ("bsc_scaling", "workers=-3"),
         ],
     )
     def test_bad_override_is_validation_error(self, capsys, preset, override):
         code, out, err = run_cli(capsys, "simulate", "--preset", preset, "--set", override)
         assert code == 2
         assert err.startswith("error:") and out == ""
+
+    def test_one_input_channel_is_validation_error(self, capsys, tmp_path):
+        # the word's symbol 1 is channel row x(1), which a 1-input table lacks
+        path = tmp_path / "one.mat"
+        path.write_text("1 2\n0.5 0.5\n")
+        code, out, err = run_cli(
+            capsys, "simulate", "--preset", "single_bsc", "--set", f"channel=file:{path}", "--set", "trials=5"
+        )
+        assert code == 2 and err.startswith("error:") and out == ""
 
     @pytest.mark.parametrize("name", ["single_bsc.json", "bsc_scaling.csv", "energy_scaling.csv"])
     def test_committed_outputs_replay(self, capsys, tmp_path, name):

@@ -49,13 +49,13 @@ class TestSpecs:
             RayleighAwgnSpec(power=1.0, noise_var=1.0, scale=0.0)
 
     def test_nan_rejected(self):
-        nan = math.nan
-        for power, noise_var in ((nan, 1.0), (1.0, nan)):
-            with pytest.raises(ValueError):
-                AwgnSpec(power=power, noise_var=noise_var)
-        for power, noise_var, scale in ((nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan)):
-            with pytest.raises(ValueError):
-                RayleighAwgnSpec(power=power, noise_var=noise_var, scale=scale)
+        for bad in (math.nan, math.inf):  # infinite values too
+            for power, noise_var in ((bad, 1.0), (1.0, bad)):
+                with pytest.raises(ValueError):
+                    AwgnSpec(power=power, noise_var=noise_var)
+            for power, noise_var, scale in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+                with pytest.raises(ValueError):
+                    RayleighAwgnSpec(power=power, noise_var=noise_var, scale=scale)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

@@ -16,6 +16,7 @@ from framesync import (
     bsc,
     bsc_scaling_rows,
     build_sync_word,
+    dmc_new,
     empirical_joint,
     energy_scaling_rows,
     joint_counts,
@@ -130,6 +131,13 @@ class TestDecoderState:
         for mu in (0.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 TypicalityDecoder(word=build_sync_word(21, 3), channel=bsc(0.1), mu=mu)
+
+    def test_word_needs_two_inputs(self):
+        # the word's symbols 0 and 1 index channel rows x(0) and x(1)
+        with pytest.raises(IndexOutOfRange):
+            TypicalityDecoder(word=build_sync_word(21, 3), channel=dmc_new([[0.5, 0.5]]))
+        dec = TypicalityDecoder(word=build_sync_word(21, 3), channel=dmc_new(np.full((3, 2), 0.5)))
+        assert dec.reference.shape == (3, 2) and not dec.reference[2].any()
 
     def test_window_must_fit_a_float(self):
         word = build_sync_word(21, 3)
@@ -401,15 +409,12 @@ def channels(draw, noisy=True):
 def trial_configs(draw, n_range=(2, 8), a_max=40, noisy=True):
     n = draw(st.integers(*n_range))
     bits = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    a = draw(st.integers(1, a_max))
-    scan_limit = draw(st.one_of(st.none(), st.integers(n, a + 2 * n)))
     return TrialConfig(
-        a=a,
+        a=draw(st.integers(1, a_max)),
         word=word_from_bits(bits),
         channel=draw(channels(noisy)),
         mu=draw(st.floats(0.02, 0.8)),
         norm=draw(st.sampled_from(["linf", "l1"])),
-        scan_limit=scan_limit,
     )
 
 
@@ -487,7 +492,7 @@ class TestEngineProperties:
         stream = rng.integers(0, 8, size=60)
         dists = dec.distances(stream[None, :], 40)[0]
         for t in range(40):
-            emp = empirical_joint(dec.word_inputs, stream[t : t + 21], 2, 8)
+            emp = empirical_joint(word.symbols, stream[t : t + 21], 2, 8)
             assert dec.window_distance(stream[t : t + 21]) == dists[t]
             assert typicality_distance(emp, dec.reference, "l1") == dists[t]
         fired = np.nonzero(dists <= dec.mu)[0]

@@ -22,7 +22,7 @@ from framesync import (
     sweep_to_csv,
     sync_threshold,
 )
-from framesync.channels import Dmc, default_alphabet
+from framesync.channels import Dmc
 
 
 def random_full_support_channel(rng, n_in=None, n_out=None):
@@ -30,7 +30,7 @@ def random_full_support_channel(rng, n_in=None, n_out=None):
     n_out = n_out or int(rng.integers(2, 6))
     rows = rng.random((n_in, n_out)) + 0.05
     rows /= rows.sum(axis=1, keepdims=True)
-    return Dmc(default_alphabet(n_in), default_alphabet(n_out), rows)
+    return Dmc(rows)
 
 
 class TestKlDivergence:
@@ -180,7 +180,7 @@ class TestLemma1:
             ]
         )
         rows /= rows.sum(axis=1, keepdims=True)
-        noise = Dmc(default_alphabet(4), default_alphabet(4), rows)
+        noise = Dmc(rows)
         rep = fading_bound_check(0.3103619724767689, noise)
         assert rep.holds
         assert rep.argmax_noise == 3
