@@ -2,7 +2,7 @@ PYTHON ?= python3
 OUT ?= out
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test acceptance reproduce verify-out check clean
+.PHONY: test acceptance reproduce verify-out check bench clean
 
 test:
 	$(PYTHON) -m pytest tests -q
@@ -33,6 +33,11 @@ verify-out:
 check:
 	@$(MAKE) --no-print-directory test; status=$$?; \
 		$(MAKE) --no-print-directory verify-out && exit $$status
+
+# one benchmark run of workload W (skip_scan, full_scan, short_batched or rayleigh)
+W ?= full_scan
+bench:
+	$(PYTHON) perfbench/run.py --workload $(W) --seed 1 --seconds 30 --trace 0
 
 clean:
 	rm -rf out

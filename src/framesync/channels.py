@@ -9,7 +9,7 @@ The ON-OFF fading table drops every input to x(0).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,16 +47,16 @@ def _table(rows) -> np.ndarray:
     return rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dmc:
     """Discrete memoryless channel: one row per input, one column per output.
 
     Rows are validated (non-negative, finite, stochastic to 1e-12) and frozen;
     the array is marked read-only so instances are safely shareable across
-    concurrent workers.
+    concurrent workers. Two channels are equal when their tables are.
     """
 
-    rows: np.ndarray = field(repr=False)
+    rows: np.ndarray
 
     def __post_init__(self):
         rows = _table(self.rows)
@@ -73,6 +73,17 @@ class Dmc:
         rows = rows.copy()
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Dmc):
+            return NotImplemented
+        return self.rows.shape == other.rows.shape and bool(np.all(self.rows == other.rows))
+
+    def __hash__(self):
+        return hash((self.rows.shape, (self.rows + 0.0).tobytes()))  # + 0.0: -0.0 hashes as 0.0
+
+    def __repr__(self):
+        return f"Dmc({self.rows.tolist()})"
 
     @property
     def n_inputs(self) -> int:
@@ -152,8 +163,13 @@ def inverse_cdf_outputs(channel: Dmc, input_symbols: np.ndarray, uniforms: np.nd
     for s in range(channel.n_inputs):
         mask = x == s
         if np.any(mask):
-            out[mask] = np.searchsorted(cdf[s], uniforms[mask], side="right")
-    return np.clip(out, 0, channel.n_outputs - 1)
+            out[mask] = inverse_cdf(cdf[s], uniforms[mask])
+    return out
+
+
+def inverse_cdf(cdf_row: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Outputs of one input for uniforms in [0, 1): the first column whose cumulative row exceeds u."""
+    return np.minimum(np.searchsorted(cdf_row, uniforms, side="right"), len(cdf_row) - 1)
 
 
 def save_channel(path, channel: Dmc) -> None:

@@ -15,11 +15,15 @@ x(0), scans slots 1..A + N - 1 and classifies the outcome:
 
 One engine runs every trial, a block of trials at a time. Trial i draws from
 the Philox stream keyed by (master seed, i): one uniform places the word at
-slot v, the rest drive an inverse-CDF channel pass over the trial's segment.
-Window joint counts are exact integers (cumulative sums of each output
-indicator, taken over the word's runs of each symbol), and distances add
-their cells input by input, then output by output. A block, one trial, one
-stream and one window are views of this kernel and decide identically.
+slot v, the rest drive an inverse-CDF channel pass over the trial's segment
+(every slot through x(0)'s CDF, then the word's x(1) slots through x(1)'s).
+Windows are decided in two stages. A screen, one cumulative sum of integer
+output weights per block taken over the word's runs of x(1), bounds each
+window's distance from below; a window whose bound exceeds mu by more than a
+float margin cannot be typical. Only the survivors are folded exactly: their
+joint counts, then |count / N - reference| added input by input, then output
+by output. A block, one trial, one stream and one window are views of this
+kernel and decide identically.
 
 In full mode (A <= FULL_SIM_MAX_A) the segment is the whole stream of
 A + 2N - 2 slots. Beyond, it is the 3N - 2 slots around the word (word at
@@ -36,9 +40,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
-from .channels import Dmc, IndexOutOfRange, inverse_cdf_outputs
+from .channels import Dmc, IndexOutOfRange, inverse_cdf
 from .sequences import SyncWord
 
 FULL_SIM_MAX_A = 50_000
@@ -46,6 +49,8 @@ CERT_SLIP = 1e-9
 Z_95 = 1.959963984540054
 # stream slots per block of trials; bounds the engine's working arrays near 1 MB
 _BLOCK_SLOTS = 2**14
+# a window is pruned when its screen bound exceeds mu by more than this float margin
+_SCREEN_SLACK = 1e-9
 
 
 class LengthMismatch(ValueError):
@@ -62,6 +67,11 @@ class SimulationInfeasible(RuntimeError):
 
 def default_mu(channel: Dmc) -> float:
     return 0.1 / channel.n_outputs
+
+
+def _check_outputs(outputs: np.ndarray, n_outputs: int) -> None:
+    if outputs.size and (outputs.min() < 0 or outputs.max() >= n_outputs):
+        raise IndexOutOfRange("output symbol out of range")
 
 
 def joint_counts(word_symbols: np.ndarray, window: np.ndarray, n_inputs: int, n_outputs: int) -> np.ndarray:
@@ -122,82 +132,83 @@ class TypicalityDecoder:
                 f"the sync word needs inputs x(0) and x(1); the channel has {self.channel.n_inputs}"
             )
         wi = self.word.symbols
+        n = len(wi)
+        rows = self.channel.rows
         ref = np.zeros((self.channel.n_inputs, self.channel.n_outputs))
-        n = len(self.word)
-        runs = {}  # [start, end) of each run of every word symbol, symbols ascending
         for x in np.unique(wi):
-            ref[x] = np.count_nonzero(wi == x) / n * self.channel.rows[x]
-            edges = np.diff((wi == x).astype(np.int8), prepend=0, append=0)
-            runs[int(x)] = (np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))
+            ref[x] = np.count_nonzero(wi == x) / n * rows[x]
         assert abs(ref.sum() - 1.0) < 1e-12
         ref.flags.writeable = False
         object.__setattr__(self, "reference", ref)
-        object.__setattr__(self, "_runs", runs)
+        # screen weights over outputs: x(1) against what idle noise puts in the x(1) cells
+        gap = ref[1] - np.count_nonzero(wi) / n * rows[0]
+        if self.norm == "l1":
+            weights = np.sign(gap).astype(np.int8)
+        else:
+            weights = (np.arange(len(gap)) == np.argmax(np.abs(gap))).astype(np.int8)
+        edges = np.diff(wi.astype(np.int8), prepend=0, append=0)
+        ones = (np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))  # [start, end) of each run of 1
+        object.__setattr__(self, "_screen", (weights, float(weights @ ref[1]), ones))
 
-    def _window_counts(self, outputs: np.ndarray, width: int) -> dict[tuple[int, int], np.ndarray]:
-        """Exact joint counts of (word symbol x, output y) in windows 0..width-1 of each row.
+    def screen_bound(self, outputs: np.ndarray, width: int) -> np.ndarray:
+        """Lower bound on the distances of windows 0..width-1 of each row of an output block.
 
-        Sums of the cumulative indicator of y over the word's runs of x; the
-        symbol with the most runs follows from the window totals, and each
-        symbol's last output from its length.
+        |sum_y w_y (c_1y / N - reference[1, y])| over the x(1) cells' counts c_1y,
+        with weights w_y in {-1, 0, 1} (l1) or one-hot (linf): it bounds those
+        cells' part of the distance, hence the whole. One cumulative sum of
+        w[output] per block, summed over the word's runs of x(1).
         """
-        n, n_out = len(self.word), self.channel.n_outputs
-        m, slots = outputs.shape
-        derived = max(self._runs, key=lambda x: len(self._runs[x][0]))
-        counts = {}
-        dtype = np.int16 if slots < 2**15 else np.int32  # holds every cumulative count
-        cum = np.zeros((m, slots + 1), dtype=dtype)
-        for y in range(n_out - 1):
-            np.cumsum(outputs == y, axis=1, dtype=dtype, out=cum[:, 1:])
-            rest = cum[:, n : n + width] - cum[:, :width]
-            for x, (starts, ends) in self._runs.items():
-                if x == derived:
-                    continue
-                c = np.zeros((m, width), dtype=dtype)
-                for a, b in zip(starts, ends):
-                    c += cum[:, b : b + width]
-                    c -= cum[:, a : a + width]
-                counts[x, y] = c
-                rest -= c
-            counts[derived, y] = rest
-        for x, (starts, ends) in self._runs.items():
-            last = np.full((m, width), int((ends - starts).sum()), dtype=dtype)
-            for y in range(n_out - 1):
-                last -= counts[x, y]
-            counts[x, n_out - 1] = last
-        return counts
+        weights, weighted_ref, (starts, ends) = self._screen
+        cum = np.zeros((len(outputs), outputs.shape[1] + 1))
+        np.cumsum(weights[outputs], axis=1, out=cum[:, 1:])
+        acc = np.zeros((len(outputs), width))
+        for a, b in zip(starts, ends):
+            acc += cum[:, b : b + width]
+            acc -= cum[:, a : a + width]
+        return np.abs(acc / len(self.word) - weighted_ref)
 
-    def distances(self, outputs: np.ndarray, width: int) -> np.ndarray:
-        """Typicality distances of windows 0..width-1 of each row of an output block.
+    def _fold(self, outputs: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Distances of the windows of outputs[rows] at starts, from their joint counts.
 
         Cells accumulate input by input, then output by output, each as
-        |count / N - reference| looked up by count; the order fixes the l1 sum
-        to the last bit.
+        |count / N - reference| (a cumulative sum, so the l1 order is fixed to
+        the last bit); inputs past x(1) have no count and no reference.
         """
+        wi, n_out = self.word.symbols, self.channel.n_outputs
+        n = len(wi)
+        cells = outputs[rows[:, None], starts[:, None] + np.arange(n)] + n_out * wi.astype(np.intp)
+        cells += 2 * n_out * np.arange(len(rows))[:, None]
+        counts = np.bincount(cells.ravel(), minlength=2 * n_out * len(rows)).reshape(len(rows), 2 * n_out)
+        dev = np.abs((np.arange(n + 1) / n)[counts] - self.reference[:2].ravel())
+        if self.norm == "linf":
+            return dev.max(axis=1, initial=0.0)  # initial: defined for zero windows
+        return np.cumsum(dev, axis=1)[:, -1]
+
+    def distances(self, outputs: np.ndarray, width: int) -> np.ndarray:
+        """Typicality distances of windows 0..width-1 of each row of an output block."""
         outputs = np.asarray(outputs)
-        if outputs.size and (outputs.min() < 0 or outputs.max() >= self.channel.n_outputs):
-            raise IndexOutOfRange("output symbol out of range")
-        n = len(self.word)
-        counts = self._window_counts(outputs, width)
-        fractions = np.arange(n + 1) / n
-        acc = np.zeros((len(outputs), width))
-        for x in self._runs:
-            for y in range(self.channel.n_outputs):
-                dev = np.abs(fractions - self.reference[x, y])[counts[x, y]]
-                if self.norm == "linf":
-                    np.maximum(acc, dev, out=acc)
-                else:
-                    acc += dev
-        return acc
+        _check_outputs(outputs, self.channel.n_outputs)
+        rows, starts = np.divmod(np.arange(len(outputs) * width), width)
+        return self._fold(outputs, rows, starts).reshape(len(outputs), width)
 
     def first_typical(self, outputs: np.ndarray, n_windows) -> np.ndarray:
-        """Per row, the index of the first typical window among its first n_windows; -1 if none."""
+        """Per row, the index of the first typical window among its first n_windows; -1 if none.
+
+        Only windows whose screen bound is within mu (plus a float margin) are
+        folded exactly; the rest cannot be typical.
+        """
+        _check_outputs(outputs, self.channel.n_outputs)
+        first = np.full(len(outputs), -1)
         width = outputs.shape[1] - len(self.word) + 1
         if width < 1:
-            return np.full(len(outputs), -1)
-        typical = self.distances(outputs, width) <= self.mu
-        typical &= np.arange(width) < np.reshape(n_windows, (-1, 1))
-        return np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
+            return first
+        live = self.screen_bound(outputs, width) <= self.mu + _SCREEN_SLACK
+        live &= np.arange(width) < np.reshape(n_windows, (-1, 1))
+        rows, starts = np.nonzero(live)
+        typical = self._fold(outputs, rows, starts) <= self.mu
+        rows, lead = np.unique(rows[typical], return_index=True)  # each row's first typical window
+        first[rows] = starts[typical][lead]
+        return first
 
     def window_distance(self, window: np.ndarray) -> float:
         window = np.asarray(window)
@@ -284,6 +295,7 @@ def _noise_window_log_bound(decoder: TypicalityDecoder) -> float:
     window must have every cell count inside its mu band, so the binomial
     probability of the hardest cell bounds the whole event.
     """
+    from scipy.stats import binom  # skip mode only; scipy.stats is slow to import
     wi = decoder.word.symbols
     n = len(wi)
     noise_row = decoder.channel.rows[0]
@@ -318,6 +330,8 @@ class TrialEngine:
         self.n = len(config.word)
         self.scan_limit = config.a + self.n - 1
         self.full_mode = config.a <= full_sim_max_a
+        self._cdf = np.cumsum(config.channel.rows, axis=1)
+        self._ones = np.flatnonzero(config.word.symbols == 1)
         stream_len = self.scan_limit + self.n - 1
         self.segment = stream_len if self.full_mode else min(stream_len, 3 * self.n - 2)
         if not self.full_mode:
@@ -345,23 +359,18 @@ class TrialEngine:
         offset = (np.minimum(v, n) - 1).astype(np.int64)
         return v, offset, offset + n
 
-    def _first_typical(self, uniforms: np.ndarray, offset: np.ndarray, windows: np.ndarray) -> np.ndarray:
-        """First typical window of each trial's segment (-1 if none), from its uniforms."""
-        n = self.n
-        rel = np.arange(uniforms.shape[1]) - offset[:, None]
-        x = np.where(
-            (rel >= 0) & (rel < n),
-            self.config.word.symbols[np.clip(rel, 0, n - 1)],
-            0,
-        )
-        outputs = inverse_cdf_outputs(self.config.channel, x, uniforms)
-        return self.decoder.first_typical(outputs, windows)
+    def _outputs(self, uniforms: np.ndarray, offset: np.ndarray) -> np.ndarray:
+        """Each trial's segment through the channel: x(0) in every slot, then x(1) at the word's ones."""
+        out = inverse_cdf(self._cdf[0], uniforms)
+        rows, cols = np.arange(len(uniforms))[:, None], offset[:, None] + self._ones
+        out[rows, cols] = inverse_cdf(self._cdf[1], uniforms[rows, cols])
+        return out
 
     def run(self, rng: np.random.Generator) -> TrialOutcome:
         """One trial on rng: the same draws and decision as that trial in run_batch."""
         v, offset, windows = self._geometry(np.array([rng.random()]))
         uniforms = rng.random((1, int(windows[0]) + self.n - 1))
-        first = int(self._first_typical(uniforms, offset, windows)[0])
+        first = int(self.decoder.first_typical(self._outputs(uniforms, offset), windows)[0])
         v = int(v[0])
         v_hat = None if first < 0 else v + first - int(offset[0])
         stop = None if v_hat is None else v_hat + self.n - 1
@@ -384,7 +393,7 @@ class TrialEngine:
                 bit_gen.state = state
                 gen.random(out=row)
             _, offset, windows = self._geometry(u[:, 0])
-            first = self._first_typical(u[:, 1:], offset, windows)
+            first = self.decoder.first_typical(self._outputs(u[:, 1:], offset), windows)
             shift = first - offset  # v_hat - v where declared
             declared = first >= 0
             counts["E3"] += int(np.count_nonzero(~declared))

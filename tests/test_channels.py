@@ -76,6 +76,28 @@ class TestDmcNew:
             dmc.rows[0, 0] = 0.3
 
 
+class TestDmcValue:
+    """A channel is its table: equality, hash and repr follow the rows."""
+
+    def test_equal_tables_are_equal(self):
+        assert bsc(0.1) == bsc(0.1)
+        assert bsc(0.1) == Dmc([[0.9, 0.1], [0.1, 0.9]])
+        assert bsc(0.1) != bsc(0.2)
+        assert bsc(0.0) != Dmc([[1.0, 0.0], [0.0, 1.0], [0.0, 1.0]])  # 3x2 against 2x2
+        assert bsc(0.1) != "bsc(0.1)"
+
+    def test_hash_follows_equality(self):
+        assert hash(bsc(0.1)) == hash(bsc(0.1))
+        assert len({bsc(0.1), bsc(0.1), bsc(0.2)}) == 2
+        signed_zero = Dmc(np.array([[1.0, -0.0], [0.0, 1.0]]))
+        assert signed_zero == bsc(0.0) and hash(signed_zero) == hash(bsc(0.0))
+
+    def test_repr_shows_the_table(self):
+        assert repr(bsc(0.25)) == "Dmc([[0.75, 0.25], [0.25, 0.75]])"
+        table = on_off_fading_matrix(0.3, n_inputs=3)
+        assert eval(repr(table), {"Dmc": Dmc}) == table
+
+
 class TestOnOffFading:
     def test_p_one_is_identity(self):
         dmc = on_off_fading_matrix(1.0)

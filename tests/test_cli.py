@@ -250,6 +250,24 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_full_mode_run_leaves_scipy_stats_unloaded(self, tmp_path):
+        # scipy.stats only serves the skip-mode certificate and costs ~0.5 s to import
+        out = tmp_path / "single.json"
+        src = os.path.dirname(os.path.dirname(framesync.__file__))
+        script = (
+            "import sys\n"
+            "from framesync.cli import main\n"
+            "code = main(['simulate', '--preset', 'single_bsc', '--set', 'n=15', '--set', 'k=2',\n"
+            f"             '--set', 'a=30', '--set', 'trials=20', '--out', {str(out)!r}])\n"
+            "print(code, 'scipy.stats' in sys.modules)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.stdout.split() == ["0", "False"], proc.stderr
+        assert json.loads(out.read_text())["report"]["trials"] == 20
+
     def test_midrun_failure_flushes_partial_rows(self, capsys, tmp_path):
         # second row needs an uncertifiable far-window skip and must fail,
         # but the first row's result still lands in the file with exit 3

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from framesync import (
     AwgnSpec,
+    Dmc,
     QuantizationGrid,
     SimulationInfeasible,
     StreamExhausted,
@@ -24,6 +25,7 @@ from framesync import (
     quantize_to_dmc,
     quantized_awgn,
     run_decoder,
+    sample_outputs,
     scaling_experiment,
     scaling_to_csv,
     simulate_trial,
@@ -33,7 +35,7 @@ from framesync import (
     typicality_distance,
     wilson_interval,
 )
-from framesync.channels import IndexOutOfRange
+from framesync.channels import IndexOutOfRange, inverse_cdf_outputs
 from framesync.decoder import LengthMismatch, TrialEngine, classify
 
 from exact_oracle import (
@@ -423,6 +425,69 @@ def engine_or_skip(cfg, full_sim_max_a):
         return TrialEngine(cfg, full_sim_max_a)
     except SimulationInfeasible:
         assume(False)
+
+
+@st.composite
+def output_blocks(draw):
+    """A decoder over a random 2-input table with 2-8 outputs, words of one symbol included,
+    and a block of its outputs: rows of random outputs around the word sent through the channel."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    n_out = draw(st.integers(2, 8))
+    rows = rng.dirichlet(np.full(n_out, draw(st.sampled_from([0.3, 1.0, 5.0]))), size=2)
+    n = draw(st.integers(1, 12))
+    bits = draw(st.one_of(st.just([0] * n), st.just([1] * n), st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    dec = TypicalityDecoder(
+        word=word_from_bits(bits), channel=Dmc(rows), mu=0.5, norm=draw(st.sampled_from(["linf", "l1"]))
+    )
+    m, slots = draw(st.integers(1, 4)), n + draw(st.integers(0, 30))
+    outputs = rng.integers(0, n_out, size=(m, slots))
+    for row, at in zip(outputs, rng.integers(0, slots - n + 1, size=m)):
+        row[at : at + n] = sample_outputs(dec.channel, dec.word.symbols, rng)
+    return dec, outputs
+
+
+class TestWindowScreen:
+    """The screen bound against the exact distance, and the screened decision against the unscreened one."""
+
+    @PROPERTY
+    @given(block=output_blocks())
+    def test_bound_never_exceeds_distance(self, block):
+        dec, outputs = block
+        n, width = len(dec.word), outputs.shape[1] - len(dec.word) + 1
+        dists = dec.distances(outputs, width)
+        # the bound is tight for some windows (binary outputs), so allow rounding; the engine
+        # prunes only past 1e-9
+        assert np.all(dec.screen_bound(outputs, width) <= dists + 1e-12)
+        for row, t in np.ndindex(dists.shape):
+            emp = empirical_joint(dec.word.symbols, outputs[row, t : t + n], 2, dec.channel.n_outputs)
+            assert typicality_distance(emp, dec.reference, dec.norm) == dists[row, t]
+
+    @PROPERTY
+    @given(block=output_blocks(), pick=st.integers(0, 10**6), limit=st.integers(0, 40))
+    def test_first_typical_is_first_window_within_mu(self, block, pick, limit):
+        dec, outputs = block
+        width = outputs.shape[1] - len(dec.word) + 1
+        dists = dec.distances(outputs, width)
+        # mu at one window's exact distance puts that window on the boundary
+        mu = float(dists.flat[pick % dists.size])
+        assume(mu > 0.0)
+        dec = TypicalityDecoder(word=dec.word, channel=dec.channel, mu=mu, norm=dec.norm)
+        n_windows = np.minimum(np.arange(len(outputs)) + limit, width)
+        typical = (dists <= mu) & (np.arange(width) < n_windows[:, None])
+        expected = np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
+        assert np.array_equal(dec.first_typical(outputs, n_windows), expected)
+
+    @PROPERTY
+    @given(cfg=trial_configs(), seed=st.integers(0, 2**32), m=st.integers(1, 6))
+    def test_engine_sampler_matches_inverse_cdf_outputs(self, cfg, seed, m):
+        engine, n = TrialEngine(cfg), len(cfg.word)
+        rng = np.random.default_rng(seed)
+        uniforms = rng.random((m, engine.segment))
+        offset = rng.integers(0, engine.segment - n + 1, size=m)
+        x = np.zeros((m, engine.segment), dtype=np.int64)
+        for row, at in zip(x, offset):
+            row[at : at + n] = cfg.word.symbols
+        assert np.array_equal(engine._outputs(uniforms, offset), inverse_cdf_outputs(cfg.channel, x, uniforms))
 
 
 class TestEngineProperties:
