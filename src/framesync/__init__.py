@@ -17,7 +17,6 @@ from .channels import (
     dmc_new,
     load_channel,
     on_off_fading_matrix,
-    sample_outputs,
     save_channel,
 )
 from .continuous import (
@@ -27,11 +26,9 @@ from .continuous import (
     RayleighAwgnSpec,
     awgn_density,
     default_grid,
-    export_quantized,
     quantize_to_dmc,
     quantized_awgn,
     rayleigh_awgn_density,
-    sample_continuous,
 )
 from .decoder import (
     ErrorReport,
@@ -42,9 +39,7 @@ from .decoder import (
     TrialOutcome,
     TypicalityDecoder,
     bsc_scaling_rows,
-    empirical_joint,
     energy_scaling_rows,
-    joint_counts,
     monte_carlo,
     run_decoder,
     scaling_experiment,
@@ -52,7 +47,6 @@ from .decoder import (
     simulate_trial,
     single_rows,
     trial_rng,
-    typicality_distance,
     wilson_interval,
 )
 from .quadrature import QuadratureNonConvergence, adaptive_quad

@@ -1,4 +1,4 @@
-"""Finite-alphabet channels: stochastic transition tables, fading composition, sampling.
+"""Finite-alphabet channels: stochastic tables, fading composition, inverse-CDF draws, files.
 
 A channel is its row-stochastic table Q(y|x): one row per input, one column
 per output, indexed from 0. Row 0 is the idle symbol x(0) and row 1 the sync
@@ -144,27 +144,6 @@ def compose(fading: Dmc, noise: Dmc) -> Dmc:
     # matrix product of stochastic tables is stochastic up to rounding dust
     rows = rows / rows.sum(axis=1, keepdims=True)
     return Dmc(rows)
-
-
-def sample_outputs(channel: Dmc, input_symbols: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized channel pass: one output draw per input symbol."""
-    x = np.asarray(input_symbols)
-    return inverse_cdf_outputs(channel, x, rng.random(x.shape))
-
-
-def inverse_cdf_outputs(channel: Dmc, input_symbols: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Channel outputs for given uniforms in [0, 1), one per input symbol (same shape)."""
-    x = np.asarray(input_symbols)
-    if x.size and (x.min() < 0 or x.max() >= channel.n_inputs):
-        raise IndexOutOfRange("input symbol out of range")
-    cdf = np.cumsum(channel.rows, axis=1)
-    # per-symbol inverse CDF; tiny alphabets, so a loop over inputs is fine
-    out = np.empty(x.shape, dtype=np.int64)
-    for s in range(channel.n_inputs):
-        mask = x == s
-        if np.any(mask):
-            out[mask] = inverse_cdf(cdf[s], uniforms[mask])
-    return out
 
 
 def inverse_cdf(cdf_row: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

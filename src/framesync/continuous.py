@@ -1,4 +1,4 @@
-"""AWGN and Rayleigh-fading channels: densities, sampling, and quantization.
+"""AWGN and Rayleigh-fading channels: densities and quantization.
 
 The continuous channels use a binary input {x(0)=0, x(1)=sqrt(P)}. Idle slots
 carry pure Gaussian noise; sync slots carry the signal, faded per slot for the
@@ -11,14 +11,13 @@ so E[h^2] = 2 scale^2.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .channels import Dmc, dmc_new, save_channel
+from .channels import Dmc, dmc_new
 from .quadrature import adaptive_quad
 
 # Rayleigh integration is truncated where the amplitude tail mass drops to
@@ -137,13 +136,18 @@ def rayleigh_awgn_density(y: float, spec: RayleighAwgnSpec) -> float:
     return adaptive_quad(integrand, 0.0, spec.h_max)
 
 
-def _gaussian_cell_masses(edges: np.ndarray, mean: float, sigma: float) -> np.ndarray:
-    """Exact cell masses of N(mean, sigma^2), tail-accurate on both sides."""
+def _gaussian_row(edges: np.ndarray, mean: float, sigma: float) -> tuple[np.ndarray, float]:
+    """Cell masses of N(mean, sigma^2), tail-accurate on both sides, with the outermost
+    cells absorbing the mass beyond the grid; and that beyond-grid mass."""
     z = (edges - mean) / sigma
     lo_z, hi_z = z[:-1], z[1:]
     upper = ndtr(-lo_z) - ndtr(-hi_z)  # accurate when the cell sits above the mean
     lower = ndtr(hi_z) - ndtr(lo_z)
-    return np.where(lo_z > 0.0, upper, lower)
+    cells = np.where(lo_z > 0.0, upper, lower)
+    tail = 1.0 - cells.sum()
+    cells[0] += ndtr((edges[0] - mean) / sigma)
+    cells[-1] += ndtr(-(edges[-1] - mean) / sigma)
+    return cells, tail
 
 
 def _rayleigh_row_cdf(edges: np.ndarray, spec: RayleighAwgnSpec) -> np.ndarray:
@@ -163,9 +167,8 @@ def _rayleigh_row_cdf(edges: np.ndarray, spec: RayleighAwgnSpec) -> np.ndarray:
 def quantize_to_dmc(
     spec: AwgnSpec | RayleighAwgnSpec,
     grid: QuantizationGrid | None = None,
-    return_tail_mass: bool = False,
     mass_loss_tol: float = MASS_LOSS_TOL,
-):
+) -> Dmc:
     """Quantize the channel into a 2-input Dmc over the grid cells.
 
     Cell probabilities are the conditional laws integrated over each cell, the
@@ -178,78 +181,24 @@ def quantize_to_dmc(
     if grid is None:
         grid = default_grid(spec)
     edges = grid.edges
-    rows = np.zeros((2, grid.bins))
-    tail = np.zeros(2)
-
-    # idle row: pure noise
-    noise_cells = _gaussian_cell_masses(edges, 0.0, spec.sigma)
-    tail[0] = 1.0 - noise_cells.sum()
-    rows[0] = noise_cells
-    rows[0, 0] += ndtr((edges[0] - 0.0) / spec.sigma)
-    rows[0, -1] += ndtr(-(edges[-1] - 0.0) / spec.sigma)
-
-    # sync row
+    idle, idle_tail = _gaussian_row(edges, 0.0, spec.sigma)  # pure noise
     if isinstance(spec, RayleighAwgnSpec):
         cdf = _rayleigh_row_cdf(edges, spec)
-        tail[1] = 1.0 - (cdf[-1] - cdf[0])
+        sync_tail = 1.0 - (cdf[-1] - cdf[0])
         cdf[0], cdf[-1] = 0.0, 1.0  # tail cells absorb
         # quadrature dust can break monotonicity at the 1e-13 level
-        cdf = np.maximum.accumulate(np.clip(cdf, 0.0, 1.0))
-        rows[1] = np.diff(cdf)
+        sync = np.diff(np.maximum.accumulate(np.clip(cdf, 0.0, 1.0)))
     else:
-        mean = math.sqrt(spec.power)
-        cells = _gaussian_cell_masses(edges, mean, spec.sigma)
-        tail[1] = 1.0 - cells.sum()
-        rows[1] = cells
-        rows[1, 0] += ndtr((edges[0] - mean) / spec.sigma)
-        rows[1, -1] += ndtr(-(edges[-1] - mean) / spec.sigma)
-
+        sync, sync_tail = _gaussian_row(edges, math.sqrt(spec.power), spec.sigma)
+    tail = np.array([idle_tail, sync_tail])
     if np.any(tail > mass_loss_tol):
         raise MassLoss(
             f"beyond-grid mass {tail.max():.3g} exceeds {mass_loss_tol}; widen the grid"
         )
-    dmc = dmc_new(rows, normalize=True)
-    if return_tail_mass:
-        return dmc, tail
-    return dmc
+    return dmc_new(np.array([idle, sync]), normalize=True)
 
 
 def quantized_awgn(spec: AwgnSpec, bins: int) -> Dmc:
     """AWGN quantized on ``bins`` cells of [-5 sigma, sqrt(P) + 5 sigma], the simulation grid."""
     s = spec.sigma
     return quantize_to_dmc(spec, QuantizationGrid(-5.0 * s, math.sqrt(spec.power) + 5.0 * s, bins))
-
-
-def sample_continuous(
-    spec: AwgnSpec | RayleighAwgnSpec,
-    input_is_sync: bool,
-    rng: np.random.Generator,
-    size: int | None = None,
-):
-    """Draw channel output(s): noise only for x(0), signal plus noise for x(1)."""
-    n = rng.normal(0.0, spec.sigma, size=size)
-    if not input_is_sync:
-        return n
-    root_p = math.sqrt(spec.power)
-    if isinstance(spec, RayleighAwgnSpec):
-        h = rng.rayleigh(spec.scale, size=size)
-        return h * root_p + n
-    return root_p + n
-
-
-def export_quantized(path, spec, grid: QuantizationGrid | None = None) -> Dmc:
-    """Write the quantized channel matrix plus a JSON sidecar with grid metadata."""
-    if grid is None:
-        grid = default_grid(spec)
-    dmc, tail = quantize_to_dmc(spec, grid, return_tail_mass=True)
-    save_channel(path, dmc)
-    sidecar = {
-        "lo": grid.lo,
-        "hi": grid.hi,
-        "bins": grid.bins,
-        "tail_mass": [float(t) for t in tail],
-    }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return dmc

@@ -22,8 +22,10 @@ output weights per block taken over the word's runs of x(1), bounds each
 window's distance from below; a window whose bound exceeds mu by more than a
 float margin cannot be typical. Only the survivors are folded exactly: their
 joint counts, then |count / N - reference| added input by input, then output
-by output. A block, one trial, one stream and one window are views of this
-kernel and decide identically.
+by output. One decide step maps each trial's uniforms to v and v_hat - v, and
+one classifier maps v_hat - v to its class: run_batch counts the classes of a
+block with one bincount, and run is the same two calls on a single trial.
+run_decoder applies the same window decision to one given stream.
 
 In full mode (A <= FULL_SIM_MAX_A) the segment is the whole stream of
 A + 2N - 2 slots. Beyond, it is the 3N - 2 slots around the word (word at
@@ -53,10 +55,6 @@ _BLOCK_SLOTS = 2**14
 _SCREEN_SLACK = 1e-9
 
 
-class LengthMismatch(ValueError):
-    pass
-
-
 class StreamExhausted(RuntimeError):
     """The stream ended before the decoder could evaluate a required window."""
 
@@ -67,47 +65,6 @@ class SimulationInfeasible(RuntimeError):
 
 def default_mu(channel: Dmc) -> float:
     return 0.1 / channel.n_outputs
-
-
-def _check_outputs(outputs: np.ndarray, n_outputs: int) -> None:
-    if outputs.size and (outputs.min() < 0 or outputs.max() >= n_outputs):
-        raise IndexOutOfRange("output symbol out of range")
-
-
-def joint_counts(word_symbols: np.ndarray, window: np.ndarray, n_inputs: int, n_outputs: int) -> np.ndarray:
-    """Integer joint occurrence counts of (word symbol, output symbol)."""
-    word_symbols = np.asarray(word_symbols)
-    window = np.asarray(window)
-    if word_symbols.shape != window.shape:
-        raise LengthMismatch(
-            f"window length {window.shape} does not match word length {word_symbols.shape}"
-        )
-    counts = np.zeros((n_inputs, n_outputs), dtype=np.int64)
-    np.add.at(counts, (word_symbols, window), 1)
-    return counts
-
-
-def empirical_joint(word_symbols: np.ndarray, window: np.ndarray, n_inputs: int, n_outputs: int) -> np.ndarray:
-    """Empirical joint distribution; entries are counts over the word length."""
-    counts = joint_counts(word_symbols, window, n_inputs, n_outputs)
-    return counts / counts.sum()
-
-
-def typicality_distance(empirical: np.ndarray, reference: np.ndarray, norm: str = "linf") -> float:
-    """Distance between joint tables: per-cell max (linf) or summed (l1) deviation."""
-    empirical = np.asarray(empirical, dtype=np.float64)
-    reference = np.asarray(reference, dtype=np.float64)
-    if empirical.shape != reference.shape:
-        raise LengthMismatch(
-            f"table shapes differ: {empirical.shape} vs {reference.shape}"
-        )
-    dev = np.abs(empirical - reference)
-    if norm == "linf":
-        return float(dev.max())
-    if norm == "l1":
-        # cell by cell in row order, as the decoder adds them (numpy's sum pairs them)
-        return float(np.cumsum(dev)[-1])
-    raise ValueError(f"unknown norm {norm!r} (expected 'linf' or 'l1')")
 
 
 @dataclass(frozen=True)
@@ -184,20 +141,12 @@ class TypicalityDecoder:
             return dev.max(axis=1, initial=0.0)  # initial: defined for zero windows
         return np.cumsum(dev, axis=1)[:, -1]
 
-    def distances(self, outputs: np.ndarray, width: int) -> np.ndarray:
-        """Typicality distances of windows 0..width-1 of each row of an output block."""
-        outputs = np.asarray(outputs)
-        _check_outputs(outputs, self.channel.n_outputs)
-        rows, starts = np.divmod(np.arange(len(outputs) * width), width)
-        return self._fold(outputs, rows, starts).reshape(len(outputs), width)
-
     def first_typical(self, outputs: np.ndarray, n_windows) -> np.ndarray:
         """Per row, the index of the first typical window among its first n_windows; -1 if none.
 
         Only windows whose screen bound is within mu (plus a float margin) are
         folded exactly; the rest cannot be typical.
         """
-        _check_outputs(outputs, self.channel.n_outputs)
         first = np.full(len(outputs), -1)
         width = outputs.shape[1] - len(self.word) + 1
         if width < 1:
@@ -209,14 +158,6 @@ class TypicalityDecoder:
         rows, lead = np.unique(rows[typical], return_index=True)  # each row's first typical window
         first[rows] = starts[typical][lead]
         return first
-
-    def window_distance(self, window: np.ndarray) -> float:
-        window = np.asarray(window)
-        if window.shape != (len(self.word),):
-            raise LengthMismatch(
-                f"window length {window.shape} does not match word length {(len(self.word),)}"
-            )
-        return float(self.distances(window[None, :], 1)[0, 0])
 
 
 def run_decoder(decoder: TypicalityDecoder, output_stream, scan_limit: int) -> int | None:
@@ -230,6 +171,8 @@ def run_decoder(decoder: TypicalityDecoder, output_stream, scan_limit: int) -> i
     n = len(decoder.word)
     if scan_limit < 1:
         raise ValueError(f"scan limit must be >= 1, got {scan_limit}")
+    if stream.size and (stream.min() < 0 or stream.max() >= decoder.channel.n_outputs):
+        raise IndexOutOfRange("output symbol out of range")
     available = len(stream) - n + 1
     n_windows = min(scan_limit, max(available, 0))
     if n_windows > 0:
@@ -265,6 +208,7 @@ class TrialConfig:
 
 
 CLASSES = ("Correct", "E1", "E2", "E3")
+_MISS = np.iinfo(np.int64).min  # v_hat - v of a trial in which no window is typical
 
 
 @dataclass(frozen=True)
@@ -274,18 +218,13 @@ class TrialOutcome:
     klass: str
     stop_time: int | None  # slot the decision consumed symbols up to
 
-    def __post_init__(self):
-        assert self.klass in CLASSES
 
-
-def classify(v_true: int, v_hat: int | None, n: int) -> str:
-    if v_hat is None:
-        return "E3"
-    if v_hat == v_true:
-        return "Correct"
-    if v_true - n + 1 <= v_hat <= v_true - 1:
-        return "E2"
-    return "E1"
+def _class_index(shift: np.ndarray, n: int) -> np.ndarray:
+    """Index into CLASSES of each trial's v_hat - v (_MISS: nothing declared)."""
+    klass = np.where((-n < shift) & (shift < 0), 2, 1)  # E2 when v - N < v_hat < v, else E1
+    klass[shift == 0] = 0
+    klass[shift == _MISS] = 3
+    return klass
 
 
 def _noise_window_log_bound(decoder: TypicalityDecoder) -> float:
@@ -366,19 +305,27 @@ class TrialEngine:
         out[rows, cols] = inverse_cdf(self._cdf[1], uniforms[rows, cols])
         return out
 
+    def _decide(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of uniforms (v's draw, then the segment's): v and v_hat - v, or _MISS."""
+        v, offset, windows = self._geometry(u[:, 0])
+        first = self.decoder.first_typical(self._outputs(u[:, 1:], offset), windows)
+        return v, np.where(first < 0, _MISS, first - offset)
+
     def run(self, rng: np.random.Generator) -> TrialOutcome:
-        """One trial on rng: the same draws and decision as that trial in run_batch."""
-        v, offset, windows = self._geometry(np.array([rng.random()]))
-        uniforms = rng.random((1, int(windows[0]) + self.n - 1))
-        first = int(self.decoder.first_typical(self._outputs(uniforms, offset), windows)[0])
-        v = int(v[0])
-        v_hat = None if first < 0 else v + first - int(offset[0])
+        """One trial on rng: the same draws, decision and class as that trial in run_batch."""
+        u = np.array([[rng.random()]])
+        windows = int(self._geometry(u[:, 0])[2][0])
+        u = np.append(u, rng.random((1, windows + self.n - 1)), axis=1)
+        v, shift = self._decide(u)
+        klass = CLASSES[_class_index(shift, self.n)[0]]
+        v, shift = int(v[0]), int(shift[0])  # v is a Python int past int64
+        v_hat = None if shift == _MISS else v + shift
         stop = None if v_hat is None else v_hat + self.n - 1
-        return TrialOutcome(v_true=v, v_hat=v_hat, klass=classify(v, v_hat, self.n), stop_time=stop)
+        return TrialOutcome(v, v_hat, klass, stop)
 
     def run_batch(self, master_seed: int, lo: int, hi: int) -> dict[str, int]:
         """Class counts of trials [lo, hi); trial i is run(trial_rng(master_seed, i))."""
-        counts = dict.fromkeys(CLASSES, 0)
+        counts = np.zeros(len(CLASSES), dtype=np.int64)
         block = max(1, _BLOCK_SLOTS // self.segment)
         # one Philox re-keyed per trial is stream-identical to trial_rng(master_seed, i)
         # and far cheaper; a trial's draws are a prefix of its row of the longest segment
@@ -392,15 +339,8 @@ class TrialEngine:
                 key[1] = (start + i) % 2**64
                 bit_gen.state = state
                 gen.random(out=row)
-            _, offset, windows = self._geometry(u[:, 0])
-            first = self.decoder.first_typical(self._outputs(u[:, 1:], offset), windows)
-            shift = first - offset  # v_hat - v where declared
-            declared = first >= 0
-            counts["E3"] += int(np.count_nonzero(~declared))
-            counts["Correct"] += int(np.count_nonzero(declared & (shift == 0)))
-            counts["E2"] += int(np.count_nonzero(declared & (shift < 0) & (shift > -self.n)))
-        counts["E1"] = (hi - lo) - counts["Correct"] - counts["E2"] - counts["E3"]
-        return counts
+            counts += np.bincount(_class_index(self._decide(u)[1], self.n), minlength=len(CLASSES))
+        return dict(zip(CLASSES, counts.tolist()))
 
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:

@@ -90,9 +90,12 @@ def generate_mlsr(m: int, seed: int = 1) -> np.ndarray:
     return np.array([reg.step() for _ in range(reg.period)], dtype=np.int8)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SyncWord:
-    """Binary sync word: symbols over {0 = x(0), 1 = x(1)}."""
+    """Binary sync word: symbols over {0 = x(0), 1 = x(1)}.
+
+    Two words are equal, and hash alike, when their symbols, prefix length and K are.
+    """
 
     symbols: np.ndarray
     prefix_len: int
@@ -110,12 +113,21 @@ class SyncWord:
         sym.flags.writeable = False
         object.__setattr__(self, "symbols", sym)
 
+    def __eq__(self, other):
+        if not isinstance(other, SyncWord):
+            return NotImplemented
+        return (self.prefix_len, self.k) == (other.prefix_len, other.k) and np.array_equal(
+            self.symbols, other.symbols
+        )
+
+    def __hash__(self):
+        return hash((self.symbols.tobytes(), self.prefix_len, self.k))
+
+    def __repr__(self):
+        return f"SyncWord.from_line({self.to_line()!r}, prefix_len={self.prefix_len}, k={self.k})"
+
     def __len__(self) -> int:
         return int(self.symbols.size)
-
-    @property
-    def n(self) -> int:
-        return len(self)
 
     def active_fraction(self) -> float:
         return float(self.symbols.mean())

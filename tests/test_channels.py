@@ -5,7 +5,6 @@ from framesync import (
     ChannelError,
     DimensionMismatch,
     Dmc,
-    IndexOutOfRange,
     NegativeEntry,
     NonStochasticRow,
     bsc,
@@ -13,9 +12,9 @@ from framesync import (
     dmc_new,
     load_channel,
     on_off_fading_matrix,
-    sample_outputs,
     save_channel,
 )
+from framesync.channels import inverse_cdf
 
 
 class TestDmcNew:
@@ -177,25 +176,25 @@ class TestCompose:
 
 class TestSampling:
     def test_identity_channel_is_deterministic(self):
-        dmc = dmc_new(np.eye(2))
-        rng = np.random.default_rng(0)
-        assert np.array_equal(sample_outputs(dmc, np.array([1, 0] * 25), rng), [1, 0] * 25)
+        cdf = np.cumsum(dmc_new(np.eye(2)).rows, axis=1)
+        u = np.random.default_rng(0).random(50)
+        assert not inverse_cdf(cdf[0], u).any() and inverse_cdf(cdf[1], u).all()
 
     def test_bsc0_never_flips(self):
-        rng = np.random.default_rng(0)
-        assert not sample_outputs(bsc(0.0), np.zeros(50, dtype=int), rng).any()
+        cdf = np.cumsum(bsc(0.0).rows[0])
+        assert not inverse_cdf(cdf, np.random.default_rng(0).random(50)).any()
 
     def test_index_out_of_range(self):
-        with pytest.raises(IndexOutOfRange):
-            sample_outputs(bsc(0.1), np.array([2]), np.random.default_rng(0))
-        with pytest.raises(IndexOutOfRange):
-            sample_outputs(bsc(0.1), np.array([-1, 0]), np.random.default_rng(0))
-        with pytest.raises(IndexOutOfRange):
-            sample_outputs(bsc(0.1), np.array([0, 3]), np.random.default_rng(0))
+        # a cumulative row that ends short of 1 by rounding still maps every u < 1 to an output
+        cdf = np.cumsum([0.1] * 10)
+        assert cdf[-1] < 1.0
+        u = np.array([0.0, cdf[-1], np.nextafter(1.0, 0.0)])
+        assert inverse_cdf(cdf, u).tolist() == [0, 9, 9]
+        assert inverse_cdf(np.array([0.0, 1.0]), u).tolist() == [1, 1, 1]
 
     def test_bsc_flip_fraction_converges(self):
         rng = np.random.default_rng(314159)
-        draws = sample_outputs(bsc(0.25), np.zeros(10**6, dtype=np.int64), rng)
+        draws = inverse_cdf(np.cumsum(bsc(0.25).rows[0]), rng.random(10**6))
         flip = draws.mean()
         assert abs(flip - 0.25) <= 0.002
 
@@ -203,9 +202,8 @@ class TestSampling:
         # L-inf gap to the row distribution <= 3 sqrt(ln|Y| / n) at n = 1e6
         rng = np.random.default_rng(271828)
         row = np.array([0.5, 0.2, 0.2, 0.1])
-        dmc = dmc_new([row.tolist()] * 2)
         n = 10**6
-        draws = sample_outputs(dmc, np.zeros(n, dtype=np.int64), rng)
+        draws = inverse_cdf(np.cumsum(row), rng.random(n))
         freq = np.bincount(draws, minlength=4) / n
         assert np.max(np.abs(freq - row)) <= 3 * np.sqrt(np.log(4) / n)
 

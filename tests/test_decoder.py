@@ -18,36 +18,47 @@ from framesync import (
     bsc_scaling_rows,
     build_sync_word,
     dmc_new,
-    empirical_joint,
     energy_scaling_rows,
-    joint_counts,
     monte_carlo,
     quantize_to_dmc,
     quantized_awgn,
     run_decoder,
-    sample_outputs,
     scaling_experiment,
     scaling_to_csv,
     simulate_trial,
     single_rows,
     sync_threshold,
     trial_rng,
-    typicality_distance,
     wilson_interval,
 )
-from framesync.channels import IndexOutOfRange, inverse_cdf_outputs
-from framesync.decoder import LengthMismatch, TrialEngine, classify
+from framesync.channels import IndexOutOfRange
+from framesync.decoder import TrialEngine
 
 from exact_oracle import (
     exact_error_probability_dp,
     exact_error_probability_enum,
     exact_no_declare_probability_dp,
 )
-from naive_trials import naive_counts, naive_trial
+from naive_trials import (
+    LengthMismatch,
+    empirical_joint,
+    inverse_cdf_outputs,
+    joint_counts,
+    naive_class,
+    naive_counts,
+    naive_trial,
+    typicality_distance,
+    window_distances,
+)
 
 
 def word_from_bits(bits):
     return SyncWord(np.array(bits, dtype=np.int8), prefix_len=0, k=0)
+
+
+def exact_distances(dec, outputs):
+    """The reference's distances of every window of each row of outputs."""
+    return window_distances(dec.word.symbols, dec.channel.rows, dec.norm, np.atleast_2d(outputs))
 
 
 def random_small_config(rng, a_max=6, n_max=4):
@@ -106,7 +117,8 @@ class TestTypicalityDistance:
     def test_aligned_noiseless_window_is_exact(self):
         word = build_sync_word(21, 3)
         dec = TypicalityDecoder(word=word, channel=bsc(0.0), mu=0.01)
-        assert dec.window_distance(word.symbols.astype(np.int64)) == 0.0
+        emp = empirical_joint(word.symbols, word.symbols, 2, 2)
+        assert typicality_distance(emp, dec.reference) == 0.0
 
     def test_shape_mismatch(self):
         with pytest.raises(LengthMismatch):
@@ -141,6 +153,14 @@ class TestDecoderState:
         dec = TypicalityDecoder(word=build_sync_word(21, 3), channel=dmc_new(np.full((3, 2), 0.5)))
         assert dec.reference.shape == (3, 2) and not dec.reference[2].any()
 
+    def test_configs_compare_and_hash_by_value(self):
+        def config(a=30, n=15, eps=0.1):
+            return TrialConfig(a=a, word=build_sync_word(n, 2), channel=bsc(eps), mu=0.1)
+
+        assert config() == config() and hash(config()) == hash(config())
+        assert config() != config(a=31) and config() != config(n=14) and config() != config(eps=0.2)
+        assert len({config(), config(), config(eps=0.2)}) == 2
+
     def test_window_must_fit_a_float(self):
         word = build_sync_word(21, 3)
         for a in (0, 2**1023):
@@ -158,8 +178,7 @@ class TestRunDecoder:
         )
         assert run_decoder(dec, stream, scan_limit=6) == v
         # brute-force check that no earlier window is typical
-        for t in range(1, v):
-            assert dec.window_distance(stream[t - 1 : t - 1 + 7]) > dec.mu
+        assert np.all(exact_distances(dec, stream[: v - 1 + 6])[0] > dec.mu)
 
     def test_huge_mu_fires_immediately(self):
         word = build_sync_word(7, 2)
@@ -213,7 +232,7 @@ class TestSimulateTrial:
         for i in range(20):
             out = simulate_trial(cfg, trial_rng(3, i))
             assert out.v_hat == 1
-            assert out.klass == classify(out.v_true, 1, 3)
+            assert out.klass == naive_class(out.v_true, 1, 3)
             if out.v_true > 3:
                 assert out.klass == "E1"
 
@@ -442,7 +461,7 @@ def output_blocks(draw):
     m, slots = draw(st.integers(1, 4)), n + draw(st.integers(0, 30))
     outputs = rng.integers(0, n_out, size=(m, slots))
     for row, at in zip(outputs, rng.integers(0, slots - n + 1, size=m)):
-        row[at : at + n] = sample_outputs(dec.channel, dec.word.symbols, rng)
+        row[at : at + n] = inverse_cdf_outputs(rows, dec.word.symbols, rng.random(n))
     return dec, outputs
 
 
@@ -453,21 +472,19 @@ class TestWindowScreen:
     @given(block=output_blocks())
     def test_bound_never_exceeds_distance(self, block):
         dec, outputs = block
-        n, width = len(dec.word), outputs.shape[1] - len(dec.word) + 1
-        dists = dec.distances(outputs, width)
+        dists = exact_distances(dec, outputs)
         # the bound is tight for some windows (binary outputs), so allow rounding; the engine
         # prunes only past 1e-9
-        assert np.all(dec.screen_bound(outputs, width) <= dists + 1e-12)
-        for row, t in np.ndindex(dists.shape):
-            emp = empirical_joint(dec.word.symbols, outputs[row, t : t + n], 2, dec.channel.n_outputs)
-            assert typicality_distance(emp, dec.reference, dec.norm) == dists[row, t]
+        assert np.all(dec.screen_bound(outputs, dists.shape[1]) <= dists + 1e-12)
+        rows, starts = np.divmod(np.arange(dists.size), dists.shape[1])
+        assert np.array_equal(dec._fold(outputs, rows, starts), dists.ravel())
 
     @PROPERTY
     @given(block=output_blocks(), pick=st.integers(0, 10**6), limit=st.integers(0, 40))
     def test_first_typical_is_first_window_within_mu(self, block, pick, limit):
         dec, outputs = block
-        width = outputs.shape[1] - len(dec.word) + 1
-        dists = dec.distances(outputs, width)
+        dists = exact_distances(dec, outputs)
+        width = dists.shape[1]
         # mu at one window's exact distance puts that window on the boundary
         mu = float(dists.flat[pick % dists.size])
         assume(mu > 0.0)
@@ -487,7 +504,7 @@ class TestWindowScreen:
         x = np.zeros((m, engine.segment), dtype=np.int64)
         for row, at in zip(x, offset):
             row[at : at + n] = cfg.word.symbols
-        assert np.array_equal(engine._outputs(uniforms, offset), inverse_cdf_outputs(cfg.channel, x, uniforms))
+        assert np.array_equal(engine._outputs(uniforms, offset), inverse_cdf_outputs(cfg.channel.rows, x, uniforms))
 
 
 class TestEngineProperties:
@@ -538,6 +555,19 @@ class TestEngineProperties:
         assert whole == {c: left[c] + right[c] for c in whole}
         assert sum(whole.values()) == m
 
+    @pytest.mark.parametrize("a, skip", [(30, False), (3, True), (400, True)])
+    def test_run_draws_v_then_its_segment(self, a, skip):
+        # run() leaves the generator 1 + windows + N - 1 doubles in: windows = A + N - 1 in
+        # full mode, min(v, N) - 1 + N in skip mode (every v < N at A = 3)
+        n = 15
+        cfg = TrialConfig(a=a, word=build_sync_word(n, 2), channel=bsc(0.02), mu=0.1)
+        engine = TrialEngine(cfg, 0 if skip else a)
+        for i in range(20):
+            rng, fresh = trial_rng(5, i), trial_rng(5, i)
+            v = engine.run(rng).v_true
+            fresh.random(1 + (min(v, n) - 1 + n if skip else a + n - 1) + n - 1)
+            assert np.array_equal(rng.random(8), fresh.random(8))
+
     def test_huge_window_matches_naive(self):
         # A ~ e^83 is far past int64: v and the segment geometry must stay exact
         cfg = TrialConfig(
@@ -550,23 +580,20 @@ class TestEngineProperties:
             assert (out.v_true, out.v_hat) == naive_trial(cfg, trial_rng(6, i), False)
 
     def test_window_views_agree(self):
+        # run_decoder and the fold against the reference's window-by-window distances
         rng = np.random.default_rng(12)
         channel = quantize_to_dmc(AwgnSpec(power=2.0, noise_var=1.0), QuantizationGrid(-5.0, 6.5, 8))
         word = build_sync_word(21, 3)
         dec = TypicalityDecoder(word=word, channel=channel, mu=0.3, norm="l1")
         stream = rng.integers(0, 8, size=60)
-        dists = dec.distances(stream[None, :], 40)[0]
-        for t in range(40):
-            emp = empirical_joint(word.symbols, stream[t : t + 21], 2, 8)
-            assert dec.window_distance(stream[t : t + 21]) == dists[t]
-            assert typicality_distance(emp, dec.reference, "l1") == dists[t]
+        dists = exact_distances(dec, stream)[0, :40]
         fired = np.nonzero(dists <= dec.mu)[0]
         assert run_decoder(dec, stream, scan_limit=40) == (fired[0] + 1 if fired.size else None)
-        # a stream past 2**15 slots takes the wider count type
-        long_stream = rng.integers(0, 8, size=40_000)
-        long_dists = dec.distances(long_stream[None, :], 40_000 - 20)[0]
-        for t in rng.integers(0, 40_000 - 20, size=50).tolist() + [0, 40_000 - 21]:
-            assert dec.window_distance(long_stream[t : t + 21]) == long_dists[t]
+        # windows anywhere in a long stream
+        long_stream = rng.integers(0, 8, size=(1, 40_000))
+        starts = np.array(rng.integers(0, 40_000 - 20, size=50).tolist() + [0, 40_000 - 21])
+        expected = [exact_distances(dec, long_stream[:, t : t + 21])[0, 0] for t in starts]
+        assert np.array_equal(dec._fold(long_stream, np.zeros_like(starts), starts), expected)
 
     def test_out_of_range_outputs_rejected(self):
         dec = TypicalityDecoder(word=build_sync_word(7, 2), channel=bsc(0.1), mu=0.1)

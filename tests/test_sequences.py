@@ -119,6 +119,31 @@ class TestBuildSyncWord:
         assert np.array_equal(back.symbols, word.symbols)
 
 
+class TestSyncWordValue:
+    """A word is its symbols, prefix length and K: equality, hash and repr follow them."""
+
+    def test_equal_words_are_equal(self):
+        assert build_sync_word(15, 2) == build_sync_word(15, 2)
+        assert build_sync_word(15, 2) == SyncWord.from_line("011010011111111", 7, 2)
+
+    def test_unequal_words(self):
+        word = build_sync_word(15, 2)
+        assert word != build_sync_word(14, 2)  # one symbol shorter
+        assert word != build_sync_word(15, 2, seed=2)
+        assert word != SyncWord(word.symbols, prefix_len=7, k=3)
+        assert word != SyncWord(word.symbols, prefix_len=0, k=2)
+        assert word != word.to_line()
+
+    def test_hash_follows_equality(self):
+        assert hash(build_sync_word(15, 2)) == hash(build_sync_word(15, 2))
+        assert len({build_sync_word(15, 2), build_sync_word(15, 2), build_sync_word(21, 3)}) == 2
+
+    def test_repr_shows_the_word(self):
+        word = build_sync_word(15, 2)
+        assert repr(word) == "SyncWord.from_line('011010011111111', prefix_len=7, k=2)"
+        assert eval(repr(word), {"SyncWord": SyncWord}) == word
+
+
 class TestNearestValidLength:
     def test_target_100_k4(self):
         assert nearest_valid_length(100, 4) == 63
