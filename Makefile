@@ -5,7 +5,7 @@ export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 .PHONY: test acceptance reproduce verify-out check bench clean
 
 test:
-	$(PYTHON) -m pytest tests -q
+	$(PYTHON) -m pytest tests -q --durations=10
 
 acceptance:
 	$(PYTHON) -m pytest tests/test_acceptance.py -s -v

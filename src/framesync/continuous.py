@@ -13,16 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.special import ndtr
 
 from .channels import Dmc, dmc_new
-from .quadrature import adaptive_quad
+from .quadrature import ABS_TOL, QuadratureNonConvergence, adaptive_quad
 
-# Rayleigh integration is truncated where the amplitude tail mass drops to
-# RAYLEIGH_TAIL; h_max = scale * sqrt(2 ln(1/RAYLEIGH_TAIL)).
+# Quadratures over the amplitude h stop at h_max, where its tail mass drops to RAYLEIGH_TAIL.
+# Over h the noise is a spike (density) or a step (CDF) of width sigma / sqrt(P); past this many
+# widths per Rayleigh scale, sigma_H sqrt(P) / sigma, QUADPACK can step over it and call a wrong
+# value converged (the threshold came out 55% low at 100). Checked against closed forms.
 RAYLEIGH_TAIL = 1e-16
+MAX_SCALE_WIDTHS = 32.0
 MASS_LOSS_TOL = 1e-6
 DEFAULT_BINS = 4096
 
@@ -49,10 +53,6 @@ class AwgnSpec:
     def sigma(self) -> float:
         return math.sqrt(self.noise_var)
 
-    @property
-    def snr(self) -> float:
-        return self.power / self.noise_var
-
 
 @dataclass(frozen=True)
 class RayleighAwgnSpec:
@@ -67,9 +67,7 @@ class RayleighAwgnSpec:
         if not 0.0 < self.scale < math.inf:
             raise ValueError(f"Rayleigh scale must be finite and > 0, got {self.scale}")
 
-    @property
-    def sigma(self) -> float:
-        return math.sqrt(self.noise_var)
+    sigma = AwgnSpec.sigma
 
     @property
     def h_max(self) -> float:
@@ -94,11 +92,6 @@ class QuantizationGrid:
     def edges(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.bins + 1)
 
-    def bin_of(self, y) -> np.ndarray:
-        """Cell index for real output(s); beyond-grid values land in the tail cells."""
-        idx = np.searchsorted(self.edges[1:-1], np.asarray(y, dtype=np.float64), side="right")
-        return np.clip(idx, 0, self.bins - 1)
-
 
 def default_grid(spec: AwgnSpec | RayleighAwgnSpec, bins: int = DEFAULT_BINS) -> QuantizationGrid:
     """Grid spanning both conditional densities to ~1e-7 tail mass."""
@@ -113,27 +106,44 @@ def default_grid(spec: AwgnSpec | RayleighAwgnSpec, bins: int = DEFAULT_BINS) ->
 
 def awgn_density(y, mean: float, noise_var: float):
     """Gaussian density at y."""
-    if noise_var <= 0.0:
-        raise ValueError("noise variance must be > 0")
+    AwgnSpec(0.0, noise_var)  # the spec's check: finite and > 0, so NaN and inf fail too
     y = np.asarray(y, dtype=np.float64)
     out = np.exp(-((y - mean) ** 2) / (2.0 * noise_var)) / math.sqrt(2.0 * math.pi * noise_var)
     return float(out) if out.ndim == 0 else out
 
 
-def rayleigh_pdf(h, scale: float):
-    h = np.asarray(h, dtype=np.float64)
-    out = np.where(h >= 0.0, h / scale**2 * np.exp(-(h**2) / (2.0 * scale**2)), 0.0)
-    return float(out) if out.ndim == 0 else out
+def _rayleigh_integrands(spec: RayleighAwgnSpec):
+    """Float kernels over the amplitude h: (y, h) -> N(y; h sqrt(P), sigma^2) w(h) and (e, h) ->
+    w(h) P(h sqrt(P) + n <= e), w the Rayleigh amplitude density (0 for h < 0). Plain floats, as
+    0-d numpy costs more than the arithmetic; numpy's exp (math.exp differs in the last bit) and
+    awgn_density's operation order keep each value bit-identical to awgn_density * w on arrays.
+    Raises QuadratureNonConvergence past MAX_SCALE_WIDTHS, where the quadratures go wrong."""
+    root_p, sigma, scale2, var = math.sqrt(spec.power), spec.sigma, spec.scale**2, spec.noise_var
+    if not (widths := spec.scale * root_p / sigma) <= MAX_SCALE_WIDTHS:
+        raise QuadratureNonConvergence(
+            f"sigma_H sqrt(P) / sigma = {widths:.4g} exceeds {MAX_SCALE_WIDTHS:g}: the Rayleigh quadratures fail")
+    twice_scale2, twice_var, norm = 2.0 * scale2, 2.0 * var, math.sqrt(2.0 * math.pi * var)
+
+    def weight(h: float) -> float:
+        return h / scale2 * float(np.exp(-(h * h) / twice_scale2)) if h >= 0.0 else 0.0
+
+    def density(y: float, h: float) -> float:
+        d = y - h * root_p  # squared by pow, not d * d: awgn_density squares a numpy scalar
+        return float(np.exp(-(d**2) / twice_var)) / norm * weight(h)
+
+    def cdf(e: float, h: float) -> float:
+        return weight(h) * float(ndtr((e - h * root_p) / sigma))
+
+    return density, cdf
 
 
 def rayleigh_awgn_density(y: float, spec: RayleighAwgnSpec) -> float:
-    """Density of h*sqrt(P) + n at y: the Rayleigh-faded signal plus noise law."""
-    root_p = math.sqrt(spec.power)
+    """Density of h*sqrt(P) + n at y: the Rayleigh-faded signal plus noise law.
 
-    def integrand(h: float) -> float:
-        return awgn_density(y, h * root_p, spec.noise_var) * rayleigh_pdf(h, spec.scale)
-
-    return adaptive_quad(integrand, 0.0, spec.h_max)
+    Its absolute tolerance scales as 1/sigma like the density (ABS_TOL at sigma = 1), which
+    leaves sigma_H sqrt(P) / sigma the one parameter the quadrature sees."""
+    density, _ = _rayleigh_integrands(spec)
+    return adaptive_quad(partial(density, y), 0.0, spec.h_max, abs_tol=ABS_TOL / spec.sigma)
 
 
 def _gaussian_row(edges: np.ndarray, mean: float, sigma: float) -> tuple[np.ndarray, float]:
@@ -150,20 +160,6 @@ def _gaussian_row(edges: np.ndarray, mean: float, sigma: float) -> tuple[np.ndar
     return cells, tail
 
 
-def _rayleigh_row_cdf(edges: np.ndarray, spec: RayleighAwgnSpec) -> np.ndarray:
-    """CDF of the faded-signal law at each grid edge, by quadrature over h."""
-    root_p = math.sqrt(spec.power)
-    sigma = spec.sigma
-
-    def cdf_at(e: float) -> float:
-        def integrand(h: float) -> float:
-            return rayleigh_pdf(h, spec.scale) * ndtr((e - h * root_p) / sigma)
-
-        return adaptive_quad(integrand, 0.0, spec.h_max, abs_tol=1e-13, rel_tol=1e-10)
-
-    return np.array([cdf_at(e) for e in edges])
-
-
 def quantize_to_dmc(
     spec: AwgnSpec | RayleighAwgnSpec,
     grid: QuantizationGrid | None = None,
@@ -176,14 +172,17 @@ def quantize_to_dmc(
     when a row carries more than ``mass_loss_tol`` beyond the grid, which
     signals the grid is too narrow to represent the channel faithfully. (At
     very high fading SNR the idle law underflows before the signal law decays,
-    so a deliberately larger budget may be passed to study clipped tails.)
+    so a deliberately larger budget may be passed to study clipped tails.) A
+    Rayleigh spec past MAX_SCALE_WIDTHS raises :class:`QuadratureNonConvergence`.
     """
     if grid is None:
         grid = default_grid(spec)
     edges = grid.edges
     idle, idle_tail = _gaussian_row(edges, 0.0, spec.sigma)  # pure noise
     if isinstance(spec, RayleighAwgnSpec):
-        cdf = _rayleigh_row_cdf(edges, spec)
+        _, cdf_integrand = _rayleigh_integrands(spec)  # the faded-signal law's CDF at each edge
+        cdf = np.array([adaptive_quad(partial(cdf_integrand, e), 0.0, spec.h_max, abs_tol=1e-13,
+                                      rel_tol=1e-10) for e in edges.tolist()])
         sync_tail = 1.0 - (cdf[-1] - cdf[0])
         cdf[0], cdf[-1] = 0.0, 1.0  # tail cells absorb
         # quadrature dust can break monotonicity at the 1e-13 level

@@ -70,6 +70,12 @@ class TestThreshold:
             code, out, err = run_cli(capsys, "threshold", *argv)
             assert code == 2 and err.startswith("error:") and out == "", argv
 
+    @pytest.mark.parametrize("argv", [("10000", "1", "1"), ("1e300", "1", "1"), ("1", "1e-300", "1")])
+    def test_rayleigh_past_the_quadrature_bound_exits_3(self, capsys, argv):
+        # these printed a wrong alpha (4465.35 for 9995.87, or 0) with exit 0
+        code, out, err = run_cli(capsys, "threshold", "--rayleigh", *argv)
+        assert code == 3 and out == "" and err.startswith("error:")
+
     def test_empty_table_file_exits_2(self, capsys, tmp_path):
         for header in ("0 2", "2 0"):
             path = tmp_path / "empty.mat"
@@ -131,6 +137,11 @@ class TestRayleighSweep:
         monkeypatch.setattr(framesync.thresholds, "rayleigh_threshold_numeric", not_converging)
         code, out, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "1", "--sigma-h-list", "1")
         assert code == 3 and out.splitlines()[1] == "1,1,nan,0.5,nan"
+        assert "error: 1 of 1 sweep cells failed" in err
+
+    def test_cell_past_the_quadrature_bound_exits_3(self, capsys):
+        code, out, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "1e300", "--sigma-h-list", "1")
+        assert code == 3 and out.splitlines()[1] == "1e+300,1,nan,5e+299,nan"
         assert "error: 1 of 1 sweep cells failed" in err
 
     @pytest.mark.parametrize(

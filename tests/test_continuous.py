@@ -1,11 +1,17 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import ndtr
 
+import rayleigh_oracle
 from framesync import (
     AwgnSpec,
     MassLoss,
+    QuadratureNonConvergence,
     QuantizationGrid,
     RayleighAwgnSpec,
     adaptive_quad,
@@ -13,9 +19,23 @@ from framesync import (
     default_grid,
     quantize_to_dmc,
     rayleigh_awgn_density,
+    rayleigh_threshold_numeric,
     sync_threshold,
 )
-from framesync.continuous import rayleigh_pdf
+from framesync.continuous import MAX_SCALE_WIDTHS, _rayleigh_integrands
+
+
+def rayleigh_pdf(h, scale: float):
+    """The Rayleigh amplitude density on arrays, as the package computed it before its float kernels."""
+    h = np.asarray(h, dtype=np.float64)
+    out = np.where(h >= 0.0, h / scale**2 * np.exp(-(h**2) / (2.0 * scale**2)), 0.0)
+    return float(out) if out.ndim == 0 else out
+
+
+def bin_of(grid, y):
+    """Cell index of real outputs on the grid; beyond-grid values land in the tail cells."""
+    idx = np.searchsorted(grid.edges[1:-1], np.asarray(y, dtype=np.float64), side="right")
+    return np.clip(idx, 0, grid.bins - 1)
 
 
 def sample_continuous(spec, input_is_sync, rng, size=None):
@@ -91,6 +111,12 @@ class TestDensities:
             0.24197072451914337, abs=1e-15
         )
 
+    def test_non_finite_or_nonpositive_variance_rejected(self):
+        # NaN returned nan and inf returned 0.0, where AwgnSpec rejects both
+        for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError):
+                awgn_density(0.0, 0.0, bad)
+
     def test_rayleigh_density_reduces_at_zero_power(self):
         spec = RayleighAwgnSpec(power=0.0, noise_var=1.5, scale=2.0)
         for y in (-2.0, 0.0, 1.3):
@@ -122,6 +148,104 @@ class TestDensities:
         assert second == pytest.approx(2.0 * scale * scale, rel=1e-9)
 
 
+def same_bits(a, b) -> bool:
+    return struct.pack("<d", a) == struct.pack("<d", b)
+
+
+class TestRayleighKernels:
+    """The float integrands equal the array composition they replace, bit for bit."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(
+        log_var=st.floats(-6.0, 6.0),
+        scale=st.floats(0.05, 20.0),
+        frac=st.floats(0.0, 0.999),  # of the largest power the kernels accept
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_integrands_equal_the_array_composition(self, log_var, scale, frac, seed):
+        noise_var = 10.0**log_var
+        sigma = math.sqrt(noise_var)
+        power = (frac * MAX_SCALE_WIDTHS * sigma / scale) ** 2
+        root_p = math.sqrt(power)
+        density, cdf = _rayleigh_integrands(RayleighAwgnSpec(power, noise_var, scale))
+        # amplitudes h < 0 too, where the amplitude density is 0; outputs near the signal
+        # h sqrt(P), so that every exponential is in play
+        draws = np.random.default_rng(seed).uniform([-1.0, -12.0, -12.0], [9.0, 12.0, 12.0], (16, 3))
+        for h_scales, y_sigmas, e_sigmas in draws.tolist():
+            h = h_scales * scale
+            y, e = h * root_p + y_sigmas * sigma, h * root_p + e_sigmas * sigma
+            assert same_bits(density(y, h), awgn_density(y, h * root_p, noise_var) * rayleigh_pdf(h, scale))
+            assert same_bits(cdf(e, h), rayleigh_pdf(h, scale) * ndtr((e - h * root_p) / sigma))
+
+    def test_quadratures_equal_those_of_the_array_composition(self, monkeypatch):
+        import framesync.continuous
+
+        spec = RayleighAwgnSpec(power=100.0, noise_var=1.0, scale=1.0)
+        ys, grid = (-3.0, 0.5, 10.0, 30.0), QuantizationGrid(-8.0, 36.0, 32)
+
+        def outputs():
+            densities = np.array([rayleigh_awgn_density(y, spec) for y in ys])
+            return densities.tobytes(), quantize_to_dmc(spec, grid, mass_loss_tol=1e-2).rows.tobytes()
+
+        kernels = outputs()
+        root_p = math.sqrt(spec.power)
+        monkeypatch.setattr(framesync.continuous, "_rayleigh_integrands", lambda s: (
+            lambda y, h: awgn_density(y, h * root_p, s.noise_var) * rayleigh_pdf(h, s.scale),
+            lambda e, h: rayleigh_pdf(h, s.scale) * ndtr((e - h * root_p) / s.sigma),
+        ))
+        assert outputs() == kernels
+
+
+class TestRayleighOracle:
+    """The quadratures against the closed forms of rayleigh_oracle.py, up to MAX_SCALE_WIDTHS and past it."""
+
+    # noise variances far apart: the quadratures see only sigma_H sqrt(P) / sigma
+    SCALES = [(1.0, 1.0), (1e-12, 2.0), (1e12, 0.5)]
+    WIDTHS = (0.1, 1.0, 10.0, 20.0, 30.0, MAX_SCALE_WIDTHS * (1.0 - 1e-12))
+
+    @staticmethod
+    def power(widths, noise_var, scale):
+        return (widths * math.sqrt(noise_var) / scale) ** 2
+
+    @pytest.mark.parametrize("noise_var, scale", SCALES)
+    def test_threshold_up_to_the_bound(self, noise_var, scale):
+        for widths in self.WIDTHS:
+            power = self.power(widths, noise_var, scale)
+            alpha = rayleigh_threshold_numeric(RayleighAwgnSpec(power, noise_var, scale))
+            # within the relative tolerance the threshold's quadrature asks for
+            assert alpha == pytest.approx(rayleigh_oracle.threshold(power, noise_var, scale), rel=1e-6), widths
+
+    @pytest.mark.parametrize("noise_var, scale", SCALES)
+    def test_quantized_row_up_to_the_bound(self, noise_var, scale):
+        for widths in self.WIDTHS:
+            power = self.power(widths, noise_var, scale)
+            spec = RayleighAwgnSpec(power, noise_var, scale)
+            grid = default_grid(spec, 64)
+            cdf = np.array([rayleigh_oracle.cdf(e, power, noise_var, scale) for e in grid.edges])
+            cdf[0], cdf[-1] = 0.0, 1.0  # the tail cells absorb
+            row = quantize_to_dmc(spec, grid).rows[1]
+            # ten times the relative tolerance asked of each CDF value
+            assert np.abs(row - np.diff(cdf)).max() <= 1e-9, widths
+
+    @pytest.mark.parametrize(
+        "power, noise_var, scale",
+        [
+            (1e4, 1.0, 1.0),  # 100 widths: the threshold came out 4465.35 for 9995.87
+            (1e300, 1.0, 1.0),  # the threshold came out 0
+            (1.0, 1e-300, 1.0),
+            ((MAX_SCALE_WIDTHS * 1.001) ** 2, 1.0, 1.0),
+        ],
+    )
+    def test_past_the_bound_raises(self, power, noise_var, scale):
+        spec = RayleighAwgnSpec(power, noise_var, scale)
+        with pytest.raises(QuadratureNonConvergence):
+            rayleigh_threshold_numeric(spec)
+        with pytest.raises(QuadratureNonConvergence):
+            rayleigh_awgn_density(0.0, spec)
+        with pytest.raises(QuadratureNonConvergence):
+            quantize_to_dmc(spec, QuantizationGrid(-8.0, 8.0, 16))
+
+
 class TestQuantization:
     def test_two_bin_split_at_zero(self):
         spec = AwgnSpec(power=0.0, noise_var=1.0)
@@ -144,8 +268,6 @@ class TestQuantization:
         # At this SNR the signal law outlives double-precision support of the
         # idle law, so the top cell must absorb ~2e-3 of clipped mass; the
         # budget is widened explicitly for this cross-check.
-        from framesync import rayleigh_threshold_numeric
-
         spec = RayleighAwgnSpec(power=100.0, noise_var=1.0, scale=1.0)
         grid = QuantizationGrid(-8.0, 36.0, 4096)
         alpha_q = sync_threshold(
@@ -187,7 +309,7 @@ class TestQuantization:
         rng = np.random.default_rng(42)
         n = 10**6
         draws = sample_continuous(spec, True, rng, size=n)
-        hist = np.bincount(grid.bin_of(draws), minlength=64) / n
+        hist = np.bincount(bin_of(grid, draws), minlength=64) / n
         assert np.abs(hist - dmc.rows[1]).sum() <= 0.01
 
 

@@ -27,6 +27,7 @@ def framesync_imports(path):
     [
         ("naive_trials.py", {"TrialConfig", "trial_rng", "CLASSES"}),
         ("exact_oracle.py", {"TrialConfig", "run_decoder"}),
+        ("rayleigh_oracle.py", set()),
     ],
 )
 def test_oracles_take_only_their_inputs_from_framesync(oracle, allowed):

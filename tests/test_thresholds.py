@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +245,13 @@ class TestSweep:
         assert lines[0] == "snr,sigma_h,alpha_q,alpha_qn,ratio"
         assert len(lines) == 3
         assert all(c.ratio >= 0.0 for c in cells)
+
+    def test_default_grid_reproduces_committed_csv(self):
+        from framesync.cli import DEFAULT_SIGMA_H, DEFAULT_SNR_GRID
+
+        committed = Path(__file__).parent.parent / "out" / "rayleigh_sweep.csv"
+        cells = rayleigh_ratio_sweep(DEFAULT_SNR_GRID, DEFAULT_SIGMA_H, noise_var=1.0)
+        assert sweep_to_csv(cells) == committed.read_text()
 
     def test_sweep_rejects_nonpositive_snr(self):
         with pytest.raises(ValueError):
