@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.special import ndtr
 
 from .channels import Dmc, dmc_new
 from .quadrature import ABS_TOL, QuadratureNonConvergence, adaptive_quad
@@ -118,6 +117,8 @@ def _rayleigh_integrands(spec: RayleighAwgnSpec):
     0-d numpy costs more than the arithmetic; numpy's exp (math.exp differs in the last bit) and
     awgn_density's operation order keep each value bit-identical to awgn_density * w on arrays.
     Raises QuadratureNonConvergence past MAX_SCALE_WIDTHS, where the quadratures go wrong."""
+    from scipy.special import ndtr  # scipy loads only where a command computes with it
+
     root_p, sigma, scale2, var = math.sqrt(spec.power), spec.sigma, spec.scale**2, spec.noise_var
     if not (widths := spec.scale * root_p / sigma) <= MAX_SCALE_WIDTHS:
         raise QuadratureNonConvergence(
@@ -149,6 +150,8 @@ def rayleigh_awgn_density(y: float, spec: RayleighAwgnSpec) -> float:
 def _gaussian_row(edges: np.ndarray, mean: float, sigma: float) -> tuple[np.ndarray, float]:
     """Cell masses of N(mean, sigma^2), tail-accurate on both sides, with the outermost
     cells absorbing the mass beyond the grid; and that beyond-grid mass."""
+    from scipy.special import ndtr
+
     z = (edges - mean) / sigma
     lo_z, hi_z = z[:-1], z[1:]
     upper = ndtr(-lo_z) - ndtr(-hi_z)  # accurate when the cell sits above the mean

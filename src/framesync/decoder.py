@@ -38,7 +38,6 @@ CERT_SLIP; otherwise the engine refuses.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -227,6 +226,27 @@ def _class_index(shift: np.ndarray, n: int) -> np.ndarray:
     return klass
 
 
+def _log_binom_mass(n: int, q: float, lo: int, hi: int) -> float:
+    """ln P(lo <= X <= hi) for X ~ Binomial(n, q); -inf for an empty range.
+
+    Sums the terms C(n, k) q^k (1 - q)^(n - k) in the log domain, shifted by the
+    largest: C(n, k) is an exact integer and fsum rounds the sum once, so a tail
+    far below the smallest double keeps its digits.
+    """
+    lo, hi = max(lo, 0), min(hi, n)
+    if lo > hi:
+        return -math.inf
+    if q == 0.0 or q == 1.0:  # all mass at X = 0 or at X = n
+        return 0.0 if lo <= n * q <= hi else -math.inf
+    log_q, log_p = math.log(q), math.log1p(-q)
+    terms, comb = [], math.comb(n, lo)
+    for k in range(lo, hi + 1):
+        terms.append(math.log(comb) + k * log_q + (n - k) * log_p)
+        comb = comb * (n - k) // (k + 1)
+    top = max(terms)
+    return top + math.log(math.fsum(math.exp(t - top) for t in terms))
+
+
 def _noise_window_log_bound(decoder: TypicalityDecoder) -> float:
     """ln of an upper bound on P(a pure-idle window is typical).
 
@@ -234,7 +254,6 @@ def _noise_window_log_bound(decoder: TypicalityDecoder) -> float:
     window must have every cell count inside its mu band, so the binomial
     probability of the hardest cell bounds the whole event.
     """
-    from scipy.stats import binom  # skip mode only; scipy.stats is slow to import
     wi = decoder.word.symbols
     n = len(wi)
     noise_row = decoder.channel.rows[0]
@@ -247,9 +266,9 @@ def _noise_window_log_bound(decoder: TypicalityDecoder) -> float:
             lo_c = math.ceil(n * (ref - decoder.mu))
             hi_c = math.floor(n * (ref + decoder.mu))
             if nx * q < lo_c:
-                lb = float(binom.logsf(lo_c - 1, nx, q))
+                lb = _log_binom_mass(nx, q, lo_c, nx)
             elif nx * q > hi_c:
-                lb = float(binom.logcdf(hi_c, nx, q))
+                lb = _log_binom_mass(nx, q, 0, hi_c)
             else:
                 continue
             best = min(best, lb)
@@ -332,6 +351,9 @@ class TrialEngine:
         bit_gen = np.random.Philox(key=np.array([master_seed % 2**64, 0], dtype=np.uint64))
         gen = np.random.Generator(bit_gen)
         state = bit_gen.state  # counter 0 and an empty buffer, as for a new generator
+        # plain lists, not the uint64 arrays bit_gen.state returns: the setter reads them twice as fast
+        state = {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+                 "buffer": state["buffer"].tolist()}
         key = state["state"]["key"]
         for start in range(lo, hi, block):
             u = np.empty((min(block, hi - start), 1 + self.segment))
@@ -444,6 +466,8 @@ def monte_carlo(
     if workers == 1:
         parts = [engine.run_batch(master_seed, 0, trials)]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # 11 ms of import a single worker never needs
+
         bounds = np.linspace(0, trials, workers + 1).astype(int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from scipy.integrate import quad
-
 ABS_TOL = 1e-12
 REL_TOL = 1e-9
 # QUADPACK evaluates 21 points per subinterval; this cap keeps the total
@@ -31,6 +29,8 @@ def adaptive_quad(
     limit: int = SUBDIVISION_LIMIT,
 ) -> float:
     """Integrate fn over [lo, hi] to the requested tolerance or raise."""
+    from scipy.integrate import quad  # here, so commands that integrate nothing never load it
+
     value, abserr, info, *message = quad(
         fn, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=True
     )

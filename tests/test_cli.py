@@ -261,24 +261,6 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
-    def test_full_mode_run_leaves_scipy_stats_unloaded(self, tmp_path):
-        # scipy.stats only serves the skip-mode certificate and costs ~0.5 s to import
-        out = tmp_path / "single.json"
-        src = os.path.dirname(os.path.dirname(framesync.__file__))
-        script = (
-            "import sys\n"
-            "from framesync.cli import main\n"
-            "code = main(['simulate', '--preset', 'single_bsc', '--set', 'n=15', '--set', 'k=2',\n"
-            f"             '--set', 'a=30', '--set', 'trials=20', '--out', {str(out)!r}])\n"
-            "print(code, 'scipy.stats' in sys.modules)\n"
-        )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
-        )
-        assert proc.stdout.split() == ["0", "False"], proc.stderr
-        assert json.loads(out.read_text())["report"]["trials"] == 20
-
     def test_midrun_failure_flushes_partial_rows(self, capsys, tmp_path):
         # second row needs an uncertifiable far-window skip and must fail,
         # but the first row's result still lands in the file with exit 3
@@ -334,6 +316,55 @@ class TestSimulate:
         code, _, _ = run_cli(capsys, "simulate", "--replay", path, "--set", "trials=20", "--out", str(out))
         assert code == 0
         assert _config_from_replay(str(out)) == {**_config_from_replay(path), "trials": "20"}
+
+
+class TestStartup:
+    """A fresh process loads scipy only where its command computes with it.
+
+    Of scipy's subpackages, DMC commands load none, quantized AWGN loads only
+    scipy.special (the Gaussian CDF) and only Rayleigh commands load
+    scipy.integrate; nothing loads scipy.stats.
+    """
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            ([], set()),  # import framesync and framesync.cli, run nothing
+            (["threshold", "--bsc", "0.1"], set()),
+            (["threshold", "--onoff-bsc", "0.5", "0.1"], set()),
+            (["lemma1-grid"], set()),
+            (["sequence", "--n", "100", "--k", "4"], set()),
+            (["simulate", "--preset", "single_bsc", "--set", "trials=20"], set()),  # skip mode
+            (["simulate", "--preset", "single_bsc", "--set", "a=30", "--set", "trials=20"], set()),
+            (["simulate", "--preset", "bsc_scaling", "--set", "trials=20"], set()),  # skip mode
+            (["simulate", "--preset", "energy_scaling", "--set", "trials=5"], {"scipy.special"}),
+            (["threshold", "--rayleigh", "100", "1", "1"], {"scipy.special", "scipy.integrate"}),
+        ],
+        ids=["import", "threshold-bsc", "threshold-onoff", "lemma1-grid", "sequence", "single_bsc",
+             "single_bsc-full", "bsc_scaling", "energy_scaling", "threshold-rayleigh"],
+    )
+    def test_command_loads_only_the_scipy_it_computes_with(self, tmp_path, argv, loaded):
+        out = tmp_path / "out"
+        src = os.path.dirname(os.path.dirname(framesync.__file__))
+        script = (
+            "import json, sys\n"
+            "import framesync, framesync.cli\n"
+            f"argv = {argv!r}\n"
+            f"code = framesync.cli.main(argv + ['--out', {str(out)!r}]) if argv else 0\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        assert out.exists() == bool(argv)
+        if not loaded:
+            assert modules == []
+        subpackages = {"scipy.special", "scipy.integrate", "scipy.stats"}
+        assert subpackages & set(modules) == loaded
 
 
 class TestDeterminism:

@@ -1,9 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from framesync import (
     AwgnSpec,
@@ -32,7 +34,8 @@ from framesync import (
     wilson_interval,
 )
 from framesync.channels import IndexOutOfRange
-from framesync.decoder import TrialEngine
+from framesync.cli import _config_rows, _load_preset
+from framesync.decoder import CERT_SLIP, TrialEngine, _log_binom_mass, _noise_window_log_bound
 
 from exact_oracle import (
     exact_error_probability_dp,
@@ -324,6 +327,85 @@ class TestSkipMode:
         cfg = TrialConfig(a=10**9, word=word, channel=bsc(0.4), mu=0.9)
         with pytest.raises(SimulationInfeasible):
             simulate_trial(cfg, trial_rng(0, 0))
+
+
+def mp_log_binom_mass(n, q, lo, hi):
+    """ln P(lo <= X <= hi) for X ~ Binomial(n, q), summed at 50 digits."""
+    lo, hi = max(lo, 0), min(hi, n)
+    if lo > hi:
+        return -math.inf
+    with mpmath.workdps(50):
+        q = mpmath.mpf(q)
+        term = mpmath.binomial(n, lo) * q**lo * (1 - q) ** (n - lo)
+        total = term
+        for k in range(lo, hi):
+            term = term * (n - k) / (k + 1) * q / (1 - q)
+            total += term
+        return float(mpmath.log(total)) if total > 0 else -math.inf
+
+
+def scipy_noise_window_log_bound(decoder):
+    """The certificate's bound with scipy's binomial tails in place of the exact sum."""
+    wi, n, best = decoder.word.symbols, len(decoder.word), 0.0
+    for x in np.unique(wi):
+        nx = int(np.count_nonzero(wi == x))
+        for y, q in enumerate(decoder.channel.rows[0]):
+            lo_c = math.ceil(n * (decoder.reference[x, y] - decoder.mu))
+            hi_c = math.floor(n * (decoder.reference[x, y] + decoder.mu))
+            if nx * q < lo_c:
+                best = min(best, float(binom.logsf(lo_c - 1, nx, q)))
+            elif nx * q > hi_c:
+                best = min(best, float(binom.logcdf(hi_c, nx, q)))
+    return best
+
+
+class TestCertificateTail:
+    """The skip certificate's binomial tail against mpmath (50 digits) and scipy.stats.binom."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 63, 256, 1000])
+    def test_tails_match_mpmath_and_scipy(self, n):
+        for q in (1e-300, 1e-12, 1e-3, 0.034, 0.5, 0.97, 1 - 1e-12):
+            for k in sorted({0, 1, int(n * q), n // 2, n - 1, n}):
+                for lo, hi, theirs in (
+                    (k, n, binom.logsf(k - 1, n, q)),
+                    (0, k, binom.logcdf(k, n, q)),
+                ):
+                    got, exact = _log_binom_mass(n, q, lo, hi), mp_log_binom_mass(n, q, lo, hi)
+                    if exact > -700.0:
+                        assert got == pytest.approx(exact, rel=0, abs=1e-12), (n, q, lo, hi)
+                        assert got == pytest.approx(float(theirs), rel=0, abs=1e-12), (n, q, lo, hi)
+                    else:  # beyond the doubles scipy's tail is held in; the log sum keeps its digits
+                        assert got == pytest.approx(exact, rel=1e-14, abs=0), (n, q, lo, hi)
+
+    def test_far_tail_where_scipy_drifts(self):
+        # binom.logsf reads -643.1167 here, 0.7 above the 50-digit value
+        got = _log_binom_mass(256, 0.034, 220, 256)
+        assert got == pytest.approx(mp_log_binom_mass(256, 0.034, 220, 256), rel=0, abs=1e-12)
+        assert got < float(binom.logsf(219, 256, 0.034)) - 0.5
+
+    @pytest.mark.parametrize("n", [1, 5, 256])
+    def test_degenerate_q_and_ranges_are_exact(self, n):
+        assert _log_binom_mass(n, 0.0, 0, 0) == 0.0
+        assert _log_binom_mass(n, 0.0, 0, n) == 0.0
+        assert _log_binom_mass(n, 0.0, 1, n) == -math.inf
+        assert _log_binom_mass(n, 1.0, n, n) == 0.0
+        assert _log_binom_mass(n, 1.0, -3, n + 3) == 0.0
+        assert _log_binom_mass(n, 1.0, 0, n - 1) == -math.inf
+        for q in (0.0, 0.3, 1.0):
+            assert _log_binom_mass(n, q, n + 1, n + 5) == -math.inf
+            assert _log_binom_mass(n, q, -5, -1) == -math.inf
+            assert _log_binom_mass(n, q, 3, 2) == -math.inf
+        assert _log_binom_mass(n, 0.3, 0, n) == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize("preset", ["single_bsc", "bsc_scaling", "energy_scaling"])
+    def test_preset_rows_keep_their_decisions(self, preset):
+        _, rows, _ = _config_rows(_load_preset(preset))
+        for row in rows:
+            dec = row.config.decoder()
+            ours, theirs = _noise_window_log_bound(dec), scipy_noise_window_log_bound(dec)
+            assert ours == pytest.approx(theirs, rel=1e-14, abs=0)
+            n_far = math.log(2.0 * float(row.a) + 2.0 * row.n)
+            assert (n_far + ours > math.log(CERT_SLIP)) == (n_far + theirs > math.log(CERT_SLIP))
 
 
 class TestExactOracle:
