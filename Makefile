@@ -2,7 +2,7 @@ PYTHON ?= python3
 OUT ?= out
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test acceptance reproduce verify-out check bench clean
+.PHONY: test acceptance reproduce verify-out check bench bench-pairs clean
 
 test:
 	$(PYTHON) -m pytest tests -q --durations=10
@@ -38,6 +38,33 @@ check:
 W ?= full_scan
 bench:
 	$(PYTHON) perfbench/run.py --workload $(W) --seed 1 --seconds 30 --trace 0
+
+# PAIRS pairs of benchmark runs of workload W, one on revision BASE (checked out in a temporary
+# git worktree) and one on this checkout, the side that runs first alternating; pair i runs both
+# sides at seed SEED + i, so their outputs compare byte for byte. BASE's records are copied to
+# .perfbench/pairs/ before the worktree goes; the last step summarizes this checkout's records
+# against BASE's.
+BASE ?= HEAD
+PAIRS ?= 10
+SEED ?= 1000
+bench-pairs:
+	@set -e; tmp=$$(mktemp -d); tree=$$tmp/base; here=$$(pwd); new=; old=; \
+	trap 'git worktree remove --force "$$tree" 2>/dev/null || true; rm -rf "$$tmp"' EXIT; \
+	git worktree add --detach "$$tree" $(BASE); mkdir -p .perfbench/pairs; \
+	for i in $$(seq 0 $$(($(PAIRS) - 1))); do \
+		if [ $$((i % 2)) -eq 0 ]; then sides="base change"; else sides="change base"; fi; \
+		for side in $$sides; do \
+			dir=$$here; [ $$side = base ] && dir=$$tree; \
+			echo "== pair $$i, $$side, seed $$(($(SEED) + i))"; \
+			log=$$(cd "$$dir" && $(PYTHON) perfbench/run.py --workload $(W) --seed $$(($(SEED) + i)) \
+				--seconds 30 --trace 0); \
+			echo "$$log"; rec=$$(echo "$$log" | sed -n 's/^.* record: //p'); \
+			if [ $$side = base ]; then \
+				cp "$$tree/$$rec" .perfbench/pairs/; old="$$old .perfbench/pairs/$$(basename $$rec)"; \
+			else new="$$new $$rec"; fi; \
+		done; \
+	done; \
+	$(PYTHON) perfbench/summarize.py $$new --against $$old
 
 clean:
 	rm -rf out

@@ -4,7 +4,9 @@ A channel is its row-stochastic table Q(y|x): one row per input, one column
 per output, indexed from 0. Row 0 is the idle symbol x(0) and row 1 the sync
 symbol x(1); the binary sync word's 0/1 symbols index these rows directly.
 Inputs from 2 on enter only the thresholds (the best input against x(0)).
-The ON-OFF fading table drops every input to x(0).
+The ON-OFF fading table drops every input to x(0). Draws map uniforms to
+outputs by an exact inverse CDF, a binary search over whole arrays in
+O(log |Y|) passes that returns the narrowest unsigned symbol type.
 """
 
 from __future__ import annotations
@@ -146,9 +148,41 @@ def compose(fading: Dmc, noise: Dmc) -> Dmc:
     return Dmc(rows)
 
 
+class InverseCdf:
+    """Exact inverse-CDF draws from one cumulative row by a branchless binary search.
+
+    A uniform u in [0, 1) maps to the first column whose cumulative value
+    exceeds u, the last column if none does: min(searchsorted_right(cdf, u), n - 1),
+    since a cumulative sum of non-negative floats never decreases. The row's
+    first n - 1 values, padded with inf to 2^k - 1 for k = bit_length(n - 1),
+    form a complete search tree, stored level by level so that each step is
+    one gather and one comparison over the whole array: k passes, O(log n).
+    Symbols come in the narrowest unsigned type that holds n - 1.
+    """
+
+    def __init__(self, cdf_row: np.ndarray):
+        n = len(cdf_row)
+        k = (n - 1).bit_length()
+        padded = np.full(2**k - 1, np.inf)
+        padded[: n - 1] = cdf_row[: n - 1]
+        # level j holds the 2^j values the (j+1)-th step compares with, left to right
+        self.levels = [padded[2**s - 1 :: 2 ** (s + 1)].copy() for s in reversed(range(k))]
+        self.dtype = np.min_scalar_type(n - 1)
+
+    def __call__(self, uniforms: np.ndarray) -> np.ndarray:
+        if not self.levels:  # one output
+            return np.zeros(np.shape(uniforms), self.dtype)
+        pos = (uniforms >= self.levels[0][0]).astype(self.dtype)  # the root: no gather
+        for level in self.levels[1:]:
+            mid = level.take(pos)
+            pos <<= 1
+            pos |= uniforms >= mid
+        return pos
+
+
 def inverse_cdf(cdf_row: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Outputs of one input for uniforms in [0, 1): the first column whose cumulative row exceeds u."""
-    return np.minimum(np.searchsorted(cdf_row, uniforms, side="right"), len(cdf_row) - 1)
+    """Outputs of one input for uniforms in [0, 1), through a one-off InverseCdf."""
+    return InverseCdf(cdf_row)(uniforms)
 
 
 def save_channel(path, channel: Dmc) -> None:

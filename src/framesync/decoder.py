@@ -16,7 +16,9 @@ x(0), scans slots 1..A + N - 1 and classifies the outcome:
 One engine runs every trial, a block of trials at a time. Trial i draws from
 the Philox stream keyed by (master seed, i): one uniform places the word at
 slot v, the rest drive an inverse-CDF channel pass over the trial's segment
-(every slot through x(0)'s CDF, then the word's x(1) slots through x(1)'s).
+(every slot through x(0)'s CDF, then the word's x(1) slots through x(1)'s):
+an exact binary search over the block, O(log |Y|) passes, whose symbols are
+the narrowest unsigned type that holds every output.
 Windows are decided in two stages. A screen, one cumulative sum of integer
 output weights per block taken over the word's runs of x(1), bounds each
 window's distance from below; a window whose bound exceeds mu by more than a
@@ -42,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import Dmc, IndexOutOfRange, inverse_cdf
+from .channels import Dmc, IndexOutOfRange, InverseCdf
 from .sequences import SyncWord
 
 FULL_SIM_MAX_A = 50_000
@@ -115,9 +117,10 @@ class TypicalityDecoder:
         w[output] per block, summed over the word's runs of x(1).
         """
         weights, weighted_ref, (starts, ends) = self._screen
-        cum = np.zeros((len(outputs), outputs.shape[1] + 1))
-        np.cumsum(weights[outputs], axis=1, out=cum[:, 1:])
-        acc = np.zeros((len(outputs), width))
+        # integer sums are exact in any type; int32 moves half the bytes of float64
+        cum = np.zeros((len(outputs), outputs.shape[1] + 1), dtype=np.int32)
+        np.cumsum(weights[outputs], axis=1, dtype=np.int32, out=cum[:, 1:])
+        acc = np.zeros((len(outputs), width), dtype=np.int32)
         for a, b in zip(starts, ends):
             acc += cum[:, b : b + width]
             acc -= cum[:, a : a + width]
@@ -288,7 +291,7 @@ class TrialEngine:
         self.n = len(config.word)
         self.scan_limit = config.a + self.n - 1
         self.full_mode = config.a <= full_sim_max_a
-        self._cdf = np.cumsum(config.channel.rows, axis=1)
+        self._draw = [InverseCdf(np.cumsum(row)) for row in config.channel.rows[:2]]  # x(0), x(1)
         self._ones = np.flatnonzero(config.word.symbols == 1)
         stream_len = self.scan_limit + self.n - 1
         self.segment = stream_len if self.full_mode else min(stream_len, 3 * self.n - 2)
@@ -319,9 +322,9 @@ class TrialEngine:
 
     def _outputs(self, uniforms: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """Each trial's segment through the channel: x(0) in every slot, then x(1) at the word's ones."""
-        out = inverse_cdf(self._cdf[0], uniforms)
+        out = self._draw[0](uniforms)
         rows, cols = np.arange(len(uniforms))[:, None], offset[:, None] + self._ones
-        out[rows, cols] = inverse_cdf(self._cdf[1], uniforms[rows, cols])
+        out[rows, cols] = self._draw[1](uniforms[rows, cols])
         return out
 
     def _decide(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -38,6 +38,11 @@ def kl_divergence(p, q) -> float:
             raise ValueError(f"{name} has negative entries")
         if abs(d.sum() - 1.0) > 1e-9:
             raise ValueError(f"{name} sums to {d.sum()!r}, not 1 within 1e-9")
+    return _kl(p, q)
+
+
+def _kl(p: np.ndarray, q: np.ndarray) -> float:
+    """kl_divergence's arithmetic without its checks, for rows a Dmc has validated."""
     support = p > 0.0
     if np.any(q[support] == 0.0):
         return math.inf
@@ -76,7 +81,7 @@ class ThresholdReport:
 def sync_threshold(channel: Dmc) -> ThresholdReport:
     """Maximize D(Q(.|x) || Q(.|x(0))) over inputs, x(0) being row 0; ties break to the lowest index."""
     base = channel.rows[0]
-    divs = [kl_divergence(channel.rows[x], base) for x in range(channel.n_inputs)]
+    divs = [_kl(row, base) for row in channel.rows]
     best = 0
     for x in range(1, channel.n_inputs):
         if divs[x] > divs[best]:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framesync import (
     ChannelError,
@@ -174,7 +176,32 @@ class TestCompose:
                 assert np.allclose(comp.rows[x], expected, atol=1e-12)
 
 
+@st.composite
+def cdf_rows(draw):
+    """A cumulative row over 1-5000 outputs, with zero-mass cells at the first, an inner or the
+    last column and a total that may end a hair below or above 1."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    n = draw(st.one_of(st.integers(1, 9), st.integers(250, 262), st.integers(1, 5000)))
+    row = rng.dirichlet(np.full(n, draw(st.sampled_from([0.01, 1.0, 50.0]))))
+    for at in draw(st.sets(st.sampled_from([0, n // 2, n - 1]))):
+        row[at : at + draw(st.integers(1, 3))] = 0.0
+    return np.cumsum(row * draw(st.sampled_from([1.0, 1.0 - 2**-40, 1.0 + 2**-40])))
+
+
 class TestSampling:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(cdf=cdf_rows())
+    def test_search_is_clamped_searchsorted_on_every_boundary(self, cdf):
+        # every cumulative value, its two float neighbours, both ends of [0, 1) and some interior
+        n = len(cdf)
+        u = np.concatenate([
+            cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
+            [0.0, 1.0 - 2**-53], np.random.default_rng(n).random(64),
+        ])
+        draws = inverse_cdf(cdf, u)
+        assert np.array_equal(draws, np.minimum(np.searchsorted(cdf, u, side="right"), n - 1))
+        assert draws.dtype == (np.uint8 if n <= 256 else np.uint16)
+
     def test_identity_channel_is_deterministic(self):
         cdf = np.cumsum(dmc_new(np.eye(2)).rows, axis=1)
         u = np.random.default_rng(0).random(50)

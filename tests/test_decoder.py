@@ -501,9 +501,18 @@ PROPERTY = settings(
 
 @st.composite
 def channels(draw, noisy=True):
-    """BSC, or quantized AWGN with 3-8 outputs; near noiseless unless noisy."""
-    if draw(st.booleans()):
+    """BSC, quantized AWGN with 3-8 outputs, or a channel past 256 outputs (uint16 symbols);
+    near noiseless unless noisy."""
+    kind = draw(st.sampled_from(["bsc", "awgn", "wide"]))
+    if kind == "bsc":
         return bsc(draw(st.floats(0.0, 0.45 if noisy else 0.01)))
+    if kind == "wide":
+        # x(0) on the first output and x(1) on the last, the crossover mass spread over all
+        n_out, eps = draw(st.integers(257, 400)), draw(st.floats(0.0, 0.45 if noisy else 0.01))
+        rows = np.full((2, n_out), eps / n_out)
+        rows[0, 0] += 1.0 - eps
+        rows[1, -1] += 1.0 - eps
+        return dmc_new(rows, normalize=True)
     power = draw(st.floats(0.5, 9.0) if noisy else st.floats(36.0, 64.0))
     return quantized_awgn(AwgnSpec(power=power, noise_var=1.0), draw(st.integers(3, 8)))
 

@@ -95,6 +95,17 @@ class TestSyncThreshold:
         rep = sync_threshold(bsc(0.23))
         assert rep.per_symbol_divergences[0] == 0.0
 
+    def test_divergences_equal_kl_divergence_bit_for_bit(self):
+        # sync_threshold skips kl_divergence's checks, not its arithmetic; zeros give inf and 0 log 0
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            rows = rng.dirichlet(np.full(int(rng.integers(2, 9)), 0.3), size=int(rng.integers(2, 5)))
+            rows[rng.random(rows.shape) < 0.15] = 0.0
+            rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+            channel = dmc_new(rows / rows.sum(axis=1, keepdims=True))
+            expected = tuple(kl_divergence(row, channel.rows[0]) for row in channel.rows)
+            assert sync_threshold(channel).per_symbol_divergences == expected
+
 
 class TestClosedForms:
     def test_bsc_half_is_zero(self):
