@@ -42,7 +42,6 @@ from .decoder import (
     energy_scaling_rows,
     monte_carlo,
     run_decoder,
-    scaling_experiment,
     scaling_to_csv,
     simulate_trial,
     single_rows,

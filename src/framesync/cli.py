@@ -13,6 +13,7 @@ files reproducible.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
@@ -28,7 +29,7 @@ from .continuous import AwgnSpec, RayleighAwgnSpec, quantized_awgn
 from .decoder import (
     bsc_scaling_rows,
     energy_scaling_rows,
-    scaling_experiment,
+    monte_carlo,
     scaling_to_csv,
     single_rows,
 )
@@ -95,7 +96,7 @@ def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _parse_channel(spec: str, bins: int = 8):
+def _parse_channel(spec: str, bins: int):
     """Channel of a spec 'bsc:EPS', 'onoff:P,EPS', 'awgn:P,SIGMA2' (quantized on bins cells) or 'file:PATH'."""
     kind, _, params = spec.partition(":")
     if kind == "file":
@@ -119,10 +120,10 @@ def _parse_channel(spec: str, bins: int = 8):
 def _parse_channel_args(args) -> tuple:
     """Resolve the channel source flags into (description dict, ThresholdReport)."""
     if args.bsc is not None:
-        return {"channel": f"bsc:{args.bsc:g}"}, sync_threshold(_parse_channel(f"bsc:{args.bsc!r}"))
+        return {"channel": f"bsc:{args.bsc:g}"}, sync_threshold(bsc(args.bsc))
     if args.onoff_bsc is not None:
         p, eps = (float(tok.split("=")[-1]) for tok in args.onoff_bsc)
-        report = sync_threshold(_parse_channel(f"onoff:{p!r},{eps!r}"))
+        report = sync_threshold(compose(on_off_fading_matrix(p), bsc(eps)))
         return {"channel": f"onoff-bsc:{p:g},{eps:g}"}, report
     if args.awgn is not None:
         power, sigma2 = args.awgn
@@ -140,7 +141,7 @@ def _parse_channel_args(args) -> tuple:
         )
         return {"channel": f"rayleigh:{power:g},{sigma2:g},{scale:g}"}, report
     if args.file is not None:
-        return {"channel": f"file:{args.file}"}, sync_threshold(_parse_channel(f"file:{args.file}"))
+        return {"channel": f"file:{args.file}"}, sync_threshold(load_channel(args.file))
     if args.inline is not None:
         rows = [[float(v) for v in row.split(",")] for row in args.inline.split(";")]
         report = sync_threshold(dmc_new(np.array(rows)))
@@ -250,66 +251,44 @@ def _config_from_replay(path: str) -> dict[str, str]:
     return cfg
 
 
-# keys each simulate mode reads beside mode, trials, seed and workers; any other key is an error
+# each simulate mode's keys beside mode, trials, seed and workers, with their parsers; any
+# other key is an error. A key the config leaves out takes its row builder's default, and
+# is required where the builder has none.
 MODE_KEYS = {
-    "single": ("channel", "n", "k", "a", "beta", "mu", "norm", "bins"),
-    "bsc-scaling": ("eps", "k", "n_list", "beta", "mu", "norm"),
-    "energy-scaling": ("energy", "sigma2", "n_list", "bins", "mu_coeff", "norm"),
+    "single": dict(channel=str, n=int, k=int, a=int, beta=float, mu=float, norm=str, bins=int),
+    "bsc-scaling": dict(eps=float, k=int, n_list=_int_list, beta=float, mu=float, norm=str),
+    "energy-scaling": dict(energy=float, sigma2=float, n_list=_int_list, bins=int, mu_coeff=float, norm=str),
+}
+# looked up by name at each call, so a wrapper set on this module's attribute is the one called
+ROW_BUILDERS = {
+    "single": "_single_rows", "bsc-scaling": "bsc_scaling_rows", "energy-scaling": "energy_scaling_rows"
 }
 RUN_KEYS = ("mode", "trials", "seed", "workers")
 
 
+def _single_rows(channel: str, n: int, k: int, bins: int = 8, **row) -> list:
+    """single_rows over the channel of a spec, quantized on bins cells where it is continuous."""
+    return single_rows(_parse_channel(channel, bins), n, k, **row)
+
+
 def _config_rows(cfg: dict[str, str]) -> tuple[str, list, dict]:
-    """(mode, rows, run settings for scaling_experiment) of a simulate config."""
+    """(mode, rows, run settings for monte_carlo) of a simulate config."""
     mode = cfg.get("mode", "single")
     if mode not in MODE_KEYS:
         raise CliError(f"unknown simulate mode {mode!r}")
-    unread = sorted(set(cfg) - set(RUN_KEYS) - set(MODE_KEYS[mode]))
+    keys = MODE_KEYS[mode]
+    unread = sorted(set(cfg) - set(RUN_KEYS) - set(keys))
     if unread:
         raise CliError(f"config keys not read by mode {mode!r}: {', '.join(unread)}")
-
-    def get(key: str, default: str | None = None) -> str:
-        if key in cfg:
-            return cfg[key]
-        if default is None:
+    builder = globals()[ROW_BUILDERS[mode]]
+    params = inspect.signature(builder).parameters.values()
+    for key in ["trials", *(p.name for p in params if p.default is p.empty and p.kind != p.VAR_KEYWORD)]:
+        if key not in cfg:
             raise CliError(f"config key {key!r} is required for mode {mode!r}")
-        return default
-
-    def optional(key: str, parse):
-        return parse(cfg[key]) if key in cfg else None
-
-    run = {"trials": int(get("trials")), "master_seed": int(get("seed", "0")), "workers": int(get("workers", "1"))}
-    if run["trials"] < 1:
-        raise CliError(f"trials must be >= 1, got {run['trials']}")
-    if mode == "single":
-        rows = single_rows(
-            channel=_parse_channel(get("channel"), int(get("bins", "8"))),
-            n=int(get("n")),
-            k=int(get("k")),
-            mu=optional("mu", float),
-            norm=get("norm", "linf"),
-            a=optional("a", int),
-            beta=optional("beta", float),
-        )
-    elif mode == "bsc-scaling":
-        rows = bsc_scaling_rows(
-            eps=float(get("eps")),
-            k=int(get("k")),
-            n_list=_int_list(get("n_list")),
-            beta=float(get("beta")),
-            mu=float(get("mu")),
-            norm=get("norm", "linf"),
-        )
-    else:
-        rows = energy_scaling_rows(
-            energy=float(get("energy")),
-            sigma2=float(get("sigma2", "1.0")),
-            n_list=_int_list(get("n_list")),
-            bins=int(get("bins", "8")),
-            mu_coeff=float(get("mu_coeff", "1.2")),
-            norm=get("norm", "l1"),
-        )
-    return mode, rows, run
+    # monte_carlo rejects trials < 1 and workers < 1
+    run = {"trials": int(cfg["trials"]), "master_seed": int(cfg.get("seed", "0")),
+           "workers": int(cfg.get("workers", "1"))}
+    return mode, builder(**{key: parse(cfg[key]) for key, parse in keys.items() if key in cfg}), run
 
 
 def _echo_dict(cfg: dict[str, str]) -> dict[str, str]:
@@ -336,10 +315,12 @@ def cmd_simulate(args) -> int:
 
     t0 = time.monotonic()
     mode, rows, run = _config_rows(cfg)
+    results, failure = [], None
     try:
-        results, failure = scaling_experiment(rows, **run), None
-    except RuntimeError as exc:
-        results, failure = exc.completed, exc
+        for row in rows:
+            results.append((row, monte_carlo(row.config, **run)))
+    except RuntimeError as exc:  # the rows finished before it are still written
+        failure = exc
     if mode == "single":
         if failure is not None:
             raise CliError(str(failure), EXIT_RUNTIME)

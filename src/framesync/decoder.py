@@ -24,9 +24,10 @@ output weights per block taken over the word's runs of x(1), bounds each
 window's distance from below; a window whose bound exceeds mu by more than a
 float margin cannot be typical. Only the survivors are folded exactly: their
 joint counts, then |count / N - reference| added input by input, then output
-by output. One decide step maps each trial's uniforms to v and v_hat - v, and
-one classifier maps v_hat - v to its class: run_batch counts the classes of a
-block with one bincount, and run is the same two calls on a single trial.
+by output. One decide step maps each trial's uniforms to v_hat - v, and one
+classifier maps v_hat - v to its class: run_batch counts the classes of a
+block with one bincount, and run is the same two calls on a single trial,
+the one place v itself is formed (a Python int, exact at any A).
 run_decoder applies the same window decision to one given stream.
 
 In full mode (A <= FULL_SIM_MAX_A) the segment is the whole stream of
@@ -35,6 +36,9 @@ offset N - 1 and 2N - 1 windows; offset v - 1 and v + N - 1 windows for
 v < N), and the far windows that see pure idle noise are skipped only when an
 exact binomial bound certifies that the chance any of them fires is below
 CERT_SLIP; otherwise the engine refuses.
+
+The row builders turn a sweep's parameters into ScalingRows, one TrialConfig
+each, for a caller to run through monte_carlo row by row.
 """
 
 from __future__ import annotations
@@ -305,20 +309,17 @@ class TrialEngine:
                     f"exceeds {CERT_SLIP}"
                 )
 
-    def _geometry(self, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per trial: v, the word's offset in its segment and its window count.
+    def _geometry(self, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per trial: the word's offset v - 1 in its segment and its window count.
 
-        v = min(floor(u A) + 1, A) is exact at any A (Python ints past int64).
-        Skip mode puts the word at offset min(v, N) - 1 and scans offset + N windows.
+        v = min(floor(u A) + 1, A); skip mode caps the offset at N - 1 and scans
+        offset + N windows. The cap comes before the cast, so the offset is exact
+        at any A.
         """
-        a, n = self.config.a, self.n
-        w = u0 * float(a)
-        v = w.astype(np.int64) if a < 2**62 else np.array([int(t) for t in w.tolist()], dtype=object)
-        v = np.minimum(v + 1, a)
-        if self.full_mode:
-            return v, v - 1, np.full(len(v), self.scan_limit)
-        offset = (np.minimum(v, n) - 1).astype(np.int64)
-        return v, offset, offset + n
+        a = self.config.a
+        cap = a if self.full_mode else min(a, self.n)
+        offset = np.minimum(u0 * float(a), cap - 1).astype(np.int64)
+        return offset, (np.full(len(offset), self.scan_limit) if self.full_mode else offset + self.n)
 
     def _outputs(self, uniforms: np.ndarray, offset: np.ndarray) -> np.ndarray:
         """Each trial's segment through the channel: x(0) in every slot, then x(1) at the word's ones."""
@@ -327,21 +328,21 @@ class TrialEngine:
         out[rows, cols] = self._draw[1](uniforms[rows, cols])
         return out
 
-    def _decide(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per row of uniforms (v's draw, then the segment's): v and v_hat - v, or _MISS."""
-        v, offset, windows = self._geometry(u[:, 0])
+    def _decide(self, u: np.ndarray) -> np.ndarray:
+        """Per row of uniforms (v's draw, then the segment's): v_hat - v, or _MISS."""
+        offset, windows = self._geometry(u[:, 0])
         first = self.decoder.first_typical(self._outputs(u[:, 1:], offset), windows)
-        return v, np.where(first < 0, _MISS, first - offset)
+        return np.where(first < 0, _MISS, first - offset)
 
     def run(self, rng: np.random.Generator) -> TrialOutcome:
         """One trial on rng: the same draws, decision and class as that trial in run_batch."""
         u = np.array([[rng.random()]])
-        windows = int(self._geometry(u[:, 0])[2][0])
+        windows = int(self._geometry(u[:, 0])[1][0])
         u = np.append(u, rng.random((1, windows + self.n - 1)), axis=1)
-        v, shift = self._decide(u)
+        shift = self._decide(u)
         klass = CLASSES[_class_index(shift, self.n)[0]]
-        v, shift = int(v[0]), int(shift[0])  # v is a Python int past int64
-        v_hat = None if shift == _MISS else v + shift
+        v = min(int(u[0, 0] * float(self.config.a)) + 1, self.config.a)  # a Python int, exact past int64
+        v_hat = None if shift[0] == _MISS else v + int(shift[0])
         stop = None if v_hat is None else v_hat + self.n - 1
         return TrialOutcome(v, v_hat, klass, stop)
 
@@ -364,7 +365,7 @@ class TrialEngine:
                 key[1] = (start + i) % 2**64
                 bit_gen.state = state
                 gen.random(out=row)
-            counts += np.bincount(_class_index(self._decide(u)[1], self.n), minlength=len(CLASSES))
+            counts += np.bincount(_class_index(self._decide(u), self.n), minlength=len(CLASSES))
         return dict(zip(CLASSES, counts.tolist()))
 
 
@@ -555,22 +556,10 @@ def bsc_scaling_rows(
     return rows
 
 
-def smallest_valid_k(n: int, k_min: int = 2) -> int:
-    """Smallest K >= k_min making floor(n/K) a valid prefix length 2^m - 1."""
-    from .sequences import MIN_DEGREE, NoValidLength
-
-    for k in range(k_min, n + 1):
-        prefix = n // k
-        if prefix < (1 << MIN_DEGREE) - 1:
-            break
-        if (prefix + 1) & prefix == 0:
-            return k
-    raise NoValidLength(f"no valid construction constant for n={n}")
-
-
 def energy_scaling_rows(
     energy: float,
-    sigma2: float,
+    sigma2: float = 1.0,
+    *,
     n_list: list[int],
     bins: int = 8,
     mu_coeff: float = 1.2,
@@ -582,7 +571,7 @@ def energy_scaling_rows(
     reports can print it against A.
     """
     from .continuous import AwgnSpec, quantized_awgn
-    from .sequences import build_sync_word
+    from .sequences import build_sync_word, smallest_valid_k
     from .thresholds import sync_threshold
 
     AwgnSpec(power=energy, noise_var=sigma2)  # checks E and sigma^2 before they divide
@@ -606,28 +595,6 @@ def energy_scaling_rows(
             )
         )
     return rows
-
-
-def scaling_experiment(
-    rows: list[ScalingRow],
-    trials: int,
-    master_seed: int,
-    workers: int = 1,
-) -> list[tuple[ScalingRow, ErrorReport]]:
-    """One Monte Carlo run per row, deterministic under the master seed.
-
-    A RuntimeError in a row propagates with the (row, report) pairs finished
-    before it attached as its ``completed`` attribute, so they can be written.
-    """
-    results = []
-    for row in rows:
-        try:
-            report = monte_carlo(row.config, trials, master_seed, workers=workers)
-        except RuntimeError as exc:
-            exc.completed = results
-            raise
-        results.append((row, report))
-    return results
 
 
 def scaling_to_csv(results: list[tuple[ScalingRow, ErrorReport]]) -> str:

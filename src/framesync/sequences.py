@@ -141,12 +141,17 @@ class SyncWord:
         return SyncWord(sym, prefix_len, k)
 
 
+def _valid_prefix(prefix: int) -> bool:
+    """prefix = 2^m - 1 with m >= MIN_DEGREE; a register builder checks m <= MAX_DEGREE."""
+    return prefix >= (1 << MIN_DEGREE) - 1 and (prefix + 1) & prefix == 0
+
+
 def build_sync_word(n: int, k: int, seed: int = 1) -> SyncWord:
     """Construct the word: mapped m-sequence prefix of length floor(n/k), all-x(1) tail."""
     if n < 1 or k < 1:
         raise SequenceError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     prefix = n // k
-    if ((prefix + 1) & prefix) != 0 or prefix < (1 << MIN_DEGREE) - 1:
+    if not _valid_prefix(prefix):
         raise IncompatibleLength(
             f"floor({n}/{k}) = {prefix} is not 2^m - 1 for any m in "
             f"[{MIN_DEGREE}, {MAX_DEGREE}]"
@@ -176,6 +181,14 @@ def nearest_valid_length(n_target: int, k: int) -> int:
             f"no valid length <= {n_target} for k={k} (minimum is {k * 3})"
         )
     return best
+
+
+def smallest_valid_k(n: int) -> int:
+    """Smallest K >= 2 making floor(n/K) a valid prefix length 2^m - 1."""
+    for k in range(2, n // ((1 << MIN_DEGREE) - 1) + 1):  # past it floor(n/K) is too short
+        if _valid_prefix(n // k):
+            return k
+    raise NoValidLength(f"no valid construction constant for n={n}")
 
 
 def min_shift_hamming_distance(word: SyncWord) -> tuple[int, int]:

@@ -189,7 +189,7 @@ def test_criterion_10_scaling_sweep():
         rows = fs.bsc_scaling_rows(
             0.05, 4, [63, 127, 255], beta=0.5, mu=0.05, norm="l1"
         )
-        results = fs.scaling_experiment(rows, trials=10_000, master_seed=20250807)
+        results = [(row, fs.monte_carlo(row.config, 10_000, master_seed=20250807)) for row in rows]
         p_errs = [rep.p_err for _, rep in results]
         halves = [
             (ci[1] - ci[0]) / 2.0
@@ -210,7 +210,7 @@ def test_criterion_11_energy_sweep():
     with criterion(11, "fixed-energy sweep decreasing (unreachable target, expected FAIL)", 600.0):
         energy, sigma2 = 32.0, 1.0
         rows = fs.energy_scaling_rows(
-            energy, sigma2, [32, 64, 128], bins=8, mu_coeff=1.2, norm="l1"
+            energy, sigma2, n_list=[32, 64, 128], bins=8, mu_coeff=1.2, norm="l1"
         )
         for row in rows:
             assert row.a == int(round(math.exp(energy / (4.0 * sigma2))))
@@ -218,7 +218,7 @@ def test_criterion_11_energy_sweep():
                 math.exp(energy / (2.0 * sigma2))
             )
             assert row.extra["feasibility_threshold"] > row.a  # feasible side
-        results = fs.scaling_experiment(rows, trials=2_000, master_seed=20250807)
+        results = [(row, fs.monte_carlo(row.config, 2_000, master_seed=20250807)) for row in rows]
         p_errs = [rep.p_err for _, rep in results]
         print("    p_err sweep:", [round(p, 4) for p in p_errs])
         assert all(b < a for a, b in zip(p_errs, p_errs[1:])), (

@@ -10,16 +10,19 @@ from a short list of small or degenerate strings.
 """
 
 import contextlib
+import inspect
 import io
 import json
 import math
 import os
 import tempfile
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framesync.cli import MODE_KEYS, RUN_KEYS, _load_preset, main
+from framesync.decoder import bsc_scaling_rows, energy_scaling_rows, single_rows
 
 PRESETS = {name: _load_preset(name) for name in ("single_bsc", "bsc_scaling", "energy_scaling")}
 MAX_TRIALS = 20
@@ -119,6 +122,31 @@ def test_every_single_mutation_keeps_exit_contract():
                 cfg = capped({**base, key: value})
                 run_simulate(name, cfg, via_file=False)
                 run_simulate(name, cfg, via_file=True)
+
+
+# the library's row builder of each mode; single mode also reads `bins`, the cells a
+# continuous channel spec is quantized on
+BUILDERS = {"single": single_rows, "bsc-scaling": bsc_scaling_rows, "energy-scaling": energy_scaling_rows}
+
+
+@pytest.mark.parametrize("mode", sorted(MODE_KEYS))
+def test_mode_keys_are_their_builders_parameters(mode):
+    params = set(inspect.signature(BUILDERS[mode]).parameters)
+    assert set(MODE_KEYS[mode]) == (params | {"bins"} if mode == "single" else params)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_builder_parameters_without_default_are_required(name, tmp_path):
+    mode = PRESETS[name]["mode"]
+    params = inspect.signature(BUILDERS[mode]).parameters.values()
+    required = [p.name for p in params if p.default is p.empty]
+    assert required
+    for key in required:
+        path = tmp_path / f"{key}.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in PRESETS[name].items() if k != key))
+        code, err = run(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert code == 2 and err == f"error: config key {key!r} is required for mode {mode!r}\n"
+        assert not (tmp_path / "o").exists()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)

@@ -25,7 +25,6 @@ from framesync import (
     quantize_to_dmc,
     quantized_awgn,
     run_decoder,
-    scaling_experiment,
     scaling_to_csv,
     simulate_trial,
     single_rows,
@@ -452,7 +451,7 @@ class TestScaling:
             assert row.a == int(round(math.exp(0.5 * alpha * row.n)))
 
     def test_energy_rows_carry_feasibility(self):
-        rows = energy_scaling_rows(24.0, 1.0, [32, 64], bins=6)
+        rows = energy_scaling_rows(24.0, 1.0, n_list=[32, 64], bins=6)
         for row in rows:
             assert row.a == int(round(math.exp(6.0)))
             assert row.extra["feasibility_threshold"] == pytest.approx(
@@ -472,21 +471,14 @@ class TestScaling:
     def test_energy_rows_validate_before_dividing(self):
         for sigma2 in (0.0, math.nan):
             with pytest.raises(ValueError):
-                energy_scaling_rows(32.0, sigma2, [32])
+                energy_scaling_rows(32.0, sigma2, n_list=[32])
         with pytest.raises(ValueError):
-            energy_scaling_rows(32.0, 1.0, [0])
-
-    def test_failed_row_carries_completed_rows(self):
-        # the second row needs an uncertifiable far-window skip
-        rows = bsc_scaling_rows(0.4, 2, [6, 254], beta=0.99, mu=0.4)
-        with pytest.raises(SimulationInfeasible) as info:
-            scaling_experiment(rows, trials=50, master_seed=1)
-        assert [row.n for row, _ in info.value.completed] == [6]
+            energy_scaling_rows(32.0, 1.0, n_list=[0])
 
     def test_csv_shape_and_determinism(self):
         rows = bsc_scaling_rows(0.1, 2, [14, 30], beta=0.2, mu=0.2, norm="l1")
-        res1 = scaling_experiment(rows, trials=400, master_seed=8)
-        res2 = scaling_experiment(rows, trials=400, master_seed=8, workers=2)
+        res1 = [(row, monte_carlo(row.config, 400, master_seed=8)) for row in rows]
+        res2 = [(row, monte_carlo(row.config, 400, master_seed=8, workers=2)) for row in rows]
         csv1, csv2 = scaling_to_csv(res1), scaling_to_csv(res2)
         assert csv1 == csv2
         lines = csv1.strip().splitlines()
