@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import Dmc, compose, on_off_fading_matrix
-from .continuous import AwgnSpec, RayleighAwgnSpec, rayleigh_awgn_density
+from .continuous import AwgnSpec, RayleighAwgnSpec, rayleigh_density_of
 from .quadrature import QuadratureNonConvergence, adaptive_quad
 
 FADING_BOUND_TOL = 1e-12
@@ -178,9 +178,10 @@ def rayleigh_threshold_numeric(spec: RayleighAwgnSpec, rel_tol: float = 1e-6) ->
     lo = -10.0 * s
     hi = math.sqrt(spec.power) * spec.h_max + 10.0 * s
     log_norm = 0.5 * math.log(2.0 * math.pi * s2)
+    density = rayleigh_density_of(spec)
 
     def integrand(y: float) -> float:
-        q1 = rayleigh_awgn_density(y, spec)
+        q1 = density(y)
         if q1 <= 0.0:
             return 0.0
         log_q0 = -y * y / (2.0 * s2) - log_norm

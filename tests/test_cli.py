@@ -321,9 +321,9 @@ class TestSimulate:
 class TestStartup:
     """A fresh process loads scipy only where its command computes with it.
 
-    Of scipy's subpackages, DMC commands load none, quantized AWGN loads only
-    scipy.special (the Gaussian CDF) and only Rayleigh commands load
-    scipy.integrate; nothing loads scipy.stats.
+    DMC and quantized-AWGN commands load no scipy (the AWGN cell masses use
+    the package's own Gaussian CDF); only Rayleigh commands load it, for
+    scipy.special and scipy.integrate; nothing loads scipy.stats.
     """
 
     @pytest.mark.parametrize(
@@ -337,11 +337,15 @@ class TestStartup:
             (["simulate", "--preset", "single_bsc", "--set", "trials=20"], set()),  # skip mode
             (["simulate", "--preset", "single_bsc", "--set", "a=30", "--set", "trials=20"], set()),
             (["simulate", "--preset", "bsc_scaling", "--set", "trials=20"], set()),  # skip mode
-            (["simulate", "--preset", "energy_scaling", "--set", "trials=5"], {"scipy.special"}),
+            # quantized AWGN in full mode: at the preset's A the skip certificate refuses it (exit 3)
+            (["simulate", "--preset", "single_bsc", "--set", "channel=awgn:4,1", "--set", "a=30", "--set", "trials=20"],
+             set()),
+            (["simulate", "--preset", "energy_scaling", "--set", "trials=5"], set()),
             (["threshold", "--rayleigh", "100", "1", "1"], {"scipy.special", "scipy.integrate"}),
         ],
         ids=["import", "threshold-bsc", "threshold-onoff", "lemma1-grid", "sequence", "single_bsc",
-             "single_bsc-full", "bsc_scaling", "energy_scaling", "threshold-rayleigh"],
+             "single_bsc-full", "bsc_scaling", "single_bsc-awgn", "energy_scaling",
+             "threshold-rayleigh"],
     )
     def test_command_loads_only_the_scipy_it_computes_with(self, tmp_path, argv, loaded):
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 import math
 import struct
+import sys
 
 import numpy as np
 import pytest
@@ -18,11 +19,12 @@ from framesync import (
     awgn_density,
     default_grid,
     quantize_to_dmc,
+    quantized_awgn,
     rayleigh_awgn_density,
     rayleigh_threshold_numeric,
     sync_threshold,
 )
-from framesync.continuous import MAX_SCALE_WIDTHS, _rayleigh_integrands
+from framesync.continuous import MAX_SCALE_WIDTHS, _rayleigh_integrands, phi
 
 
 def rayleigh_pdf(h, scale: float):
@@ -152,6 +154,40 @@ def same_bits(a, b) -> bool:
     return struct.pack("<d", a) == struct.pack("<d", b)
 
 
+class TestPhi:
+    """phi equals scipy.special.ndtr bit for bit, the sign of zero and nan included."""
+
+    # |a| = 1, sqrt(2) and 8 sqrt(2) are where Cephes switches erf, erfc's rational fits and
+    # its large-x fit; past a^2 / 2 = ln(DBL_MAX) it returns the underflowed tail
+    EDGES = (1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * math.log(sys.float_info.max)))
+
+    @staticmethod
+    def assert_equal_to_scipy(a):
+        a = np.asarray(a, dtype=np.float64)
+        ours = np.array([phi(x) for x in a.tolist()])
+        bad = ours.view(np.uint64) != ndtr(a).view(np.uint64)
+        assert not bad.any(), a[bad][:10]
+
+    def test_special_values(self):
+        self.assert_equal_to_scipy([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+
+    def test_branch_edges_and_their_neighbours(self):
+        # each edge and its 64 nearest floats on either side, stepping through the bit patterns
+        bits = [np.arange(-64, 65) + np.array([edge]).view(np.int64) for edge in self.EDGES]
+        edges = np.concatenate(bits).view(np.float64)
+        self.assert_equal_to_scipy(np.concatenate([edges, -edges, np.linspace(-38.6, -37.5, 20001),
+                                                   np.linspace(37.5, 38.6, 2001)]))
+
+    def test_log_uniform_magnitudes_and_normal_draws(self):
+        rng = np.random.default_rng(20261018)
+        magnitudes = 10.0 ** rng.uniform(-300.0, 300.0, 100_000)
+        self.assert_equal_to_scipy(np.concatenate([
+            rng.choice([-1.0, 1.0], magnitudes.size) * magnitudes,
+            rng.normal(0.0, 1.0, 100_000),
+            rng.normal(0.0, 16.0, 100_000),
+        ]))
+
+
 class TestRayleighKernels:
     """The float integrands equal the array composition they replace, bit for bit."""
 
@@ -171,6 +207,7 @@ class TestRayleighKernels:
         # amplitudes h < 0 too, where the amplitude density is 0; outputs near the signal
         # h sqrt(P), so that every exponential is in play
         draws = np.random.default_rng(seed).uniform([-1.0, -12.0, -12.0], [9.0, 12.0, 12.0], (16, 3))
+        draws[:2, 0] = 0.0, -0.0  # the two zeros of h, whose weights differ only in sign
         for h_scales, y_sigmas, e_sigmas in draws.tolist():
             h = h_scales * scale
             y, e = h * root_p + y_sigmas * sigma, h * root_p + e_sigmas * sigma
@@ -251,6 +288,40 @@ class TestQuantization:
         spec = AwgnSpec(power=0.0, noise_var=1.0)
         dmc = quantize_to_dmc(spec, QuantizationGrid(-8.0, 8.0, 2))
         assert np.allclose(dmc.rows[0], [0.5, 0.5], atol=1e-15)
+
+    @pytest.mark.parametrize("bins", [2, 8, 64, 4096])
+    def test_rows_equal_those_of_scipy_ndtr(self, monkeypatch, bins):
+        import framesync.continuous
+
+        def scipy_row(edges, mean, sigma):
+            """_gaussian_row's cell masses on scipy.special.ndtr's arrays."""
+            z = (edges - mean) / sigma
+            lo_z, hi_z = z[:-1], z[1:]
+            cells = np.where(lo_z > 0.0, ndtr(-lo_z) - ndtr(-hi_z), ndtr(hi_z) - ndtr(lo_z))
+            tail = 1.0 - cells.sum()
+            cells[0] += ndtr((edges[0] - mean) / sigma)
+            cells[-1] += ndtr(-(edges[-1] - mean) / sigma)
+            return cells, tail
+
+        def rows():
+            """Rows, or MassLoss messages, on the default grid, the simulation grid and [-1, 1]."""
+            out = []
+            for power in (0.0, 1e-6, 0.25, 1.0, 4.0, 32.0, 100.0, 1e4):
+                for noise_var in (0.01, 1.0, 7.5):
+                    spec = AwgnSpec(power, noise_var)
+                    for quantize in (lambda: quantize_to_dmc(spec, default_grid(spec, bins)),
+                                     lambda: quantized_awgn(spec, bins),
+                                     lambda: quantize_to_dmc(spec, QuantizationGrid(-1.0, 1.0, bins))):
+                        try:
+                            out.append(quantize().rows.tobytes())
+                        except MassLoss as exc:
+                            out.append(str(exc))
+            return out
+
+        ours = rows()
+        assert any(isinstance(row, str) for row in ours) and any(isinstance(row, bytes) for row in ours)
+        monkeypatch.setattr(framesync.continuous, "_gaussian_row", scipy_row)
+        assert rows() == ours
 
     def test_rows_sum_to_one(self):
         spec = AwgnSpec(power=4.0, noise_var=1.0)
