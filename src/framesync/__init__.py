@@ -28,7 +28,7 @@ from .continuous import (
     default_grid,
     quantize_to_dmc,
     quantized_awgn,
-    rayleigh_awgn_density,
+    rayleigh_density_of,
 )
 from .decoder import (
     ErrorReport,

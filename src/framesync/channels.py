@@ -180,11 +180,6 @@ class InverseCdf:
         return pos
 
 
-def inverse_cdf(cdf_row: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Outputs of one input for uniforms in [0, 1), through a one-off InverseCdf."""
-    return InverseCdf(cdf_row)(uniforms)
-
-
 def save_channel(path, channel: Dmc) -> None:
     """Write the plain-text matrix format: 'I O' header then I rows of O probabilities."""
     lines = [f"{channel.n_inputs} {channel.n_outputs}"]

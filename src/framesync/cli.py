@@ -118,7 +118,7 @@ def _parse_channel(spec: str, bins: int):
 
 
 def _parse_channel_args(args) -> tuple:
-    """Resolve the channel source flags into (description dict, ThresholdReport)."""
+    """Resolve the one channel source flag argparse admits into (description dict, ThresholdReport)."""
     if args.bsc is not None:
         return {"channel": f"bsc:{args.bsc:g}"}, sync_threshold(bsc(args.bsc))
     if args.onoff_bsc is not None:
@@ -142,11 +142,8 @@ def _parse_channel_args(args) -> tuple:
         return {"channel": f"rayleigh:{power:g},{sigma2:g},{scale:g}"}, report
     if args.file is not None:
         return {"channel": f"file:{args.file}"}, sync_threshold(load_channel(args.file))
-    if args.inline is not None:
-        rows = [[float(v) for v in row.split(",")] for row in args.inline.split(";")]
-        report = sync_threshold(dmc_new(np.array(rows)))
-        return {"channel": "inline"}, report
-    raise CliError("no channel source given (one of --bsc/--onoff-bsc/--awgn/--rayleigh/--file/--inline)")
+    rows = [[float(v) for v in row.split(",")] for row in args.inline.split(";")]
+    return {"channel": "inline"}, sync_threshold(dmc_new(np.array(rows)))
 
 
 def cmd_threshold(args) -> int:
@@ -369,12 +366,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("threshold", help="synchronization threshold of a channel")
-    p.add_argument("--bsc", type=float, metavar="EPS")
-    p.add_argument("--onoff-bsc", nargs=2, metavar=("P", "EPS"))
-    p.add_argument("--awgn", nargs=2, type=float, metavar=("P", "SIGMA2"))
-    p.add_argument("--rayleigh", nargs=3, type=float, metavar=("P", "SIGMA2", "SIGMA_H"))
-    p.add_argument("--file", metavar="PATH")
-    p.add_argument("--inline", metavar="ROWS", help="rows 'a,b;c,d'")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--bsc", type=float, metavar="EPS")
+    source.add_argument("--onoff-bsc", nargs=2, metavar=("P", "EPS"))
+    source.add_argument("--awgn", nargs=2, type=float, metavar=("P", "SIGMA2"))
+    source.add_argument("--rayleigh", nargs=3, type=float, metavar=("P", "SIGMA2", "SIGMA_H"))
+    source.add_argument("--file", metavar="PATH")
+    source.add_argument("--inline", metavar="ROWS", help="rows 'a,b;c,d'")
     p.add_argument("--bits", action="store_true", help="also report alpha in bits")
     p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_threshold)

@@ -224,11 +224,6 @@ def rayleigh_density_of(spec: RayleighAwgnSpec) -> Callable[[float], float]:
     return lambda y: adaptive_quad(partial(density, y), 0.0, h_max, abs_tol=abs_tol)
 
 
-def rayleigh_awgn_density(y: float, spec: RayleighAwgnSpec) -> float:
-    """Density of h*sqrt(P) + n at y: the Rayleigh-faded signal plus noise law."""
-    return rayleigh_density_of(spec)(y)
-
-
 def _gaussian_row(edges: np.ndarray, mean: float, sigma: float) -> tuple[np.ndarray, float]:
     """Cell masses of N(mean, sigma^2), tail-accurate on both sides, with the outermost
     cells absorbing the mass beyond the grid; and that beyond-grid mass."""

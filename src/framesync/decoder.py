@@ -44,7 +44,9 @@ each, for a caller to run through monte_carlo row by row.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -80,7 +82,7 @@ class TypicalityDecoder:
     channel: Dmc
     mu: float | None = None
     norm: str = "linf"
-    reference: np.ndarray = field(init=False, repr=False)
+    reference: np.ndarray = field(init=False, repr=False, compare=False)  # a function of the rest
 
     def __post_init__(self):
         mu = default_mu(self.channel) if self.mu is None else self.mu
@@ -380,10 +382,11 @@ def simulate_trial(config: TrialConfig, rng: np.random.Generator) -> TrialOutcom
     return TrialEngine(config).run(rng)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be >= 1")
+    z = Z_95
     p = successes / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -393,60 +396,38 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> tuple[float
     return (lo, hi)
 
 
+# the error classes' rate names: p_e1, p_e2, p_e3
+_RATES = tuple(f"p_{k.lower()}" for k in CLASSES[1:])
+
+
 @dataclass(frozen=True)
 class ErrorReport:
-    """Monte Carlo error-rate estimates with 95% Wilson intervals."""
+    """Monte Carlo outcome counts, one per class in CLASSES order, with their rates
+    and 95% Wilson intervals."""
 
     trials: int
-    n_correct: int
-    n_e1: int
-    n_e2: int
-    n_e3: int
+    counts: tuple[int, ...]
 
-    @property
-    def p_e1(self) -> float:
-        return self.n_e1 / self.trials
-
-    @property
-    def p_e2(self) -> float:
-        return self.n_e2 / self.trials
-
-    @property
-    def p_e3(self) -> float:
-        return self.n_e3 / self.trials
+    def rates(self) -> dict[str, float]:
+        """p_err, then each error class's rate; p_err is their sum, added left to right
+        (not sum(), which compensates from Python 3.12), so the partition holds exactly in floats."""
+        per_class = {k: c / self.trials for k, c in zip(_RATES, self.counts[1:])}
+        return {"p_err": reduce(operator.add, per_class.values()), **per_class}
 
     @property
     def p_err(self) -> float:
-        # defined as the sum so the partition identity holds exactly in floats
-        return self.p_e1 + self.p_e2 + self.p_e3
-
-    @property
-    def n_err(self) -> int:
-        return self.n_e1 + self.n_e2 + self.n_e3
+        return self.rates()["p_err"]
 
     def wilson_ci_95(self) -> dict[str, tuple[float, float]]:
-        return {
-            "p_err": wilson_interval(self.n_err, self.trials),
-            "p_e1": wilson_interval(self.n_e1, self.trials),
-            "p_e2": wilson_interval(self.n_e2, self.trials),
-            "p_e3": wilson_interval(self.n_e3, self.trials),
-        }
+        errors = self.counts[1:]
+        return {k: wilson_interval(c, self.trials) for k, c in zip(("p_err", *_RATES), (sum(errors), *errors))}
 
     def to_json_dict(self) -> dict:
-        ci = self.wilson_ci_95()
         return {
             "trials": self.trials,
-            "counts": {
-                "correct": self.n_correct,
-                "e1": self.n_e1,
-                "e2": self.n_e2,
-                "e3": self.n_e3,
-            },
-            "p_err": self.p_err,
-            "p_e1": self.p_e1,
-            "p_e2": self.p_e2,
-            "p_e3": self.p_e3,
-            "wilson_ci_95": {k: list(v) for k, v in ci.items()},
+            "counts": dict(zip(map(str.lower, CLASSES), self.counts)),
+            **self.rates(),
+            "wilson_ci_95": {k: list(v) for k, v in self.wilson_ci_95().items()},
         }
 
 
@@ -480,19 +461,24 @@ def monte_carlo(
                 if hi > lo
             ]
             parts = [fut.result() for fut in futures]
-    # ErrorReport's count fields follow CLASSES: Correct, E1, E2, E3
-    return ErrorReport(trials, *(sum(part[k] for part in parts) for k in CLASSES))
+    return ErrorReport(trials, tuple(sum(part[k] for part in parts) for k in CLASSES))
 
 
 @dataclass(frozen=True)
 class ScalingRow:
-    """One sweep row: sync length, window size, channel, and decoder settings."""
+    """One sweep row: the channel's threshold alpha, the trial config, and extra CSV columns."""
 
-    n: int
-    a: int
     alpha: float
     config: TrialConfig
     extra: dict = field(default_factory=dict)
+
+    @property
+    def n(self) -> int:
+        return len(self.config.word)
+
+    @property
+    def a(self) -> int:
+        return self.config.a
 
 
 def _check_n_list(n_list: list[int]) -> None:
@@ -526,7 +512,7 @@ def single_rows(
             raise ValueError("single mode needs either 'a' or 'beta'")
         a = _window_from_exponent(beta * alpha * n)
     config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
-    return [ScalingRow(n=n, a=a, alpha=alpha, config=config)]
+    return [ScalingRow(alpha, config)]
 
 
 def bsc_scaling_rows(
@@ -552,7 +538,7 @@ def bsc_scaling_rows(
         word = build_sync_word(n, k)
         a = _window_from_exponent(beta * alpha * n)
         config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
-        rows.append(ScalingRow(n=n, a=a, alpha=alpha, config=config))
+        rows.append(ScalingRow(alpha, config))
     return rows
 
 
@@ -587,10 +573,8 @@ def energy_scaling_rows(
         config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
         rows.append(
             ScalingRow(
-                n=n,
-                a=a,
-                alpha=sync_threshold(channel).alpha,
-                config=config,
+                sync_threshold(channel).alpha,
+                config,
                 extra={"feasibility_threshold": feas, "energy": energy, "power": power},
             )
         )
@@ -599,23 +583,9 @@ def energy_scaling_rows(
 
 def scaling_to_csv(results: list[tuple[ScalingRow, ErrorReport]]) -> str:
     extra_keys = sorted({k for row, _ in results for k in row.extra})
-    header = "n,a,alpha,p_err,ci_lo,ci_hi,p_e1,p_e2,p_e3"
-    if extra_keys:
-        header += "," + ",".join(extra_keys)
-    lines = [header]
+    lines = [",".join(["n", "a", "alpha", "p_err", "ci_lo", "ci_hi", *_RATES, *extra_keys])]
     for row, rep in results:
-        lo, hi = rep.wilson_ci_95()["p_err"]
-        cells = [
-            f"{row.n}",
-            f"{float(row.a):.15g}",
-            f"{row.alpha:.15g}",
-            f"{rep.p_err:.15g}",
-            f"{lo:.15g}",
-            f"{hi:.15g}",
-            f"{rep.p_e1:.15g}",
-            f"{rep.p_e2:.15g}",
-            f"{rep.p_e3:.15g}",
-        ]
-        cells += [f"{float(row.extra[k]):.15g}" for k in extra_keys]
-        lines.append(",".join(cells))
+        p_err, *per_class = rep.rates().values()
+        cells = [row.n, row.a, row.alpha, p_err, *rep.wilson_ci_95()["p_err"], *per_class]
+        lines.append(",".join(f"{float(c):.15g}" for c in [*cells, *(row.extra[k] for k in extra_keys)]))
     return "\n".join(lines) + "\n"

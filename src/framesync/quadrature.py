@@ -26,13 +26,12 @@ def adaptive_quad(
     hi: float,
     abs_tol: float = ABS_TOL,
     rel_tol: float = REL_TOL,
-    limit: int = SUBDIVISION_LIMIT,
 ) -> float:
     """Integrate fn over [lo, hi] to the requested tolerance or raise."""
     from scipy.integrate import quad  # here, so commands that integrate nothing never load it
 
     value, abserr, info, *message = quad(
-        fn, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=limit, full_output=True
+        fn, lo, hi, epsabs=abs_tol, epsrel=rel_tol, limit=SUBDIVISION_LIMIT, full_output=True
     )
     if message:
         raise QuadratureNonConvergence(

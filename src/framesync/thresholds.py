@@ -169,7 +169,7 @@ def awgn_threshold(spec: AwgnSpec) -> float:
     return spec.power / (2.0 * spec.noise_var)
 
 
-def rayleigh_threshold_numeric(spec: RayleighAwgnSpec, rel_tol: float = 1e-6) -> float:
+def rayleigh_threshold_numeric(spec: RayleighAwgnSpec) -> float:
     """Threshold of the Rayleigh-plus-AWGN channel by quadrature of the KL integrand."""
     if spec.power == 0.0:
         return 0.0
@@ -187,7 +187,7 @@ def rayleigh_threshold_numeric(spec: RayleighAwgnSpec, rel_tol: float = 1e-6) ->
         log_q0 = -y * y / (2.0 * s2) - log_norm
         return q1 * (math.log(q1) - log_q0)
 
-    return adaptive_quad(integrand, lo, hi, abs_tol=1e-12, rel_tol=rel_tol)
+    return adaptive_quad(integrand, lo, hi, abs_tol=1e-12, rel_tol=1e-6)
 
 
 @dataclass(frozen=True)

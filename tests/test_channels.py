@@ -16,7 +16,7 @@ from framesync import (
     on_off_fading_matrix,
     save_channel,
 )
-from framesync.channels import inverse_cdf
+from framesync.channels import InverseCdf
 
 
 class TestDmcNew:
@@ -198,30 +198,30 @@ class TestSampling:
             cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
             [0.0, 1.0 - 2**-53], np.random.default_rng(n).random(64),
         ])
-        draws = inverse_cdf(cdf, u)
+        draws = InverseCdf(cdf)(u)
         assert np.array_equal(draws, np.minimum(np.searchsorted(cdf, u, side="right"), n - 1))
         assert draws.dtype == (np.uint8 if n <= 256 else np.uint16)
 
     def test_identity_channel_is_deterministic(self):
         cdf = np.cumsum(dmc_new(np.eye(2)).rows, axis=1)
         u = np.random.default_rng(0).random(50)
-        assert not inverse_cdf(cdf[0], u).any() and inverse_cdf(cdf[1], u).all()
+        assert not InverseCdf(cdf[0])(u).any() and InverseCdf(cdf[1])(u).all()
 
     def test_bsc0_never_flips(self):
         cdf = np.cumsum(bsc(0.0).rows[0])
-        assert not inverse_cdf(cdf, np.random.default_rng(0).random(50)).any()
+        assert not InverseCdf(cdf)(np.random.default_rng(0).random(50)).any()
 
     def test_index_out_of_range(self):
         # a cumulative row that ends short of 1 by rounding still maps every u < 1 to an output
         cdf = np.cumsum([0.1] * 10)
         assert cdf[-1] < 1.0
         u = np.array([0.0, cdf[-1], np.nextafter(1.0, 0.0)])
-        assert inverse_cdf(cdf, u).tolist() == [0, 9, 9]
-        assert inverse_cdf(np.array([0.0, 1.0]), u).tolist() == [1, 1, 1]
+        assert InverseCdf(cdf)(u).tolist() == [0, 9, 9]
+        assert InverseCdf(np.array([0.0, 1.0]))(u).tolist() == [1, 1, 1]
 
     def test_bsc_flip_fraction_converges(self):
         rng = np.random.default_rng(314159)
-        draws = inverse_cdf(np.cumsum(bsc(0.25).rows[0]), rng.random(10**6))
+        draws = InverseCdf(np.cumsum(bsc(0.25).rows[0]))(rng.random(10**6))
         flip = draws.mean()
         assert abs(flip - 0.25) <= 0.002
 
@@ -230,7 +230,7 @@ class TestSampling:
         rng = np.random.default_rng(271828)
         row = np.array([0.5, 0.2, 0.2, 0.1])
         n = 10**6
-        draws = inverse_cdf(np.cumsum(row), rng.random(n))
+        draws = InverseCdf(np.cumsum(row))(rng.random(n))
         freq = np.bincount(draws, minlength=4) / n
         assert np.max(np.abs(freq - row)) <= 3 * np.sqrt(np.log(4) / n)
 

@@ -83,6 +83,18 @@ class TestThreshold:
             code, out, err = run_cli(capsys, "threshold", "--file", str(path))
             assert code == 2 and err.startswith("error:") and out == "", header
 
+    @pytest.mark.parametrize("sources", [
+        ("--bsc", "0.1", "--awgn", "1", "1"),  # printed the BSC report with exit 0
+        ("--inline", "0.9,0.1;0.2,0.8", "--file", "channel.mat"),
+        (),
+    ])
+    def test_not_exactly_one_source_exits_2(self, capsys, sources):
+        with pytest.raises(SystemExit) as exc:
+            main(["threshold", *sources])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert any("error:" in line for line in captured.err.splitlines()), captured.err
+
     def test_inline(self, capsys):
         code, out, _ = run_cli(capsys, "threshold", "--inline", "0.9,0.1;0.2,0.8")
         assert code == 0

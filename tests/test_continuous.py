@@ -20,7 +20,7 @@ from framesync import (
     default_grid,
     quantize_to_dmc,
     quantized_awgn,
-    rayleigh_awgn_density,
+    rayleigh_density_of,
     rayleigh_threshold_numeric,
     sync_threshold,
 )
@@ -57,13 +57,14 @@ class TestQuadrature:
             1.0 / 3.0, abs=1e-12
         )
 
-    def test_budget_exhaustion_raises(self):
-        from framesync import QuadratureNonConvergence
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        import framesync.quadrature
 
         # a needle the single allowed subinterval cannot resolve
+        monkeypatch.setattr(framesync.quadrature, "SUBDIVISION_LIMIT", 1)
         needle = lambda x: math.exp(-((x - 0.37) ** 2) * 1e12)
         with pytest.raises(QuadratureNonConvergence):
-            adaptive_quad(needle, 0.0, 1.0, limit=1)
+            adaptive_quad(needle, 0.0, 1.0)
 
 
 class TestSpecs:
@@ -120,25 +121,21 @@ class TestDensities:
                 awgn_density(0.0, 0.0, bad)
 
     def test_rayleigh_density_reduces_at_zero_power(self):
-        spec = RayleighAwgnSpec(power=0.0, noise_var=1.5, scale=2.0)
+        density = rayleigh_density_of(RayleighAwgnSpec(power=0.0, noise_var=1.5, scale=2.0))
         for y in (-2.0, 0.0, 1.3):
-            assert rayleigh_awgn_density(y, spec) == pytest.approx(
+            assert density(y) == pytest.approx(
                 awgn_density(y, 0.0, 1.5), rel=1e-9
             )
 
     def test_rayleigh_density_normalizes(self):
-        spec = RayleighAwgnSpec(power=10.0, noise_var=1.0, scale=1.0)
-        total = adaptive_quad(
-            lambda y: rayleigh_awgn_density(y, spec), -10.0, 40.0, rel_tol=1e-8
-        )
+        density = rayleigh_density_of(RayleighAwgnSpec(power=10.0, noise_var=1.0, scale=1.0))
+        total = adaptive_quad(density, -10.0, 40.0, rel_tol=1e-8)
         assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_rayleigh_density_mean_moment(self):
         # E[y] = sqrt(P) E[h] = sqrt(P) scale sqrt(pi/2)
-        spec = RayleighAwgnSpec(power=10.0, noise_var=1.0, scale=1.0)
-        mean = adaptive_quad(
-            lambda y: y * rayleigh_awgn_density(y, spec), -10.0, 40.0, rel_tol=1e-8
-        )
+        density = rayleigh_density_of(RayleighAwgnSpec(power=10.0, noise_var=1.0, scale=1.0))
+        mean = adaptive_quad(lambda y: y * density(y), -10.0, 40.0, rel_tol=1e-8)
         assert mean == pytest.approx(math.sqrt(5.0 * math.pi), rel=1e-6)
 
     def test_rayleigh_pdf_squared_exponent(self):
@@ -221,7 +218,8 @@ class TestRayleighKernels:
         ys, grid = (-3.0, 0.5, 10.0, 30.0), QuantizationGrid(-8.0, 36.0, 32)
 
         def outputs():
-            densities = np.array([rayleigh_awgn_density(y, spec) for y in ys])
+            density = rayleigh_density_of(spec)  # the kernels, looked up at this call
+            densities = np.array([density(y) for y in ys])
             return densities.tobytes(), quantize_to_dmc(spec, grid, mass_loss_tol=1e-2).rows.tobytes()
 
         kernels = outputs()
@@ -278,7 +276,7 @@ class TestRayleighOracle:
         with pytest.raises(QuadratureNonConvergence):
             rayleigh_threshold_numeric(spec)
         with pytest.raises(QuadratureNonConvergence):
-            rayleigh_awgn_density(0.0, spec)
+            rayleigh_density_of(spec)
         with pytest.raises(QuadratureNonConvergence):
             quantize_to_dmc(spec, QuantizationGrid(-8.0, 8.0, 16))
 

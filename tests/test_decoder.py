@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import mpmath
@@ -34,7 +35,7 @@ from framesync import (
 )
 from framesync.channels import IndexOutOfRange
 from framesync.cli import _config_rows, _load_preset
-from framesync.decoder import CERT_SLIP, TrialEngine, _log_binom_mass, _noise_window_log_bound
+from framesync.decoder import CERT_SLIP, CLASSES, TrialEngine, _log_binom_mass, _noise_window_log_bound
 
 from exact_oracle import (
     exact_error_probability_dp,
@@ -163,6 +164,18 @@ class TestDecoderState:
         assert config() != config(a=31) and config() != config(n=14) and config() != config(eps=0.2)
         assert len({config(), config(), config(eps=0.2)}) == 2
 
+    def test_decoders_compare_and_hash_by_value(self):
+        # the reference array is derived, so it takes no part: == on it raised ValueError
+        def decoder(n=15, eps=0.1, mu=None, norm="linf"):
+            return TypicalityDecoder(word=build_sync_word(n, 2), channel=bsc(eps), mu=mu, norm=norm)
+
+        assert decoder() == decoder() and hash(decoder()) == hash(decoder())
+        assert decoder(mu=0.05) == decoder()  # the default mu is 0.1 / |Y|
+        for other in (decoder(n=14), decoder(eps=0.2), decoder(mu=0.2), decoder(norm="l1")):
+            assert decoder() != other
+        assert len({decoder(), decoder(), decoder(norm="l1")}) == 2
+        assert TrialConfig(a=30, word=build_sync_word(15, 2), channel=bsc(0.1)).decoder() == decoder()
+
     def test_window_must_fit_a_float(self):
         word = build_sync_word(21, 3)
         for a in (0, 2**1023):
@@ -261,14 +274,16 @@ class TestMonteCarlo:
         cfg = TrialConfig(a=10, word=word, channel=bsc(0.0), mu=0.01)
         rep = monte_carlo(cfg, 500, master_seed=1)
         assert rep.p_err == 0.0
-        assert rep.n_correct == 500
+        assert rep.counts == (500, 0, 0, 0)
 
     def test_rates_partition_exactly(self):
         rng = np.random.default_rng(23)
         cfg = random_small_config(rng)
         rep = monte_carlo(cfg, 4000, master_seed=9)
-        assert rep.p_err == rep.p_e1 + rep.p_e2 + rep.p_e3
-        assert rep.n_correct + rep.n_err == rep.trials
+        rates = rep.rates()
+        assert list(rates) == ["p_err", "p_e1", "p_e2", "p_e3"]
+        assert rep.p_err == rates["p_e1"] + rates["p_e2"] + rates["p_e3"]
+        assert sum(rep.counts) == rep.trials and len(rep.counts) == len(CLASSES)
 
     def test_deterministic_across_workers(self):
         word = build_sync_word(14, 2)
@@ -298,7 +313,7 @@ class TestOperatingPoint:
         # (pilot value 0.914 at this seed).
         rows = bsc_scaling_rows(0.05, 4, [63], beta=0.5, mu=0.05, norm="linf")
         rep = monte_carlo(rows[0].config, 10_000, master_seed=20250807)
-        assert rep.n_correct / rep.trials >= 0.9
+        assert rep.counts[0] / rep.trials >= 0.9
 
 
 class TestSkipMode:
@@ -405,6 +420,58 @@ class TestCertificateTail:
             assert ours == pytest.approx(theirs, rel=1e-14, abs=0)
             n_far = math.log(2.0 * float(row.a) + 2.0 * row.n)
             assert (n_far + ours > math.log(CERT_SLIP)) == (n_far + theirs > math.log(CERT_SLIP))
+
+
+def count_vectors(m: int, q: np.ndarray):
+    """Every count vector of m draws over len(q) outputs, with its multinomial probability under q."""
+    for c in itertools.product(range(m + 1), repeat=len(q)):
+        if sum(c) == m:
+            ways = math.factorial(m) // math.prod(math.factorial(k) for k in c)
+            yield c, ways * math.prod(float(p) ** k for p, k in zip(q, c))
+
+
+def idle_typical_probability(decoder) -> float:
+    """Exact P(a pure-idle window is typical).
+
+    The counts of the x(0) cells and of the x(1) cells are independent multinomials over
+    Q(.|x(0)). Each count pair is laid out as one window and decided by the decoder's own
+    exact distance.
+    """
+    wi, q = decoder.word.symbols, decoder.channel.rows[0]
+    spots = [np.flatnonzero(wi == x) for x in (0, 1)]
+    pairs = list(itertools.product(*(count_vectors(len(s), q) for s in spots)))
+    windows = np.zeros((len(pairs), len(wi)), dtype=np.uint8)
+    for row, pair in zip(windows, pairs):
+        for s, (c, _) in zip(spots, pair):
+            row[s] = np.repeat(np.arange(len(q)), c)
+    index = np.arange(len(pairs))
+    typical = decoder._fold(windows, index, np.zeros_like(index)) <= decoder.mu
+    return math.fsum(p0 * p1 for ((_, p0), (_, p1)), hit in zip(pairs, typical) if hit)
+
+
+class TestCertificateSoundness:
+    """The skip certificate's bound is at least the exact chance that a pure-idle window fires."""
+
+    @pytest.mark.parametrize("norm", ["linf", "l1"])
+    @pytest.mark.parametrize("n_out", [2, 3, 4])
+    def test_bound_covers_exact_idle_probability(self, n_out, norm):
+        rng = np.random.default_rng(1000 * n_out + len(norm))
+        for n in range(2, 11):
+            for _ in range(6):
+                weights = rng.integers(0, 5, size=(2, n_out)) + np.eye(2, n_out, dtype=int)
+                channel = dmc_new(weights / weights.sum(axis=1, keepdims=True), normalize=True)
+                word = word_from_bits(rng.integers(0, 2, n))
+                ref = TypicalityDecoder(word, channel, mu=1.0, norm=norm).reference
+                # mu at a cell's band edge |k / N - reference|, one float step either side, or drawn
+                x, y, k = rng.integers(0, 2), rng.integers(0, n_out), rng.integers(0, n + 1)
+                edge = abs(k / n - ref[x, y])
+                for mu in (edge, np.nextafter(edge, 0.0), np.nextafter(edge, 1.0), rng.uniform(0.01, 0.5)):
+                    if mu <= 0.0:
+                        continue
+                    dec = TypicalityDecoder(word, channel, mu=float(mu), norm=norm)
+                    exact = idle_typical_probability(dec)
+                    if exact > 0.0:
+                        assert _noise_window_log_bound(dec) >= math.log(exact) - 1e-12, (n, channel, word, mu)
 
 
 class TestExactOracle:
