@@ -19,12 +19,16 @@ slot v, the rest drive an inverse-CDF channel pass over the trial's segment
 (every slot through x(0)'s CDF, then the word's x(1) slots through x(1)'s):
 an exact binary search over the block, O(log |Y|) passes, whose symbols are
 the narrowest unsigned type that holds every output.
-Windows are decided in two stages. A screen, one cumulative sum of integer
-output weights per block taken over the word's runs of x(1), bounds each
-window's distance from below; a window whose bound exceeds mu by more than a
-float margin cannot be typical. Only the survivors are folded exactly: their
-joint counts, then |count / N - reference| added input by input, then output
-by output. One decide step maps each trial's uniforms to v_hat - v, and one
+Windows are decided in two stages, with no float arithmetic per window or
+per cell: the decoder evaluates its float expressions once, over every
+integer they can be given. A screen, one cumulative sum of integer output
+weights per block taken over the word's runs of x(1), gives each window an
+integer screen sum k in [-N, N] whose bound |k / N - c| is at most the
+window's distance. The sums whose bound is within mu plus a float margin form
+one interval, so a window is screened by one unsigned range check on its sum.
+Only the survivors are folded exactly: their joint counts, then each cell's
+|count / N - reference| from a table, added input by input, then output by
+output. One decide step maps each trial's uniforms to v_hat - v, and one
 classifier maps v_hat - v to its class: run_batch counts the classes of a
 block with one bincount, and run is the same two calls on a single trial,
 the one place v itself is formed (a Python int, exact at any A).
@@ -56,8 +60,9 @@ from .sequences import SyncWord
 FULL_SIM_MAX_A = 50_000
 CERT_SLIP = 1e-9
 Z_95 = 1.959963984540054
-# stream slots per block of trials; bounds the engine's working arrays near 1 MB
-_BLOCK_SLOTS = 2**14
+# stream slots per block of trials; a float64 uniform per slot, the rest narrow integers
+# (int16 screen sums), keeps the engine's working arrays near 1 MB
+_BLOCK_SLOTS = 2**15
 # a window is pruned when its screen bound exceeds mu by more than this float margin
 _SCREEN_SLACK = 1e-9
 
@@ -112,39 +117,60 @@ class TypicalityDecoder:
             weights = (np.arange(len(gap)) == np.argmax(np.abs(gap))).astype(np.int8)
         edges = np.diff(wi.astype(np.int8), prepend=0, append=0)
         ones = (np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))  # [start, end) of each run of 1
-        object.__setattr__(self, "_screen", (weights, float(weights @ ref[1]), ones))
+        object.__setattr__(self, "_screen", (weights, ones))
+        # the screen bound of every screen sum k in [-N, N], index k + N, and the sums it keeps:
+        # k / N - c rounds monotonically in k, so its absolute value falls, then rises, and the
+        # kept sums are one interval [lo, hi] (None when it is empty)
+        bounds = np.abs(np.arange(-n, n + 1) / n - float(weights @ ref[1]))
+        kept = np.flatnonzero(bounds <= self.mu + _SCREEN_SLACK) - n
+        assert kept.size == 0 or kept[-1] - kept[0] + 1 == kept.size
+        object.__setattr__(self, "_screen_bounds", bounds)
+        object.__setattr__(self, "_kept", (int(kept[0]), int(kept[-1])) if kept.size else None)
+        # each cell's |count / N - reference| for counts 0..N: row x * |Y| + y for x(0) and x(1)
+        object.__setattr__(self, "_terms", np.abs(np.arange(n + 1) / n - ref[:2].reshape(-1, 1)))
+
+    def _screen_sums(self, outputs: np.ndarray, width: int) -> np.ndarray:
+        """Screen sums of windows 0..width-1 of each row of an output block: per window,
+        sum_y w_y c_1y over the x(1) cells' counts c_1y, an integer in [-N, N].
+
+        One cumulative sum of w[output] per block, differenced over the word's runs of
+        x(1). The sums are exact in int16 while |cumulative sum| <= slots < 2^15.
+        """
+        weights, (starts, ends) = self._screen
+        dtype = np.int16 if outputs.shape[1] < 2**15 else np.int32
+        cum = np.zeros((len(outputs), outputs.shape[1] + 1), dtype=dtype)
+        np.cumsum(np.take(weights, outputs), axis=1, dtype=dtype, out=cum[:, 1:])
+        acc = np.zeros((len(outputs), width), dtype=dtype)
+        for a, b in zip(starts, ends):
+            acc += cum[:, b : b + width]
+            acc -= cum[:, a : a + width]
+        return acc
 
     def screen_bound(self, outputs: np.ndarray, width: int) -> np.ndarray:
         """Lower bound on the distances of windows 0..width-1 of each row of an output block.
 
-        |sum_y w_y (c_1y / N - reference[1, y])| over the x(1) cells' counts c_1y,
-        with weights w_y in {-1, 0, 1} (l1) or one-hot (linf): it bounds those
-        cells' part of the distance, hence the whole. One cumulative sum of
-        w[output] per block, summed over the word's runs of x(1).
+        |k / N - sum_y w_y reference[1, y]| of each window's screen sum k, with
+        weights w_y in {-1, 0, 1} (l1) or one-hot (linf): it bounds the x(1)
+        cells' part of the distance, hence the whole. first_typical keeps the
+        windows whose bound is within mu + _SCREEN_SLACK by their sums alone.
         """
-        weights, weighted_ref, (starts, ends) = self._screen
-        # integer sums are exact in any type; int32 moves half the bytes of float64
-        cum = np.zeros((len(outputs), outputs.shape[1] + 1), dtype=np.int32)
-        np.cumsum(weights[outputs], axis=1, dtype=np.int32, out=cum[:, 1:])
-        acc = np.zeros((len(outputs), width), dtype=np.int32)
-        for a, b in zip(starts, ends):
-            acc += cum[:, b : b + width]
-            acc -= cum[:, a : a + width]
-        return np.abs(acc / len(self.word) - weighted_ref)
+        return self._screen_bounds[self._screen_sums(outputs, width).astype(np.intp) + len(self.word)]
 
     def _fold(self, outputs: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Distances of the windows of outputs[rows] at starts, from their joint counts.
 
-        Cells accumulate input by input, then output by output, each as
-        |count / N - reference| (a cumulative sum, so the l1 order is fixed to
-        the last bit); inputs past x(1) have no count and no reference.
+        Cells accumulate input by input, then output by output (a cumulative
+        sum, so the l1 order is fixed to the last bit), each as
+        |count / N - reference| read from the decoder's table; inputs past x(1)
+        have no count and no reference.
         """
         wi, n_out = self.word.symbols, self.channel.n_outputs
-        n = len(wi)
-        cells = outputs[rows[:, None], starts[:, None] + np.arange(n)] + n_out * wi.astype(np.intp)
+        n, slots = len(wi), outputs.shape[1]
+        cells = (rows * slots + starts)[:, None] + np.arange(n)  # each window's slots in the flat block
+        np.add(outputs.reshape(-1)[cells], n_out * wi.astype(np.intp), out=cells)
         cells += 2 * n_out * np.arange(len(rows))[:, None]
         counts = np.bincount(cells.ravel(), minlength=2 * n_out * len(rows)).reshape(len(rows), 2 * n_out)
-        dev = np.abs((np.arange(n + 1) / n)[counts] - self.reference[:2].ravel())
+        dev = self._terms.ravel()[counts + (n + 1) * np.arange(2 * n_out)]
         if self.norm == "linf":
             return dev.max(axis=1, initial=0.0)  # initial: defined for zero windows
         return np.cumsum(dev, axis=1)[:, -1]
@@ -152,16 +178,20 @@ class TypicalityDecoder:
     def first_typical(self, outputs: np.ndarray, n_windows) -> np.ndarray:
         """Per row, the index of the first typical window among its first n_windows; -1 if none.
 
-        Only windows whose screen bound is within mu (plus a float margin) are
-        folded exactly; the rest cannot be typical.
+        Only windows whose screen sum lies in the kept interval, one unsigned
+        range check, are folded exactly; the rest cannot be typical.
         """
         first = np.full(len(outputs), -1)
         width = outputs.shape[1] - len(self.word) + 1
-        if width < 1:
+        if width < 1 or self._kept is None:
             return first
-        live = self.screen_bound(outputs, width) <= self.mu + _SCREEN_SLACK
-        live &= np.arange(width) < np.reshape(n_windows, (-1, 1))
+        lo, hi = self._kept
+        sums = self._screen_sums(outputs, width)
+        # (k - lo) mod 2^bits <= hi - lo exactly when lo <= k <= hi, since hi - k <= 2N < 2^bits
+        live = (sums - lo).view(f"u{sums.itemsize}") <= hi - lo
         rows, starts = np.nonzero(live)
+        scanned = starts < np.broadcast_to(n_windows, len(outputs))[rows]
+        rows, starts = rows[scanned], starts[scanned]
         typical = self._fold(outputs, rows, starts) <= self.mu
         rows, lead = np.unique(rows[typical], return_index=True)  # each row's first typical window
         first[rows] = starts[typical][lead]

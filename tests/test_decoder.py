@@ -35,7 +35,14 @@ from framesync import (
 )
 from framesync.channels import IndexOutOfRange
 from framesync.cli import _config_rows, _load_preset
-from framesync.decoder import CERT_SLIP, CLASSES, TrialEngine, _log_binom_mass, _noise_window_log_bound
+from framesync.decoder import (
+    _SCREEN_SLACK,
+    CERT_SLIP,
+    CLASSES,
+    TrialEngine,
+    _log_binom_mass,
+    _noise_window_log_bound,
+)
 
 from exact_oracle import (
     exact_error_probability_dp,
@@ -473,6 +480,24 @@ class TestCertificateSoundness:
                     if exact > 0.0:
                         assert _noise_window_log_bound(dec) >= math.log(exact) - 1e-12, (n, channel, word, mu)
 
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(2, 300),
+        a=st.one_of(st.integers(1, 10**6), st.integers(2**62, 2**1000)),
+        u0=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
+    )
+    def test_certificate_counts_every_window_skip_mode_leaves_out(self, n, a, u0):
+        # of the A + N - 1 windows, skip mode scans min(v, N) - 1 + N; the certificate charges 2A + 2N
+        cfg = TrialConfig(a=a, word=word_from_bits([1] * n), channel=bsc(0.0), mu=0.05)
+        engine = TrialEngine(cfg, full_sim_max_a=0)  # idle noise never fires on BSC(0): certified at any A
+        u0 = np.array([*u0, 0.0, np.nextafter(1.0, 0.0)])
+        for u, windows in zip(u0, engine._geometry(u0)[1].tolist()):
+            v = min(int(u * float(a)) + 1, a)
+            left_out = a + n - 1 - windows
+            assert left_out == a - min(v, n)
+            assert 0 <= left_out <= 2 * a + 2 * n
+            assert math.log(max(left_out, 1)) <= math.log(2.0 * float(a) + 2.0 * n)
+
 
 class TestExactOracle:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -645,6 +670,37 @@ class TestWindowScreen:
         assert np.array_equal(dec.first_typical(outputs, n_windows), expected)
 
     @PROPERTY
+    @given(block=output_blocks(), pick=st.integers(0, 10**6), step=st.sampled_from([-1, 0, 1]))
+    def test_tables_match_the_float_expressions(self, block, pick, step):
+        # mu + _SCREEN_SLACK on one screen sum's bound |k / N - c|, or one float step either side
+        dec, _ = block
+        n = len(dec.word)
+        weighted_ref = float(dec._screen[0] @ dec.reference[1])
+        bounds = [abs(k / n - weighted_ref) for k in range(-n, n + 1)]
+        mu = bounds[pick % len(bounds)] - _SCREEN_SLACK
+        mu = float(np.nextafter(mu, step * math.inf)) if step else mu
+        assume(mu > 0.0)
+        dec = TypicalityDecoder(word=dec.word, channel=dec.channel, mu=mu, norm=dec.norm)
+        lo, hi = dec._kept or (1, 0)
+        assert [lo <= k <= hi for k in range(-n, n + 1)] == [b <= mu + _SCREEN_SLACK for b in bounds]
+        cells = dec.reference[:2].ravel()
+        assert np.array_equal(dec._terms, [[abs(c / n - r) for c in range(n + 1)] for r in cells])
+
+    @PROPERTY
+    @given(block=output_blocks())
+    def test_empty_screen_interval_folds_nothing(self, block):
+        # mu below every screen bound: no sum is kept, and indeed no window is typical
+        dec, outputs = block
+        n = len(dec.word)
+        least = min(abs(k / n - float(dec._screen[0] @ dec.reference[1])) for k in range(-n, n + 1))
+        assume(least > 2 * _SCREEN_SLACK)
+        dec = TypicalityDecoder(word=dec.word, channel=dec.channel, mu=(least - _SCREEN_SLACK) / 2, norm=dec.norm)
+        assert dec._kept is None
+        dists = exact_distances(dec, outputs)
+        assert np.all(dists > dec.mu)
+        assert np.array_equal(dec.first_typical(outputs, dists.shape[1]), np.full(len(outputs), -1))
+
+    @PROPERTY
     @given(cfg=trial_configs(), seed=st.integers(0, 2**32), m=st.integers(1, 6))
     def test_engine_sampler_matches_inverse_cdf_outputs(self, cfg, seed, m):
         engine, n = TrialEngine(cfg), len(cfg.word)
@@ -689,6 +745,7 @@ class TestEngineProperties:
             assert rng.random() == ref_rng.random()  # same number of draws
         assert engine.run_batch(seed, 0, 20) == scalar
 
+    @pytest.mark.parametrize("block_slots", [1, 7, 2**15])
     @PROPERTY
     @given(
         cfg=trial_configs(),
@@ -697,13 +754,26 @@ class TestEngineProperties:
         cut=st.floats(0.0, 1.0),
         seed=st.integers(0, 2**32),
     )
-    def test_counts_split_invariant(self, cfg, skip, m, cut, seed):
+    def test_counts_split_invariant(self, block_slots, cfg, skip, m, cut, seed):
+        # the counts of a split run at any block size are those of the whole run at the default one
         engine = engine_or_skip(cfg, 0 if skip else cfg.a)
         k = int(cut * m)
         whole = engine.run_batch(seed, 0, m)
-        left, right = engine.run_batch(seed, 0, k), engine.run_batch(seed, k, m)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("framesync.decoder._BLOCK_SLOTS", block_slots)
+            left, right = engine.run_batch(seed, 0, k), engine.run_batch(seed, k, m)
         assert whole == {c: left[c] + right[c] for c in whole}
         assert sum(whole.values()) == m
+
+    @pytest.mark.parametrize("a, dtype", [(2**15 - 29, np.int16), (2**15 - 28, np.int32)])
+    def test_screen_sums_switch_type_at_2_to_15_slots(self, a, dtype):
+        # full-mode segments of 2^15 - 1 and 2^15 slots; linf sums the common idle output, so the
+        # cumulative sum nears the int16 limit
+        cfg = TrialConfig(a=a, word=build_sync_word(15, 2), channel=bsc(0.02), mu=0.2)
+        engine = TrialEngine(cfg)
+        outputs = engine._outputs(np.random.default_rng(a).random((1, engine.segment)), np.zeros(1, np.int64))
+        assert outputs.shape[1] == a + 28 and engine.decoder._screen_sums(outputs, 1).dtype == dtype
+        assert engine.run_batch(3, 0, 3) == naive_counts(cfg, 3, 0, 3, True)
 
     @pytest.mark.parametrize("a, skip", [(30, False), (3, True), (400, True)])
     def test_run_draws_v_then_its_segment(self, a, skip):
@@ -744,6 +814,13 @@ class TestEngineProperties:
         starts = np.array(rng.integers(0, 40_000 - 20, size=50).tolist() + [0, 40_000 - 21])
         expected = [exact_distances(dec, long_stream[:, t : t + 21])[0, 0] for t in starts]
         assert np.array_equal(dec._fold(long_stream, np.zeros_like(starts), starts), expected)
+        # run_decoder over the whole long stream (int32 screen sums), with mu at the least distance
+        # so that the first typical window lies deep in it
+        dists = exact_distances(dec, long_stream)[0]
+        assert np.all(dec.screen_bound(long_stream, dists.size) <= dists + 1e-12)
+        dec = TypicalityDecoder(word=word, channel=channel, mu=float(dists.min()), norm="l1")
+        assert dec._screen_sums(long_stream, 1).dtype == np.int32
+        assert run_decoder(dec, long_stream[0], scan_limit=dists.size) == int(dists.argmin()) + 1
 
     def test_out_of_range_outputs_rejected(self):
         dec = TypicalityDecoder(word=build_sync_word(7, 2), channel=bsc(0.1), mu=0.1)
