@@ -19,16 +19,20 @@ slot v, the rest drive an inverse-CDF channel pass over the trial's segment
 (every slot through x(0)'s CDF, then the word's x(1) slots through x(1)'s):
 an exact binary search over the block, O(log |Y|) passes, whose symbols are
 the narrowest unsigned type that holds every output.
+A block is one flat stream: trial i's segment starts at slot i * stride, the
+slot after it pads it, and every stage indexes it by flat positions.
 Windows are decided in two stages, with no float arithmetic per window or
 per cell: the decoder evaluates its float expressions once, over every
 integer they can be given. A screen, one cumulative sum of integer output
-weights per block taken over the word's runs of x(1), gives each window an
-integer screen sum k in [-N, N] whose bound |k / N - c| is at most the
-window's distance. The sums whose bound is within mu plus a float margin form
-one interval, so a window is screened by one unsigned range check on its sum.
-Only the survivors are folded exactly: their joint counts, then each cell's
-|count / N - reference| from a table, added input by input, then output by
-output. One decide step maps each trial's uniforms to v_hat - v, and one
+weights over the whole stream differenced over the word's runs of x(1),
+gives each window an integer screen sum k in [-N, N] whose bound |k / N - c|
+is at most the window's distance; the sum may wrap, the differences are
+exact. The sums whose bound is within mu plus a float margin form one
+interval, so a window is screened by one unsigned range check on its sum.
+Only the survivors that start inside their trial's scan are folded exactly:
+their joint counts, then each cell's |count / N - reference| from a table,
+added input by input, then output by output. One decide step maps each
+trial's uniforms to v_hat - v, and one
 classifier maps v_hat - v to its class: run_batch counts the classes of a
 block with one bincount, and run is the same two calls on a single trial,
 the one place v itself is formed (a Python int, exact at any A).
@@ -53,6 +57,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .channels import Dmc, IndexOutOfRange, InverseCdf
 from .sequences import SyncWord
@@ -63,6 +68,10 @@ Z_95 = 1.959963984540054
 # stream slots per block of trials; a float64 uniform per slot, the rest narrow integers
 # (int16 screen sums), keeps the engine's working arrays near 1 MB
 _BLOCK_SLOTS = 2**15
+# cells per chunk of the fold, at most 1 MB of intp indices at any N. At 2^15 cells the freed
+# chunks were too small to stop glibc from returning the heap after every block: 4500 page
+# faults per energy_scaling pass
+_FOLD_CELLS = 2**17
 # a window is pruned when its screen bound exceeds mu by more than this float margin
 _SCREEN_SLACK = 1e-9
 
@@ -112,9 +121,12 @@ class TypicalityDecoder:
         # screen weights over outputs: x(1) against what idle noise puts in the x(1) cells
         gap = ref[1] - np.count_nonzero(wi) / n * rows[0]
         if self.norm == "l1":
-            weights = np.sign(gap).astype(np.int8)
+            weights = np.sign(gap)
         else:
-            weights = (np.arange(len(gap)) == np.argmax(np.abs(gap))).astype(np.int8)
+            weights = np.arange(len(gap)) == np.argmax(np.abs(gap))
+        # the screen's integer type: every screen sum has |k| <= N, so int16 holds it exactly while
+        # N < 2^15, however far the cumulative sum it is a difference of wraps
+        weights = weights.astype(np.int16 if n < 2**15 else np.int32)
         edges = np.diff(wi.astype(np.int8), prepend=0, append=0)
         ones = (np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))  # [start, end) of each run of 1
         object.__setattr__(self, "_screen", (weights, ones))
@@ -128,73 +140,91 @@ class TypicalityDecoder:
         object.__setattr__(self, "_kept", (int(kept[0]), int(kept[-1])) if kept.size else None)
         # each cell's |count / N - reference| for counts 0..N: row x * |Y| + y for x(0) and x(1)
         object.__setattr__(self, "_terms", np.abs(np.arange(n + 1) / n - ref[:2].reshape(-1, 1)))
+        # the fold's cell x * |Y| + y of each word slot before its output y, and each cell's row of _terms
+        n_out = self.channel.n_outputs
+        object.__setattr__(self, "_cells", (n_out * wi.astype(np.intp), (n + 1) * np.arange(2 * n_out)))
 
-    def _screen_sums(self, outputs: np.ndarray, width: int) -> np.ndarray:
-        """Screen sums of windows 0..width-1 of each row of an output block: per window,
-        sum_y w_y c_1y over the x(1) cells' counts c_1y, an integer in [-N, N].
+    def _screen_sums(self, stream: np.ndarray) -> np.ndarray:
+        """Screen sums of every window of a flat output stream, window p covering slots
+        p..p+N-1: sum_y w_y c_1y over the x(1) cells' counts c_1y, an integer in [-N, N].
 
-        One cumulative sum of w[output] per block, differenced over the word's runs of
-        x(1). The sums are exact in int16 while |cumulative sum| <= slots < 2^15.
+        One cumulative sum of w[output] over the stream, differenced over the word's runs
+        of x(1); a run of one slot reads w[output] itself. The cumulative sum may wrap, but
+        every sum is a difference of it, exact modulo 2^bits, and |k| <= N: int16 holds
+        each sum exactly while N < 2^15, however long the stream.
         """
         weights, (starts, ends) = self._screen
-        dtype = np.int16 if outputs.shape[1] < 2**15 else np.int32
-        cum = np.zeros((len(outputs), outputs.shape[1] + 1), dtype=dtype)
-        np.cumsum(np.take(weights, outputs), axis=1, dtype=dtype, out=cum[:, 1:])
-        acc = np.zeros((len(outputs), width), dtype=dtype)
+        w = np.take(weights, stream)
+        cum = np.zeros(len(stream) + 1, dtype=weights.dtype)
+        np.cumsum(w, out=cum[1:])
+        width = max(len(stream) - len(self.word) + 1, 0)
+        acc = np.zeros(width, dtype=weights.dtype)
         for a, b in zip(starts, ends):
-            acc += cum[:, b : b + width]
-            acc -= cum[:, a : a + width]
+            if b - a == 1:
+                acc += w[a : a + width]
+            else:
+                acc += cum[b : b + width]
+                acc -= cum[a : a + width]
         return acc
 
-    def screen_bound(self, outputs: np.ndarray, width: int) -> np.ndarray:
-        """Lower bound on the distances of windows 0..width-1 of each row of an output block.
+    def screen_bound(self, stream: np.ndarray) -> np.ndarray:
+        """Lower bound on the distance of every window of a flat output stream.
 
         |k / N - sum_y w_y reference[1, y]| of each window's screen sum k, with
         weights w_y in {-1, 0, 1} (l1) or one-hot (linf): it bounds the x(1)
         cells' part of the distance, hence the whole. first_typical keeps the
         windows whose bound is within mu + _SCREEN_SLACK by their sums alone.
         """
-        return self._screen_bounds[self._screen_sums(outputs, width).astype(np.intp) + len(self.word)]
+        return self._screen_bounds[self._screen_sums(stream).astype(np.intp) + len(self.word)]
 
-    def _fold(self, outputs: np.ndarray, rows: np.ndarray, starts: np.ndarray) -> np.ndarray:
-        """Distances of the windows of outputs[rows] at starts, from their joint counts.
+    def _fold(self, stream: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Distances of the windows of a flat output stream at starts, from their joint counts.
 
         Cells accumulate input by input, then output by output (a cumulative
         sum, so the l1 order is fixed to the last bit), each as
         |count / N - reference| read from the decoder's table; inputs past x(1)
-        have no count and no reference.
+        have no count and no reference. Windows are gathered ceil(_FOLD_CELLS / N)
+        at a time, so the working arrays stay near _FOLD_CELLS cells at any N.
         """
-        wi, n_out = self.word.symbols, self.channel.n_outputs
-        n, slots = len(wi), outputs.shape[1]
-        cells = (rows * slots + starts)[:, None] + np.arange(n)  # each window's slots in the flat block
-        np.add(outputs.reshape(-1)[cells], n_out * wi.astype(np.intp), out=cells)
-        cells += 2 * n_out * np.arange(len(rows))[:, None]
-        counts = np.bincount(cells.ravel(), minlength=2 * n_out * len(rows)).reshape(len(rows), 2 * n_out)
-        dev = self._terms.ravel()[counts + (n + 1) * np.arange(2 * n_out)]
-        if self.norm == "linf":
-            return dev.max(axis=1, initial=0.0)  # initial: defined for zero windows
-        return np.cumsum(dev, axis=1)[:, -1]
+        n, n_cells = len(self.word), 2 * self.channel.n_outputs
+        # sliding_window_view(stream, N), without its argument checks
+        windows = as_strided(stream, (len(stream) - n + 1, n), stream.strides * 2, writeable=False)
+        codes, term_rows = self._cells
+        chunk = -(-_FOLD_CELLS // n)
+        dist = np.empty(len(starts))
+        for i in range(0, len(starts), chunk):
+            cells = np.add(windows[starts[i : i + chunk]], codes)
+            cells += n_cells * np.arange(len(cells))[:, None]
+            counts = np.bincount(cells.ravel(), minlength=n_cells * len(cells)).reshape(len(cells), n_cells)
+            dev = self._terms.ravel()[counts + term_rows]
+            dist[i : i + chunk] = dev.max(axis=1) if self.norm == "linf" else np.cumsum(dev, axis=1)[:, -1]
+        return dist
 
-    def first_typical(self, outputs: np.ndarray, n_windows) -> np.ndarray:
-        """Per row, the index of the first typical window among its first n_windows; -1 if none.
+    def first_typical(self, stream: np.ndarray, stride: int, n_windows: np.ndarray) -> np.ndarray:
+        """Per row of a flat output stream, the index of the row's first typical window
+        among its first n_windows; -1 if none.
 
-        Only windows whose screen sum lies in the kept interval, one unsigned
-        range check, are folded exactly; the rest cannot be typical.
+        Row r starts at slot r * stride and its window s covers slots r * stride + s
+        onward, so n_windows[r] + N - 1 <= stride keeps every window in its row. Only
+        windows whose screen sum lies in the kept interval, one unsigned range check
+        over the whole stream, are folded exactly; the rest cannot be typical.
         """
-        first = np.full(len(outputs), -1)
-        width = outputs.shape[1] - len(self.word) + 1
-        if width < 1 or self._kept is None:
+        first = np.full(len(n_windows), -1)
+        if len(stream) < len(self.word) or self._kept is None:
             return first
         lo, hi = self._kept
-        sums = self._screen_sums(outputs, width)
+        sums = self._screen_sums(stream)
         # (k - lo) mod 2^bits <= hi - lo exactly when lo <= k <= hi, since hi - k <= 2N < 2^bits
-        live = (sums - lo).view(f"u{sums.itemsize}") <= hi - lo
-        rows, starts = np.nonzero(live)
-        scanned = starts < np.broadcast_to(n_windows, len(outputs))[rows]
+        live = np.flatnonzero((sums - lo).view(f"u{sums.itemsize}") <= hi - lo)
+        rows, starts = np.divmod(live, stride)
+        scanned = starts < n_windows[rows]  # also drops windows that cross into the next row
         rows, starts = rows[scanned], starts[scanned]
-        typical = self._fold(outputs, rows, starts) <= self.mu
-        rows, lead = np.unique(rows[typical], return_index=True)  # each row's first typical window
-        first[rows] = starts[typical][lead]
+        typical = self._fold(stream, live[scanned]) <= self.mu
+        rows, starts = rows[typical], starts[typical]
+        # the survivors ascend, so a row's first typical window is the first with its row
+        lead = np.ones(len(rows), dtype=bool)
+        np.not_equal(rows[1:], rows[:-1], out=lead[1:])
+        first[rows[lead]] = starts[lead]
         return first
 
 
@@ -203,18 +233,24 @@ def run_decoder(decoder: TypicalityDecoder, output_stream, scan_limit: int) -> i
 
     Sequential contract: the returned decision depends only on symbols up to
     t + N - 1. A stream shorter than needed raises StreamExhausted, unless the
-    decoder fires before the missing symbols would have been read.
+    decoder fires before the missing symbols would have been read. Symbols must
+    be integers (or booleans) in 0..|Y| - 1.
     """
-    stream = np.asarray(output_stream, dtype=np.int64)
+    stream = np.asarray(output_stream)
     n = len(decoder.word)
     if scan_limit < 1:
         raise ValueError(f"scan limit must be >= 1, got {scan_limit}")
-    if stream.size and (stream.min() < 0 or stream.max() >= decoder.channel.n_outputs):
-        raise IndexOutOfRange("output symbol out of range")
+    if stream.ndim != 1:
+        raise ValueError(f"the output stream must be one-dimensional, got shape {stream.shape}")
+    if stream.size and (
+        stream.dtype.kind not in "biu" or stream.min() < 0 or stream.max() >= decoder.channel.n_outputs
+    ):
+        raise IndexOutOfRange(f"output symbols must be integers in 0..{decoder.channel.n_outputs - 1}")
     available = len(stream) - n + 1
     n_windows = min(scan_limit, max(available, 0))
     if n_windows > 0:
-        first = int(decoder.first_typical(stream[None, : n_windows + n - 1], n_windows)[0])
+        row = stream[: n_windows + n - 1].astype(np.int64)
+        first = int(decoder.first_typical(row, len(row), np.array([n_windows]))[0])
         if first >= 0:
             return first + 1
     if available < scan_limit:
@@ -353,17 +389,24 @@ class TrialEngine:
         offset = np.minimum(u0 * float(a), cap - 1).astype(np.int64)
         return offset, (np.full(len(offset), self.scan_limit) if self.full_mode else offset + self.n)
 
-    def _outputs(self, uniforms: np.ndarray, offset: np.ndarray) -> np.ndarray:
-        """Each trial's segment through the channel: x(0) in every slot, then x(1) at the word's ones."""
+    def _outputs(self, uniforms: np.ndarray, stride: int, offset: np.ndarray) -> np.ndarray:
+        """Flat uniforms through the channel, trial i's segment from slot i * stride:
+        x(0) in every slot, then x(1) at the word's ones, one flat index for both."""
         out = self._draw[0](uniforms)
-        rows, cols = np.arange(len(uniforms))[:, None], offset[:, None] + self._ones
-        out[rows, cols] = self._draw[1](uniforms[rows, cols])
+        ones = ((np.arange(len(offset)) * stride + offset)[:, None] + self._ones).ravel()
+        out[ones] = self._draw[1](uniforms.take(ones))
         return out
 
     def _decide(self, u: np.ndarray) -> np.ndarray:
-        """Per row of uniforms (v's draw, then the segment's): v_hat - v, or _MISS."""
+        """Per row of uniforms (v's draw, then the segment's): v_hat - v, or _MISS.
+
+        The block is one flat stream: row i's segment starts at slot i * stride, and
+        the slot after it, the next row's draw for v, pads it; no window reaches it.
+        """
         offset, windows = self._geometry(u[:, 0])
-        first = self.decoder.first_typical(self._outputs(u[:, 1:], offset), windows)
+        stride = u.shape[1]
+        outputs = self._outputs(u.ravel()[1:], stride, offset)
+        first = self.decoder.first_typical(outputs, stride, windows)
         return np.where(first < 0, _MISS, first - offset)
 
     def run(self, rng: np.random.Generator) -> TrialOutcome:
@@ -391,8 +434,9 @@ class TrialEngine:
         state = {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
                  "buffer": state["buffer"].tolist()}
         key = state["state"]["key"]
+        blocks = np.empty((min(block, hi - lo), 1 + self.segment))  # one buffer for every block
         for start in range(lo, hi, block):
-            u = np.empty((min(block, hi - start), 1 + self.segment))
+            u = blocks[: min(block, hi - start)]
             for i, row in enumerate(u):
                 key[1] = (start + i) % 2**64
                 bit_gen.state = state

@@ -1,11 +1,13 @@
 import itertools
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.stats import binom
 
 from framesync import (
@@ -238,6 +240,19 @@ class TestRunDecoder:
                 truncated = stream[: v_hat + 21 - 1]
                 assert run_decoder(dec, truncated, scan_limit=v_hat) == v_hat
 
+    def test_non_integer_outputs_rejected(self):
+        # symbols are never rounded or truncated: a float stream is refused, even one of whole numbers
+        word = build_sync_word(7, 2)
+        dec = TypicalityDecoder(word=word, channel=bsc(0.0), mu=0.01)
+        floats = [0.9, 1.5, 0.2, 1.99, 0.0, 1.0, 1.0, 1.0]
+        for stream in (floats, np.array(floats), np.array(floats).round()):
+            with pytest.raises(IndexOutOfRange):
+                run_decoder(dec, stream, scan_limit=2)
+        bools = np.concatenate([[0, 0], word.symbols, [0] * 5]).astype(bool)
+        assert run_decoder(dec, bools, scan_limit=5) == 3
+        with pytest.raises(ValueError):
+            run_decoder(dec, bools.reshape(2, 7), scan_limit=2)
+
 
 class TestSimulateTrial:
     def test_a1_noiseless_is_correct(self):
@@ -451,8 +466,7 @@ def idle_typical_probability(decoder) -> float:
     for row, pair in zip(windows, pairs):
         for s, (c, _) in zip(spots, pair):
             row[s] = np.repeat(np.arange(len(q)), c)
-    index = np.arange(len(pairs))
-    typical = decoder._fold(windows, index, np.zeros_like(index)) <= decoder.mu
+    typical = decoder._fold(windows.ravel(), len(wi) * np.arange(len(pairs))) <= decoder.mu
     return math.fsum(p0 * p1 for ((_, p0), (_, p1)), hit in zip(pairs, typical) if hit)
 
 
@@ -648,11 +662,12 @@ class TestWindowScreen:
     def test_bound_never_exceeds_distance(self, block):
         dec, outputs = block
         dists = exact_distances(dec, outputs)
+        starts = (outputs.shape[1] * np.arange(len(outputs))[:, None] + np.arange(dists.shape[1])).ravel()
+        dists = dists.ravel()
         # the bound is tight for some windows (binary outputs), so allow rounding; the engine
         # prunes only past 1e-9
-        assert np.all(dec.screen_bound(outputs, dists.shape[1]) <= dists + 1e-12)
-        rows, starts = np.divmod(np.arange(dists.size), dists.shape[1])
-        assert np.array_equal(dec._fold(outputs, rows, starts), dists.ravel())
+        assert np.all(dec.screen_bound(outputs.ravel())[starts] <= dists + 1e-12)
+        assert np.array_equal(dec._fold(outputs.ravel(), starts), dists)
 
     @PROPERTY
     @given(block=output_blocks(), pick=st.integers(0, 10**6), limit=st.integers(0, 40))
@@ -667,7 +682,7 @@ class TestWindowScreen:
         n_windows = np.minimum(np.arange(len(outputs)) + limit, width)
         typical = (dists <= mu) & (np.arange(width) < n_windows[:, None])
         expected = np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
-        assert np.array_equal(dec.first_typical(outputs, n_windows), expected)
+        assert np.array_equal(dec.first_typical(outputs.ravel(), outputs.shape[1], n_windows), expected)
 
     @PROPERTY
     @given(block=output_blocks(), pick=st.integers(0, 10**6), step=st.sampled_from([-1, 0, 1]))
@@ -698,19 +713,69 @@ class TestWindowScreen:
         assert dec._kept is None
         dists = exact_distances(dec, outputs)
         assert np.all(dists > dec.mu)
-        assert np.array_equal(dec.first_typical(outputs, dists.shape[1]), np.full(len(outputs), -1))
+        n_windows = np.full(len(outputs), dists.shape[1])
+        assert np.array_equal(dec.first_typical(outputs.ravel(), outputs.shape[1], n_windows), np.full(len(outputs), -1))
+
+    @PROPERTY
+    @given(block=output_blocks(), pad=st.integers(0, 2), into=st.integers(1, 11), seed=st.integers(0, 2**32))
+    def test_word_across_two_rows_is_no_window(self, block, pad, into, seed):
+        # the word sent through the channel from the end of a row into the padding slots after it,
+        # or on into the next row, with mu at that window's distance: a window no row may see
+        dec, outputs = block
+        (m, slots), n = outputs.shape, len(dec.word)
+        assume(m >= 2 and n >= 2)
+        rng = np.random.default_rng(seed)
+        stride, row = slots + pad, int(rng.integers(0, m - 1))
+        flat = np.concatenate([outputs, rng.integers(0, dec.channel.n_outputs, (m, pad))], axis=1).ravel()
+        at = row * stride + slots - n + 1 + (into - 1) % (n - 1)
+        flat[at : at + n] = inverse_cdf_outputs(dec.channel.rows, dec.word.symbols, rng.random(n))
+        mu = float(exact_distances(dec, flat[at : at + n])[0, 0])
+        dec = TypicalityDecoder(word=dec.word, channel=dec.channel, mu=mu, norm=dec.norm)
+        typical = exact_distances(dec, flat.reshape(m, stride)[:, :slots]) <= mu
+        # only a row with no typical window of its own would report the planted one
+        assume(mu > 0.0 and not typical[row].any())
+        expected = np.where(typical.any(axis=1), typical.argmax(axis=1), -1)
+        assert np.array_equal(dec.first_typical(flat, stride, np.full(m, slots - n + 1)), expected)
+
+    @PROPERTY
+    @given(block=output_blocks(), pad=st.integers(0, 2), limit=st.integers(0, 40), mu=st.floats(0.01, 0.5))
+    def test_fold_sees_exactly_the_screened_windows(self, block, pad, limit, mu):
+        # the survivors are the scanned windows in their rows whose screen sum lies in [lo, hi],
+        # screen sums taken here window by window in int64
+        dec, outputs = block
+        (m, slots), n = outputs.shape, len(dec.word)
+        dec = TypicalityDecoder(word=dec.word, channel=dec.channel, mu=mu, norm=dec.norm)
+        assume(dec._kept is not None)
+        lo, hi = dec._kept
+        stride = slots + pad
+        flat = np.concatenate([outputs, outputs[:, :pad]], axis=1).ravel()
+        n_windows = np.minimum(np.arange(m) + limit, slots - n + 1)
+        sums = np.take(dec._screen[0], sliding_window_view(flat, n)).astype(np.int64) @ dec.word.symbols
+        expected = [r * stride + s for r in range(m) for s in range(n_windows[r]) if lo <= sums[r * stride + s] <= hi]
+        folded, fold = [], TypicalityDecoder._fold
+
+        def spy(self, stream, starts):
+            folded.append(starts)
+            return fold(self, stream, starts)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(TypicalityDecoder, "_fold", spy)
+            dec.first_typical(flat, stride, n_windows)
+        assert np.array_equal(np.concatenate(folded), expected)
 
     @PROPERTY
     @given(cfg=trial_configs(), seed=st.integers(0, 2**32), m=st.integers(1, 6))
     def test_engine_sampler_matches_inverse_cdf_outputs(self, cfg, seed, m):
+        # rows of a flat block one slot apart, the slot after each segment sent through x(0)
         engine, n = TrialEngine(cfg), len(cfg.word)
         rng = np.random.default_rng(seed)
-        uniforms = rng.random((m, engine.segment))
+        uniforms = rng.random((m, engine.segment + 1))
         offset = rng.integers(0, engine.segment - n + 1, size=m)
-        x = np.zeros((m, engine.segment), dtype=np.int64)
+        x = np.zeros((m, engine.segment + 1), dtype=np.int64)
         for row, at in zip(x, offset):
             row[at : at + n] = cfg.word.symbols
-        assert np.array_equal(engine._outputs(uniforms, offset), inverse_cdf_outputs(cfg.channel.rows, x, uniforms))
+        expected = inverse_cdf_outputs(cfg.channel.rows, x, uniforms)
+        assert np.array_equal(engine._outputs(uniforms.ravel(), engine.segment + 1, offset), expected.ravel())
 
 
 class TestEngineProperties:
@@ -767,13 +832,35 @@ class TestEngineProperties:
 
     @pytest.mark.parametrize("a, dtype", [(2**15 - 29, np.int16), (2**15 - 28, np.int32)])
     def test_screen_sums_switch_type_at_2_to_15_slots(self, a, dtype):
-        # full-mode segments of 2^15 - 1 and 2^15 slots; linf sums the common idle output, so the
-        # cumulative sum nears the int16 limit
+        # full-mode segments of 2^15 - 1 and 2^15 slots, all of the idle output (u = 0 draws output
+        # 0 from either row); linf weighs it, so the cumulative sum reaches the segment length and
+        # dtype is the narrowest type that holds it: an int16 one first wraps at 2^15 slots, and the
+        # int16 screen sums must equal the window sums taken in dtype on both sides of that edge
         cfg = TrialConfig(a=a, word=build_sync_word(15, 2), channel=bsc(0.02), mu=0.2)
-        engine = TrialEngine(cfg)
-        outputs = engine._outputs(np.random.default_rng(a).random((1, engine.segment)), np.zeros(1, np.int64))
-        assert outputs.shape[1] == a + 28 and engine.decoder._screen_sums(outputs, 1).dtype == dtype
+        engine = TrialEngine(cfg, cfg.a)
+        weights = engine.decoder._screen[0]
+        outputs = engine._outputs(np.zeros(engine.segment), engine.segment, np.zeros(1, int))
+        assert engine.full_mode and len(outputs) == a + 28 and not outputs.any()
+        w = np.take(weights, outputs)
+        assert weights.tolist() == [1, 0] and np.cumsum(w, dtype=dtype)[-1] == len(outputs)
+        assert (np.cumsum(w, dtype=np.int16)[-1] < 0) == (dtype is np.int32)
+        sums = engine.decoder._screen_sums(outputs)
+        assert sums.dtype == np.int16
+        assert np.array_equal(sums, sliding_window_view(w.astype(dtype), 15) @ cfg.word.symbols.astype(dtype))
         assert engine.run_batch(3, 0, 3) == naive_counts(cfg, 3, 0, 3, True)
+
+    def test_screen_sums_wrap_past_2_to_16_slots(self):
+        # a full-mode segment of 70 028 slots; linf weighs the common idle output, so the int16
+        # cumulative sum passes 2^15 and 2^16, and the window sums must come out exact anyway
+        cfg = TrialConfig(a=70_000, word=build_sync_word(15, 2), channel=bsc(0.02), mu=0.2)
+        engine = TrialEngine(cfg, cfg.a)
+        assert engine.full_mode and engine.decoder._screen[0].tolist() == [1, 0]
+        outputs = engine._outputs(np.random.default_rng(3).random(engine.segment), engine.segment, np.zeros(1, int))
+        assert np.count_nonzero(outputs == 0) > 2**16
+        sums = engine.decoder._screen_sums(outputs)
+        assert sums.dtype == np.int16
+        assert np.array_equal(sums, sliding_window_view(outputs == 0, 15) @ cfg.word.symbols)
+        assert engine.run_batch(3, 0, 2) == naive_counts(cfg, 3, 0, 2, True)
 
     @pytest.mark.parametrize("a, skip", [(30, False), (3, True), (400, True)])
     def test_run_draws_v_then_its_segment(self, a, skip):
@@ -813,16 +900,29 @@ class TestEngineProperties:
         long_stream = rng.integers(0, 8, size=(1, 40_000))
         starts = np.array(rng.integers(0, 40_000 - 20, size=50).tolist() + [0, 40_000 - 21])
         expected = [exact_distances(dec, long_stream[:, t : t + 21])[0, 0] for t in starts]
-        assert np.array_equal(dec._fold(long_stream, np.zeros_like(starts), starts), expected)
-        # run_decoder over the whole long stream (int32 screen sums), with mu at the least distance
-        # so that the first typical window lies deep in it
+        assert np.array_equal(dec._fold(long_stream[0], starts), expected)
+        # run_decoder over the whole long stream, with mu at the least distance so that the first
+        # typical window lies deep in it
         dists = exact_distances(dec, long_stream)[0]
-        assert np.all(dec.screen_bound(long_stream, dists.size) <= dists + 1e-12)
+        assert np.all(dec.screen_bound(long_stream[0]) <= dists + 1e-12)
         dec = TypicalityDecoder(word=word, channel=channel, mu=float(dists.min()), norm="l1")
-        assert dec._screen_sums(long_stream, 1).dtype == np.int32
         assert run_decoder(dec, long_stream[0], scan_limit=dists.size) == int(dists.argmin()) + 1
 
     def test_out_of_range_outputs_rejected(self):
         dec = TypicalityDecoder(word=build_sync_word(7, 2), channel=bsc(0.1), mu=0.1)
         with pytest.raises(IndexOutOfRange):
             run_decoder(dec, np.array([0, 1, 2, 0, 1, 0, 1, 1]), scan_limit=2)
+
+    def test_fold_memory_bounded_at_large_n(self):
+        # mu = 0.9 keeps nearly every window past the screen; the fold takes them a chunk at a time
+        # (one (survivors x N) index array took 156 MB here), and the counts stay as they were
+        cfg = TrialConfig(a=100, word=build_sync_word(1023, 4), channel=bsc(0.3), mu=0.9)
+        engine = TrialEngine(cfg)
+        tracemalloc.start()
+        try:
+            counts = engine.run_batch(0, 0, 60)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == {"Correct": 1, "E1": 0, "E2": 59, "E3": 0}
+        assert peak < 6e6
