@@ -13,6 +13,7 @@ files reproducible.
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import math
@@ -117,42 +118,46 @@ def _parse_channel(spec: str, bins: int):
 # ---------------------------------------------------------------- threshold
 
 
+def _echo_number(x: float) -> str:
+    """x as a config echo writes it: its shortest repr, which reads back as x, less a trailing '.0'."""
+    return repr(float(x)).removesuffix(".0")
+
+
+def _onoff_values(tokens: list[str]) -> tuple[float, float]:
+    """(P, EPS) of --onoff-bsc: two bare values in that order, or p=P and eps=EPS in either order."""
+    keyed = dict(tok.split("=", 1) for tok in tokens if "=" in tok)
+    if keyed and set(keyed) != {"p", "eps"}:  # an unknown or repeated key, or a bare value beside a keyed one
+        raise CliError(f"--onoff-bsc takes P EPS or p=P eps=EPS, got {' '.join(tokens)!r}")
+    return (float(keyed["p"]), float(keyed["eps"])) if keyed else (float(tokens[0]), float(tokens[1]))
+
+
 def _parse_channel_args(args) -> tuple:
     """Resolve the one channel source flag argparse admits into (description dict, ThresholdReport)."""
-    if args.bsc is not None:
-        return {"channel": f"bsc:{args.bsc:g}"}, sync_threshold(bsc(args.bsc))
-    if args.onoff_bsc is not None:
-        p, eps = (float(tok.split("=")[-1]) for tok in args.onoff_bsc)
-        report = sync_threshold(compose(on_off_fading_matrix(p), bsc(eps)))
-        return {"channel": f"onoff-bsc:{p:g},{eps:g}"}, report
-    if args.awgn is not None:
-        power, sigma2 = args.awgn
-        alpha = awgn_threshold(AwgnSpec(power=power, noise_var=sigma2))
-        report = ThresholdReport(
-            alpha=alpha, argmax_symbol=1, method="closed-form", per_symbol_divergences=(0.0, alpha)
-        )
-        return {"channel": f"awgn:{power:g},{sigma2:g}"}, report
-    if args.rayleigh is not None:
-        power, sigma2, scale = args.rayleigh
-        spec = RayleighAwgnSpec(power=power, noise_var=sigma2, scale=scale)
-        alpha = rayleigh_threshold_numeric(spec)
-        report = ThresholdReport(
-            alpha=alpha, argmax_symbol=1, method="quadrature", per_symbol_divergences=(0.0, alpha)
-        )
-        return {"channel": f"rayleigh:{power:g},{sigma2:g},{scale:g}"}, report
     if args.file is not None:
         return {"channel": f"file:{args.file}"}, sync_threshold(load_channel(args.file))
-    rows = [[float(v) for v in row.split(",")] for row in args.inline.split(";")]
-    return {"channel": "inline"}, sync_threshold(dmc_new(np.array(rows)))
+    if args.inline is not None:
+        rows = [[float(v) for v in row.split(",")] for row in args.inline.split(";")]
+        return {"channel": "inline"}, sync_threshold(dmc_new(np.array(rows)))
+    if args.bsc is not None:
+        name, values, report = "bsc", [args.bsc], sync_threshold(bsc(args.bsc))
+    elif args.onoff_bsc is not None:
+        name, values = "onoff-bsc", _onoff_values(args.onoff_bsc)
+        report = sync_threshold(compose(on_off_fading_matrix(values[0]), bsc(values[1])))
+    else:
+        name, values = ("awgn", args.awgn) if args.awgn is not None else ("rayleigh", args.rayleigh)
+        if name == "awgn":
+            alpha, method = awgn_threshold(AwgnSpec(*values)), "closed-form"
+        else:
+            alpha, method = rayleigh_threshold_numeric(RayleighAwgnSpec(*values)), "quadrature"
+        report = ThresholdReport(alpha=alpha, argmax_symbol=1, method=method, per_symbol_divergences=(0.0, alpha))
+    return {"channel": f"{name}:{','.join(map(_echo_number, values))}"}, report
 
 
 def cmd_threshold(args) -> int:
     echo, report = _parse_channel_args(args)
     payload = {"config": echo, **report.to_json_dict()}
     if args.bits:
-        payload["alpha_bits"] = (
-            "infinite" if report.is_infinite else report.alpha_bits()
-        )
+        payload["alpha_bits"] = "infinite" if report.is_infinite else report.alpha_bits()
     _emit(_json_dumps(payload), args.out)
     return EXIT_OK
 
@@ -358,6 +363,7 @@ def cmd_sequence(args) -> int:
 # -------------------------------------------------------------------- main
 
 
+@functools.cache  # one parser per process, built on the first call to main
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framesync",

@@ -325,29 +325,20 @@ def _log_binom_mass(n: int, q: float, lo: int, hi: int) -> float:
 def _noise_window_log_bound(decoder: TypicalityDecoder) -> float:
     """ln of an upper bound on P(a pure-idle window is typical).
 
-    Uses the single most discriminating cell: under either norm, a typical
-    window must have every cell count inside its mu band, so the binomial
-    probability of the hardest cell bounds the whole event.
+    A typical window passes the fold's test in every cell (linf: each term is
+    at most their max; l1: each non-negative term at most their sum), so its
+    count lies in the cell's mu band, the counts whose term in the decoder's
+    table is within mu: one interval, as for the screen's kept sums. The exact
+    binomial mass of the hardest cell's band bounds the whole event.
     """
-    wi = decoder.word.symbols
-    n = len(wi)
-    noise_row = decoder.channel.rows[0]
-    best = 0.0
-    for x in np.unique(wi):
-        nx = int(np.count_nonzero(wi == x))
-        for y in range(decoder.channel.n_outputs):
-            ref = decoder.reference[x, y]
-            q = noise_row[y]
-            lo_c = math.ceil(n * (ref - decoder.mu))
-            hi_c = math.floor(n * (ref + decoder.mu))
-            if nx * q < lo_c:
-                lb = _log_binom_mass(nx, q, lo_c, nx)
-            elif nx * q > hi_c:
-                lb = _log_binom_mass(nx, q, 0, hi_c)
-            else:
-                continue
-            best = min(best, lb)
-    return best
+    xs, sizes = np.unique(decoder.word.symbols, return_counts=True)
+    n_out = decoder.channel.n_outputs
+    masses = [0.0]
+    for x, nx in zip(xs.tolist(), sizes.tolist()):  # Python ints: x * |Y| would wrap in int8
+        for y, q in enumerate(decoder.channel.rows[0].tolist()):
+            band = np.flatnonzero(decoder._terms[x * n_out + y] <= decoder.mu).tolist()
+            masses.append(_log_binom_mass(nx, q, band[0], band[-1]) if band else -math.inf)
+    return min(masses)
 
 
 class TrialEngine:

@@ -45,6 +45,27 @@ class TestThreshold:
     def test_keyed_onoff_form_accepted(self, capsys):
         code, out, _ = run_cli(capsys, "threshold", "--onoff-bsc", "p=0.5", "eps=0.1")
         assert code == 0
+        # keys name their values in either order; this order ran as p = 0.1, eps = 0.5
+        code, swapped, _ = run_cli(capsys, "threshold", "--onoff-bsc", "eps=0.1", "p=0.5")
+        assert code == 0 and swapped == out
+        assert json.loads(out)["config"]["channel"] == "onoff-bsc:0.5,0.1"
+        for tokens in (("p=0.5", "x=0.1"), ("p=0.5", "p=0.1"), ("p=0.5", "0.1"), ("0.5", "eps=0.1")):
+            code, printed, err = run_cli(capsys, "threshold", "--onoff-bsc", *tokens)
+            assert code == 2 and printed == "" and err.startswith("error:"), tokens
+
+    @pytest.mark.parametrize("flag, values", [
+        ("--bsc", (0.123456789,)),
+        ("--bsc", (0.1 + 0.2,)),
+        ("--onoff-bsc", (0.123456789, 0.1 + 0.2)),
+        ("--awgn", (1234567.0, 1.0)),
+        ("--awgn", (0.1 + 0.2, 0.123456789)),
+    ])
+    def test_config_echo_reads_back_as_the_input(self, capsys, flag, values):
+        # the echo was formatted with :g, six significant digits: bsc:0.123457, awgn:1.23457e+06,1
+        code, out, _ = run_cli(capsys, "threshold", flag, *map(repr, values))
+        assert code == 0
+        echoed = json.loads(out)["config"]["channel"].partition(":")[2].split(",")
+        assert [float(v) for v in echoed] == list(values)
 
     def test_bits_flag(self, capsys):
         code, out, _ = run_cli(capsys, "threshold", "--bsc", "0.1", "--bits")
@@ -381,6 +402,25 @@ class TestStartup:
             assert modules == []
         subpackages = {"scipy.special", "scipy.integrate", "scipy.stats"}
         assert subpackages & set(modules) == loaded
+
+
+    def test_parser_built_once_on_first_use(self, tmp_path):
+        # the import builds no parser (start-up does not pay for it); main builds it once per process
+        src = os.path.dirname(os.path.dirname(framesync.__file__))
+        script = (
+            "import framesync.cli as cli\n"
+            "built = [cli.build_parser.cache_info().misses]\n"
+            "for _ in range(3):\n"
+            f"    assert cli.main(['sequence', '--n', '7', '--k', '2', '--out', {str(tmp_path / 'w.json')!r}]) == 0\n"
+            "    built.append(cli.build_parser.cache_info().misses)\n"
+            "print(built)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[0,", "1,", "1,", "1]"]
 
 
 class TestDeterminism:

@@ -381,17 +381,22 @@ def mp_log_binom_mass(n, q, lo, hi):
 
 
 def scipy_noise_window_log_bound(decoder):
-    """The certificate's bound with scipy's binomial tails in place of the exact sum."""
-    wi, n, best = decoder.word.symbols, len(decoder.word), 0.0
-    for x in np.unique(wi):
+    """The certificate's bound from its definition: each cell's band is the counts c with
+    |c / N - reference| <= mu, taken here, and its mass comes from scipy.stats.binom."""
+    wi, n = decoder.word.symbols, len(decoder.word)
+    best = 0.0
+    for x in (0, 1):
         nx = int(np.count_nonzero(wi == x))
         for y, q in enumerate(decoder.channel.rows[0]):
-            lo_c = math.ceil(n * (decoder.reference[x, y] - decoder.mu))
-            hi_c = math.floor(n * (decoder.reference[x, y] + decoder.mu))
-            if nx * q < lo_c:
-                best = min(best, float(binom.logsf(lo_c - 1, nx, q)))
-            elif nx * q > hi_c:
-                best = min(best, float(binom.logcdf(hi_c, nx, q)))
+            band = [c for c in range(nx + 1) if abs(c / n - decoder.reference[x, y]) <= decoder.mu]
+            if not band:
+                return -math.inf
+            # the band's mass as the difference of two tails on its side of the mean, in logs
+            if band[0] > nx * q:
+                head, rest = binom.logsf(band[0] - 1, nx, q), binom.logsf(band[-1], nx, q)
+            else:
+                head, rest = binom.logcdf(band[-1], nx, q), binom.logcdf(band[0] - 1, nx, q)
+            best = min(best, float(head + np.log1p(-np.exp(rest - head))))
     return best
 
 
@@ -432,6 +437,24 @@ class TestCertificateTail:
             assert _log_binom_mass(n, q, -5, -1) == -math.inf
             assert _log_binom_mass(n, q, 3, 2) == -math.inf
         assert _log_binom_mass(n, 0.3, 0, n) == pytest.approx(0.0, abs=1e-12)
+
+    def test_band_is_the_folds_at_a_float_edge(self):
+        # N = 45, mu = 0.1: the fold accepts count 2 in cell (x(0), y = 0), |2 / 45 - reference| = 0.1,
+        # where ceil(N (reference - mu)) = ceil(2.0000000000000004) = 3 would leave it out
+        dec = TypicalityDecoder(build_sync_word(45, 3), dmc_new([[0.8125, 0.1875], [0.5, 0.5]]), mu=0.1)
+        assert dec._terms[0, 2] <= dec.mu and math.ceil(45 * (dec.reference[0, 0] - dec.mu)) == 3
+        bands = []
+
+        def spy(n, q, lo, hi):
+            bands.append((n, q, lo, hi))
+            return _log_binom_mass(n, q, lo, hi)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("framesync.decoder._log_binom_mass", spy)
+            _noise_window_log_bound(dec)
+        # the x(0) cells are the ones with 8 slots; output 0 has idle probability 0.8125
+        ((lo, hi),) = [(lo, hi) for n, q, lo, hi in bands if (n, q) == (8, 0.8125)]
+        assert np.count_nonzero(dec.word.symbols == 0) == 8 and lo == 2 <= hi
 
     @pytest.mark.parametrize("preset", ["single_bsc", "bsc_scaling", "energy_scaling"])
     def test_preset_rows_keep_their_decisions(self, preset):
@@ -861,6 +884,23 @@ class TestEngineProperties:
         assert sums.dtype == np.int16
         assert np.array_equal(sums, sliding_window_view(outputs == 0, 15) @ cfg.word.symbols)
         assert engine.run_batch(3, 0, 2) == naive_counts(cfg, 3, 0, 2, True)
+
+    def test_screen_sums_int32_from_2_to_15_slots_per_word(self):
+        # N = 131 070, 98 302 of its slots x(1): linf weighs the idle output 0, so an idle-heavy
+        # window's screen sum passes 2^15 and only the int32 screen holds it
+        word = build_sync_word(131_070, 2)
+        dec = TypicalityDecoder(word=word, channel=bsc(0.02), mu=0.05)
+        n, rng = len(word), np.random.default_rng(8)
+        idle = inverse_cdf_outputs(dec.channel.rows, np.zeros(n + 80, dtype=np.int8), rng.random(n + 80))
+        planted = idle.copy()
+        planted[37 : 37 + n] = inverse_cdf_outputs(dec.channel.rows, word.symbols, rng.random(n))
+        for stream in (idle, planted):
+            sums = dec._screen_sums(stream)
+            assert dec._screen[0].tolist() == [1, 0] and sums.dtype == np.int32
+            w = np.take(dec._screen[0], stream).astype(np.int64)
+            assert sums.tolist() == [int(w[p : p + n] @ word.symbols) for p in range(81)]
+        assert dec._screen_sums(idle).min() >= 2**15
+        assert run_decoder(dec, planted, scan_limit=81) == 38
 
     @pytest.mark.parametrize("a, skip", [(30, False), (3, True), (400, True)])
     def test_run_draws_v_then_its_segment(self, a, skip):
