@@ -5,8 +5,10 @@ per output, indexed from 0. Row 0 is the idle symbol x(0) and row 1 the sync
 symbol x(1); the binary sync word's 0/1 symbols index these rows directly.
 Inputs from 2 on enter only the thresholds (the best input against x(0)).
 The ON-OFF fading table drops every input to x(0). Draws map uniforms to
-outputs by an exact inverse CDF, a binary search over whole arrays in
-O(log |Y|) passes that returns the narrowest unsigned symbol type.
+outputs by an exact inverse CDF over whole arrays, in the narrowest unsigned
+symbol type: up to 64 outputs a count of the cumulative values at or below
+each uniform, one comparison per value; beyond, a binary search in
+O(log |Y|) passes.
 """
 
 from __future__ import annotations
@@ -148,30 +150,44 @@ def compose(fading: Dmc, noise: Dmc) -> Dmc:
     return Dmc(rows)
 
 
+# largest alphabet drawn by counting: a single-mode pass over quantized AWGN took x1.69 as long with
+# the tree search as with the count at 8 outputs, x1.13 at 64, x1.02 at 72, x0.78 at 128, x0.11 at 1024
+_COUNT_MAX_OUTPUTS = 64
+
+
 class InverseCdf:
-    """Exact inverse-CDF draws from one cumulative row by a branchless binary search.
+    """Exact inverse-CDF draws from one cumulative row: a count for small alphabets,
+    a branchless binary search for larger ones.
 
     A uniform u in [0, 1) maps to the first column whose cumulative value
     exceeds u, the last column if none does: min(searchsorted_right(cdf, u), n - 1),
-    since a cumulative sum of non-negative floats never decreases. The row's
-    first n - 1 values, padded with inf to 2^k - 1 for k = bit_length(n - 1),
-    form a complete search tree, stored level by level so that each step is
-    one gather and one comparison over the whole array: k passes, O(log n).
+    since a cumulative sum of non-negative floats never decreases. That is the
+    number of the row's first n - 1 values that are <= u. Up to
+    _COUNT_MAX_OUTPUTS outputs it is counted so: one comparison per value over
+    the whole array, and no gather. Beyond, the first n - 1 values, padded with
+    inf to 2^k - 1 for k = bit_length(n - 1), form a complete search tree,
+    stored level by level so that each step is one gather and one comparison
+    over the whole array: k passes, O(log n).
     Symbols come in the narrowest unsigned type that holds n - 1.
     """
 
     def __init__(self, cdf_row: np.ndarray):
         n = len(cdf_row)
-        k = (n - 1).bit_length()
-        padded = np.full(2**k - 1, np.inf)
-        padded[: n - 1] = cdf_row[: n - 1]
-        # level j holds the 2^j values the (j+1)-th step compares with, left to right
-        self.levels = [padded[2**s - 1 :: 2 ** (s + 1)].copy() for s in reversed(range(k))]
         self.dtype = np.min_scalar_type(n - 1)
+        self.counted = list(cdf_row[: n - 1]) if n <= _COUNT_MAX_OUTPUTS else None  # the values counted
+        if self.counted is None:
+            k = (n - 1).bit_length()
+            padded = np.full(2**k - 1, np.inf)
+            padded[: n - 1] = cdf_row[: n - 1]
+            # level j holds the 2^j values the (j+1)-th step compares with, left to right
+            self.levels = [padded[2**s - 1 :: 2 ** (s + 1)].copy() for s in reversed(range(k))]
 
     def __call__(self, uniforms: np.ndarray) -> np.ndarray:
-        if not self.levels:  # one output
-            return np.zeros(np.shape(uniforms), self.dtype)
+        if self.counted is not None:
+            pos = np.zeros(np.shape(uniforms), self.dtype)  # uint8: n - 1 < 256
+            for value in self.counted:
+                pos += (uniforms >= value).view(np.uint8)
+            return pos
         pos = (uniforms >= self.levels[0][0]).astype(self.dtype)  # the root: no gather
         for level in self.levels[1:]:
             mid = level.take(pos)

@@ -16,23 +16,22 @@ x(0), scans slots 1..A + N - 1 and classifies the outcome:
 One engine runs every trial, a block of trials at a time. Trial i draws from
 the Philox stream keyed by (master seed, i): one uniform places the word at
 slot v, the rest drive an inverse-CDF channel pass over the trial's segment
-(every slot through x(0)'s CDF, then the word's x(1) slots through x(1)'s):
-an exact binary search over the block, O(log |Y|) passes, whose symbols are
-the narrowest unsigned type that holds every output.
+(every slot through x(0)'s CDF, then the word's x(1) slots through x(1)'s;
+channels.InverseCdf, exact, in the narrowest unsigned type of the outputs).
 A block is one flat stream: trial i's segment starts at slot i * stride, the
 slot after it pads it, and every stage indexes it by flat positions.
 Windows are decided in two stages, with no float arithmetic per window or
 per cell: the decoder evaluates its float expressions once, over every
-integer they can be given. A screen, one cumulative sum of integer output
-weights over the whole stream differenced over the word's runs of x(1),
-gives each window an integer screen sum k in [-N, N] whose bound |k / N - c|
-is at most the window's distance; the sum may wrap, the differences are
-exact. The sums whose bound is within mu plus a float margin form one
-interval, so a window is screened by one unsigned range check on its sum.
-Only the survivors that start inside their trial's scan are folded exactly:
-their joint counts, then each cell's |count / N - reference| from a table,
-added input by input, then output by output. One decide step maps each
-trial's uniforms to v_hat - v, and one
+integer they can be given. A screen gives each window an integer screen sum
+k in [-N, N], a sum of integer output weights over the word's x(1) slots,
+whose bound |k / N - c| is at most the window's distance: sums of 2^j
+consecutive weights, each level one vector add from the last, added by the
+binary digits of the length of each run of x(1). The sums whose bound is
+within mu plus a float margin form one interval, so a window is screened by
+one unsigned range check on its sum. Only the survivors that start inside
+their trial's scan are folded exactly: their joint counts, then each cell's
+|count / N - reference| from a table, added input by input, then output by
+output. One decide step maps each trial's uniforms to v_hat - v, and one
 classifier maps v_hat - v to its class: run_batch counts the classes of a
 block with one bincount, and run is the same two calls on a single trial,
 the one place v itself is formed (a Python int, exact at any A).
@@ -120,16 +119,16 @@ class TypicalityDecoder:
         object.__setattr__(self, "reference", ref)
         # screen weights over outputs: x(1) against what idle noise puts in the x(1) cells
         gap = ref[1] - np.count_nonzero(wi) / n * rows[0]
-        if self.norm == "l1":
-            weights = np.sign(gap)
-        else:
-            weights = np.arange(len(gap)) == np.argmax(np.abs(gap))
-        # the screen's integer type: every screen sum has |k| <= N, so int16 holds it exactly while
-        # N < 2^15, however far the cumulative sum it is a difference of wraps
+        weights = np.sign(gap) if self.norm == "l1" else np.arange(len(gap)) == np.argmax(np.abs(gap))
+        # the screen's integer type: every screen sum, and every partial sum it is built from, is a
+        # sum of at most N weights, so int16 holds it exactly while N < 2^15, however long the stream
         weights = weights.astype(np.int16 if n < 2**15 else np.int32)
-        edges = np.diff(wi.astype(np.int8), prepend=0, append=0)
-        ones = (np.flatnonzero(edges == 1), np.flatnonzero(edges == -1))  # [start, end) of each run of 1
-        object.__setattr__(self, "_screen", (weights, ones))
+        # each run [a, b) of x(1) as pieces of 2^j slots, one per binary digit of b - a, the lowest
+        # digit's first: (j, first slot) pairs sorted by j
+        runs = np.flatnonzero(np.diff(wi.astype(np.int8), prepend=0, append=0)).tolist()  # a, b, a, ...
+        pieces = sorted((j, a + (b - a) % 2**j) for a, b in zip(runs[::2], runs[1::2])
+                        for j in range((b - a).bit_length()) if (b - a) >> j & 1)
+        object.__setattr__(self, "_screen", (weights, pieces))
         # the screen bound of every screen sum k in [-N, N], index k + N, and the sums it keeps:
         # k / N - c rounds monotonically in k, so its absolute value falls, then rises, and the
         # kept sums are one interval [lo, hi] (None when it is empty)
@@ -148,23 +147,22 @@ class TypicalityDecoder:
         """Screen sums of every window of a flat output stream, window p covering slots
         p..p+N-1: sum_y w_y c_1y over the x(1) cells' counts c_1y, an integer in [-N, N].
 
-        One cumulative sum of w[output] over the stream, differenced over the word's runs
-        of x(1); a run of one slot reads w[output] itself. The cumulative sum may wrap, but
-        every sum is a difference of it, exact modulo 2^bits, and |k| <= N: int16 holds
-        each sum exactly while N < 2^15, however long the stream.
+        Level j holds the sums of 2^j consecutive weights w[output], level j + 1 is one
+        vector add of level j to itself shifted by 2^j, and each of the word's pieces of
+        2^j slots adds its slice of level j. No partial sum exceeds N in magnitude, so
+        nothing wraps. A stream shorter than N has no window.
         """
-        weights, (starts, ends) = self._screen
-        w = np.take(weights, stream)
-        cum = np.zeros(len(stream) + 1, dtype=weights.dtype)
-        np.cumsum(w, out=cum[1:])
-        width = max(len(stream) - len(self.word) + 1, 0)
-        acc = np.zeros(width, dtype=weights.dtype)
-        for a, b in zip(starts, ends):
-            if b - a == 1:
-                acc += w[a : a + width]
-            else:
-                acc += cum[b : b + width]
-                acc -= cum[a : a + width]
+        weights, pieces = self._screen
+        width = len(stream) - len(self.word) + 1
+        acc = np.zeros(max(width, 0), dtype=weights.dtype)
+        if width <= 0:  # no window; a negative width would slice from the stream's end
+            return acc
+        level, at = np.take(weights, stream), 0
+        for j, a in pieces:
+            for h in range(at, j):
+                level = level[: -(2**h)] + level[2**h :]
+            at = j
+            acc += level[a : a + width]
         return acc
 
     def screen_bound(self, stream: np.ndarray) -> np.ndarray:
@@ -362,10 +360,12 @@ class TrialEngine:
             log_bound = _noise_window_log_bound(self.decoder)
             n_far = math.log(2.0 * float(config.a) + 2.0 * self.n)
             if n_far + log_bound > math.log(CERT_SLIP):
+                # the reach, the A where ln(2A + 2N) + log_bound = ln CERT_SLIP: under config.a, so exp is finite
+                reach = math.exp(math.log(CERT_SLIP / 2) - log_bound) - self.n
                 raise SimulationInfeasible(
                     f"A = {float(config.a):.3g} requires skipping pure-noise windows, "
-                    f"but their total firing bound exp({n_far + log_bound:.1f}) "
-                    f"exceeds {CERT_SLIP}"
+                    f"but their total firing bound exp({n_far + log_bound:.1f}) exceeds {CERT_SLIP}; "
+                    + (f"skip mode certifies A up to {reach:.6g}" if reach >= 1 else "skip mode certifies no A")
                 )
 
     def _geometry(self, u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

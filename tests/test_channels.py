@@ -16,7 +16,7 @@ from framesync import (
     on_off_fading_matrix,
     save_channel,
 )
-from framesync.channels import InverseCdf
+from framesync.channels import _COUNT_MAX_OUTPUTS, InverseCdf
 
 
 class TestDmcNew:
@@ -179,9 +179,11 @@ class TestCompose:
 @st.composite
 def cdf_rows(draw):
     """A cumulative row over 1-5000 outputs, with zero-mass cells at the first, an inner or the
-    last column and a total that may end a hair below or above 1."""
+    last column and a total that may end a hair below or above 1. The sizes include 8 outputs and
+    either side of the largest alphabet drawn by counting, where the search tree takes over."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    n = draw(st.one_of(st.integers(1, 9), st.integers(250, 262), st.integers(1, 5000)))
+    cutoff = st.integers(_COUNT_MAX_OUTPUTS - 1, _COUNT_MAX_OUTPUTS + 1)
+    n = draw(st.one_of(st.integers(1, 9), st.just(8), cutoff, st.integers(250, 262), st.integers(1, 5000)))
     row = rng.dirichlet(np.full(n, draw(st.sampled_from([0.01, 1.0, 50.0]))))
     for at in draw(st.sets(st.sampled_from([0, n // 2, n - 1]))):
         row[at : at + draw(st.integers(1, 3))] = 0.0
@@ -198,7 +200,9 @@ class TestSampling:
             cdf, np.nextafter(cdf, -np.inf), np.nextafter(cdf, np.inf),
             [0.0, 1.0 - 2**-53], np.random.default_rng(n).random(64),
         ])
-        draws = InverseCdf(cdf)(u)
+        sampler = InverseCdf(cdf)
+        draws = sampler(u)
+        assert (sampler.counted is not None) == (n <= _COUNT_MAX_OUTPUTS)
         assert np.array_equal(draws, np.minimum(np.searchsorted(cdf, u, side="right"), n - 1))
         assert draws.dtype == (np.uint8 if n <= 256 else np.uint16)
 

@@ -294,6 +294,12 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
+    def test_refusal_names_the_reach_on_stderr(self, capsys):
+        # single_bsc at beta = 0.99, ln A = 165: past the reach, which goes to stderr with exit 3
+        code, out, err = run_cli(capsys, "simulate", "--preset", "single_bsc", "--set", "beta=0.99")
+        assert code == 3 and out == ""
+        assert err.startswith("error: A = ") and "; skip mode certifies A up to " in err
+
     def test_midrun_failure_flushes_partial_rows(self, capsys, tmp_path):
         # second row needs an uncertifiable far-window skip and must fail,
         # but the first row's result still lands in the file with exit 3

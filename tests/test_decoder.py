@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -223,6 +224,17 @@ class TestRunDecoder:
         with pytest.raises(StreamExhausted):
             run_decoder(dec, np.zeros(10, dtype=np.int64), scan_limit=20)
 
+    @pytest.mark.parametrize("norm", ["linf", "l1"])
+    def test_stream_shorter_than_the_word(self, norm):
+        # 0..N - 1 slots have no window: no screen sum, and run_decoder runs out of stream
+        word = build_sync_word(21, 3)  # runs of x(1) up to its 14-slot tail, so pieces of 2, 4 and 8
+        dec = TypicalityDecoder(word=word, channel=bsc(0.1), mu=0.1, norm=norm)
+        for m in range(len(word)):
+            stream = np.random.default_rng(m).integers(0, 2, size=m)
+            assert dec.screen_bound(stream).shape == (0,) and dec._screen_sums(stream).dtype == np.int16
+            with pytest.raises(StreamExhausted):
+                run_decoder(dec, stream, scan_limit=1)
+
     def test_sequentiality_truncation(self):
         # rerunning on the prefix up to stop + N - 1 yields the same decision
         rng = np.random.default_rng(5)
@@ -363,6 +375,26 @@ class TestSkipMode:
         cfg = TrialConfig(a=10**9, word=word, channel=bsc(0.4), mu=0.9)
         with pytest.raises(SimulationInfeasible):
             simulate_trial(cfg, trial_rng(0, 0))
+
+    @pytest.mark.parametrize("norm", ["l1", "linf"])
+    def test_refusal_states_the_decoders_reach(self, norm):
+        # the bsc_scaling word and channel: an A just below the stated reach certifies, 1% above refuses
+        def engine(a):
+            return TrialEngine(TrialConfig(a=a, word=build_sync_word(63, 4), channel=bsc(0.05), mu=0.05, norm=norm))
+
+        with pytest.raises(SimulationInfeasible) as refusal:
+            engine(10**80)
+        reach = float(re.fullmatch(r".*; skip mode certifies A up to (\S+)", str(refusal.value)).group(1))
+        assert 1e40 < reach < 1e60
+        assert not engine(int(reach * (1 - 1e-6))).full_mode
+        with pytest.raises(SimulationInfeasible):
+            engine(int(reach * 1.01))
+
+    def test_refusal_with_no_reach(self):
+        # ln P(idle window typical) near 0: no A, however small, certifies the skip
+        cfg = TrialConfig(a=1, word=build_sync_word(7, 2), channel=bsc(0.4), mu=0.9)
+        with pytest.raises(SimulationInfeasible, match="; skip mode certifies no A$"):
+            TrialEngine(cfg, full_sim_max_a=0)
 
 
 def mp_log_binom_mass(n, q, lo, hi):
@@ -677,8 +709,33 @@ def output_blocks(draw):
     return dec, outputs
 
 
+@st.composite
+def run_words(draw):
+    """Bits whose runs of x(1) have 2^j - 1, 2^j and 2^j + 1 slots, or one slot, between runs of
+    x(0); the word may end in an all-x(1) tail, like build_sync_word's."""
+    lengths = st.sampled_from([1, *(2**j + d for j in range(1, 7) for d in (-1, 0, 1))])
+    bits = [0] * draw(st.integers(0, 2))
+    for ones in draw(st.lists(lengths, min_size=1, max_size=5)):
+        bits += [1] * ones + [0] * draw(st.integers(1, 3))
+    return bits + [1] * draw(st.sampled_from([0, 1, 7, 8, 31, 64, 65]))
+
+
 class TestWindowScreen:
     """The screen bound against the exact distance, and the screened decision against the unscreened one."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(bits=run_words(), n_out=st.sampled_from([2, 8]), norm=st.sampled_from(["linf", "l1"]),
+           extra=st.integers(0, 300), seed=st.integers(0, 2**32))
+    def test_screen_sums_are_window_dot_products(self, bits, n_out, norm, extra, seed):
+        # the doubling screen against each window's int64 dot product of its weights with the word
+        rng = np.random.default_rng(seed)
+        dec = TypicalityDecoder(word=word_from_bits(bits), channel=Dmc(rng.dirichlet(np.ones(n_out), size=2)),
+                                mu=0.1, norm=norm)
+        weights, n = dec._screen[0], len(bits)
+        stream = rng.integers(0, n_out, size=n + extra)
+        sums = dec._screen_sums(stream)
+        assert sums.dtype == weights.dtype
+        assert np.array_equal(sums, np.take(weights, sliding_window_view(stream, n)).astype(np.int64) @ bits)
 
     @PROPERTY
     @given(block=output_blocks())
