@@ -55,9 +55,9 @@ def _table(rows) -> np.ndarray:
 class Dmc:
     """Discrete memoryless channel: one row per input, one column per output.
 
-    Rows are validated (non-negative, finite, stochastic to 1e-12) and frozen;
-    the array is marked read-only so instances are safely shareable across
-    concurrent workers. Two channels are equal when their tables are.
+    Rows are validated (finite, non-negative, stochastic to 1e-12: the one row check,
+    which dmc_new, compose and kl_divergence reach) and frozen read-only, so instances
+    are safely shareable across concurrent workers. Two channels are equal when their tables are.
     """
 
     rows: np.ndarray
@@ -72,7 +72,7 @@ class Dmc:
         bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
         if bad.size:
             raise NonStochasticRow(
-                f"row {bad[0]} sums to {sums[bad[0]]!r}, not 1 within {ROW_SUM_TOL}"
+                f"row {bad[0]} sums to {float(sums[bad[0]])!r}, not 1 within {ROW_SUM_TOL}"
             )
         rows = rows.copy()
         rows.flags.writeable = False
@@ -103,17 +103,16 @@ def dmc_new(rows, normalize: bool = False) -> Dmc:
 
     With ``normalize=True`` rows whose sum deviates from 1 by less than 1e-9
     are rescaled (for tables produced by quantization); larger deviations are
-    still rejected.
+    rejected here, and every other fault by Dmc after the rescale.
     """
     rows = _table(rows)
     if normalize:
-        if np.any(rows < 0.0):
-            raise NegativeEntry("transition probabilities must be non-negative")
-        sums = rows.sum(axis=1)
+        with np.errstate(invalid="ignore"):  # inf + -inf sums to NaN; Dmc names the entry
+            sums = rows.sum(axis=1)
         bad = np.nonzero(np.abs(sums - 1.0) > NORMALIZE_TOL)[0]
         if bad.size:
             raise NonStochasticRow(
-                f"row {bad[0]} sums to {sums[bad[0]]!r}; deviation too large to normalize"
+                f"row {bad[0]} sums to {float(sums[bad[0]])!r}; deviation too large to normalize"
             )
         rows = rows / sums[:, None]
     return Dmc(rows)
@@ -144,10 +143,7 @@ def compose(fading: Dmc, noise: Dmc) -> Dmc:
         raise DimensionMismatch(
             f"fading has {fading.n_outputs} outputs but noise has {noise.n_inputs} inputs"
         )
-    rows = fading.rows @ noise.rows
-    # matrix product of stochastic tables is stochastic up to rounding dust
-    rows = rows / rows.sum(axis=1, keepdims=True)
-    return Dmc(rows)
+    return dmc_new(fading.rows @ noise.rows, normalize=True)  # its rows are off 1 by rounding dust
 
 
 # largest alphabet drawn by counting: a single-mode pass over quantized AWGN took x1.69 as long with

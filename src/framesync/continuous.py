@@ -240,10 +240,11 @@ def _gaussian_row(edges: np.ndarray, mean: float, sigma: float) -> tuple[np.ndar
 
 def quantize_to_dmc(
     spec: AwgnSpec | RayleighAwgnSpec,
-    grid: QuantizationGrid | None = None,
+    grid: QuantizationGrid,
     mass_loss_tol: float = MASS_LOSS_TOL,
 ) -> Dmc:
-    """Quantize the channel into a 2-input Dmc over the grid cells.
+    """Quantize the channel into a 2-input Dmc over the cells of grid (default_grid(spec)
+    spans both conditional laws).
 
     Cell probabilities are the conditional laws integrated over each cell, the
     outermost cells absorbing all beyond-grid mass. Raises :class:`MassLoss`
@@ -253,8 +254,6 @@ def quantize_to_dmc(
     so a deliberately larger budget may be passed to study clipped tails.) A
     Rayleigh spec past MAX_SCALE_WIDTHS raises :class:`QuadratureNonConvergence`.
     """
-    if grid is None:
-        grid = default_grid(spec)
     edges = grid.edges
     idle, idle_tail = _gaussian_row(edges, 0.0, spec.sigma)  # pure noise
     if isinstance(spec, RayleighAwgnSpec):

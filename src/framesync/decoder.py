@@ -451,6 +451,8 @@ def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError("trials must be >= 1")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must be in [0, trials] = [0, {trials}], got {successes}")
     z = Z_95
     p = successes / trials
     denom = 1.0 + z * z / trials

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc, compose, on_off_fading_matrix
+from .channels import Dmc, compose, dmc_new, on_off_fading_matrix
 from .continuous import AwgnSpec, RayleighAwgnSpec, rayleigh_density_of
 from .quadrature import QuadratureNonConvergence, adaptive_quad
 
@@ -27,17 +27,14 @@ def kl_divergence(p, q) -> float:
     """D(p || q) in nats with the 0 log 0 = 0 convention.
 
     Returns math.inf when p puts mass where q has none (detected by support
-    check, not by dividing by zero).
+    check, not by dividing by zero). p and q are checked as the two rows of
+    dmc_new(normalize=True): a row it rejects raises ChannelError (a ValueError).
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 1:
         raise ValueError(f"distributions must be 1-D and equal length, got {p.shape}, {q.shape}")
-    for name, d in (("p", p), ("q", q)):
-        if np.any(d < 0.0):
-            raise ValueError(f"{name} has negative entries")
-        if abs(d.sum() - 1.0) > 1e-9:
-            raise ValueError(f"{name} sums to {d.sum()!r}, not 1 within 1e-9")
+    dmc_new([p, q], normalize=True)  # the check only: the divergence reads p and q as given
     return _kl(p, q)
 
 
@@ -132,9 +129,7 @@ class FadingBoundReport:
 
 
 def fading_bound_check(p: float, noise: Dmc) -> FadingBoundReport:
-    """Verify the ON-OFF fading bound for a given noise channel."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0,1], got {p}")
+    """Verify the ON-OFF fading bound for a given noise channel; p outside [0, 1] raises ChannelError."""
     fading = on_off_fading_matrix(p, noise.n_inputs)
     composite = compose(fading, noise)
     rep_c = sync_threshold(composite)

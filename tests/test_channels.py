@@ -71,6 +71,15 @@ class TestDmcNew:
         with pytest.raises(NonStochasticRow):
             dmc_new([[0.5, 0.6], [0.5, 0.5]], normalize=True)
 
+    def test_normalize_leaves_the_entry_checks_to_dmc(self):
+        # a negative entry in a row that sums to 1 is rescaled by 1 and then rejected by Dmc
+        with pytest.raises(NegativeEntry):
+            dmc_new([[1.5, -0.5], [0.5, 0.5]], normalize=True)
+        # a row summing to 0 or less is off by more than the tolerance, whatever its signs
+        for row in ([0.0, 0.0], [-0.5, -0.5], [-1.0, 0.5]):
+            with pytest.raises(NonStochasticRow):
+                dmc_new([row, [0.5, 0.5]], normalize=True)
+
     def test_rows_are_immutable(self):
         dmc = bsc(0.2)
         with pytest.raises(ValueError):
@@ -160,6 +169,23 @@ class TestCompose:
             left = compose(compose(chain[0], chain[1]), chain[2])
             right = compose(chain[0], compose(chain[1], chain[2]))
             assert np.allclose(left.rows, right.rows, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32), sizes=st.tuples(*[st.integers(1, 9)] * 3), zeros=st.booleans())
+    def test_product_rescaled_by_its_row_sums_bit_for_bit(self, seed, sizes, zeros):
+        # compose's table is the product divided by its own row sums, to the last bit
+        rng = np.random.default_rng(seed)
+        tables = []
+        for a, b in zip(sizes[:-1], sizes[1:]):
+            rows = rng.dirichlet(np.full(b, 0.5), size=a)
+            if zeros:
+                rows[rng.random(rows.shape) < 0.3] = 0.0
+                rows[rows.sum(axis=1) == 0.0, -1] = 1.0
+                rows /= rows.sum(axis=1, keepdims=True)
+            tables.append(Dmc(rows))
+        product = tables[0].rows @ tables[1].rows
+        expected = product / product.sum(axis=1, keepdims=True)
+        assert compose(*tables).rows.tobytes() == expected.tobytes()
 
     def test_composite_rows_are_mixtures(self):
         # rows for x != x(0) must equal p Qn(.|x) + (1-p) Qn(.|x(0))

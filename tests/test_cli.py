@@ -91,6 +91,14 @@ class TestThreshold:
             code, out, err = run_cli(capsys, "threshold", *argv)
             assert code == 2 and err.startswith("error:") and out == "", argv
 
+    def test_row_sum_error_prints_a_plain_float(self, capsys, tmp_path):
+        # under numpy 2 both messages printed the sum as np.float64(0.9)
+        path = tmp_path / "short.mat"
+        path.write_text("2 2\n0.5 0.4\n0.5 0.5\n")
+        for source in (("--inline", "0.5,0.4;0.5,0.5"), ("--file", str(path))):
+            code, out, err = run_cli(capsys, "threshold", *source)
+            assert code == 2 and out == "" and "sums to 0.9" in err and "np.float64" not in err, source
+
     @pytest.mark.parametrize("argv", [("10000", "1", "1"), ("1e300", "1", "1"), ("1", "1e-300", "1")])
     def test_rayleigh_past_the_quadrature_bound_exits_3(self, capsys, argv):
         # these printed a wrong alpha (4465.35 for 9995.87, or 0) with exit 0

@@ -339,6 +339,12 @@ class TestMonteCarlo:
         lo, hi = wilson_interval(100, 100)
         assert lo > 0.95 and hi == 1.0
 
+    def test_wilson_interval_rejects_successes_outside_the_trials(self):
+        # these died inside math.sqrt with "math domain error"
+        for successes in (5, -1):
+            with pytest.raises(ValueError, match=r"successes must be in \[0, trials\]"):
+                wilson_interval(successes, 3)
+
 
 class TestOperatingPoint:
     def test_pilot_point_mostly_correct(self):
@@ -913,9 +919,10 @@ class TestEngineProperties:
     @pytest.mark.parametrize("a, dtype", [(2**15 - 29, np.int16), (2**15 - 28, np.int32)])
     def test_screen_sums_switch_type_at_2_to_15_slots(self, a, dtype):
         # full-mode segments of 2^15 - 1 and 2^15 slots, all of the idle output (u = 0 draws output
-        # 0 from either row); linf weighs it, so the cumulative sum reaches the segment length and
-        # dtype is the narrowest type that holds it: an int16 one first wraps at 2^15 slots, and the
-        # int16 screen sums must equal the window sums taken in dtype on both sides of that edge
+        # 0 from either row); linf weighs it 1, so the stream's total weight is the segment length
+        # and dtype is the narrowest type that holds it, int16 only below 2^15 slots. The int16
+        # screen sums, each within [-N, N], must equal the window sums taken in dtype on both sides
+        # of that edge, and the engine must count as the naive trials do
         cfg = TrialConfig(a=a, word=build_sync_word(15, 2), channel=bsc(0.02), mu=0.2)
         engine = TrialEngine(cfg, cfg.a)
         weights = engine.decoder._screen[0]
@@ -930,8 +937,9 @@ class TestEngineProperties:
         assert engine.run_batch(3, 0, 3) == naive_counts(cfg, 3, 0, 3, True)
 
     def test_screen_sums_wrap_past_2_to_16_slots(self):
-        # a full-mode segment of 70 028 slots; linf weighs the common idle output, so the int16
-        # cumulative sum passes 2^15 and 2^16, and the window sums must come out exact anyway
+        # a full-mode segment of 70 028 slots, more than 2^16 of them the idle output that linf
+        # weighs 1, so the stream's total weight passes 2^15 and 2^16; the int16 screen sums, each
+        # within [-N, N], must come out exact over a stream that long
         cfg = TrialConfig(a=70_000, word=build_sync_word(15, 2), channel=bsc(0.02), mu=0.2)
         engine = TrialEngine(cfg, cfg.a)
         assert engine.full_mode and engine.decoder._screen[0].tolist() == [1, 0]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from framesync import (
     sweep_to_csv,
     sync_threshold,
 )
-from framesync.channels import Dmc
+from framesync.channels import ChannelError, Dmc, NegativeEntry, NonStochasticRow
 
 
 def random_full_support_channel(rng, n_in=None, n_out=None):
@@ -56,10 +57,25 @@ class TestKlDivergence:
         assert kl_divergence([1.0, 0.0], [1.0, 0.0]) == 0.0
 
     def test_rejects_non_distributions(self):
-        with pytest.raises(ValueError):
-            kl_divergence([0.5, 0.4], [0.5, 0.5])
+        for bad, error in (([0.5, 0.4], NonStochasticRow), ([1.5, -0.5], NegativeEntry),
+                           ([-0.5, -0.5], NonStochasticRow)):
+            with pytest.raises(error):
+                kl_divergence(bad, [0.5, 0.5])
+            with pytest.raises(error):
+                kl_divergence([0.5, 0.5], bad)
         with pytest.raises(ValueError):
             kl_divergence([0.5, 0.5], [0.5, 0.5, 0.0])
+
+    def test_rejects_non_finite_entries(self):
+        # [nan, 1] against [0.5, 0.5] returned ln 2, and [0.5, 0.5] against [nan, 1] returned nan;
+        # inf + -inf sums to NaN without a RuntimeWarning
+        for bad in ([math.nan, 1.0], [math.inf, 1.0], [-math.inf, 1.0], [math.inf, -math.inf]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError):
+                    kl_divergence(bad, [0.5, 0.5])
+                with pytest.raises(ValueError):
+                    kl_divergence([0.5, 0.5], bad)
 
     def test_nonnegative_on_random_pairs(self):
         rng = np.random.default_rng(3)
@@ -162,6 +178,11 @@ class TestLemma1:
         assert rep.holds
         assert rep.p_alpha_noise == 0.0
         assert rep.alpha_composite == 0.0
+
+    def test_p_outside_the_unit_interval(self):
+        for p in (math.nan, -0.1, 1.5):
+            with pytest.raises(ChannelError):
+                fading_bound_check(p, bsc(0.1))
 
     def test_bound_on_random_channels(self):
         rng = np.random.default_rng(11)
