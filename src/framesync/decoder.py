@@ -554,7 +554,9 @@ def _check_n_list(n_list: list[int]) -> None:
 
 
 def _window_from_exponent(ln_a: float) -> int:
-    if ln_a > 700.0:
+    if not ln_a <= 700.0:  # NaN fails it too: beta = nan, or beta = 0 with alpha = inf
+        if math.isnan(ln_a):
+            raise ValueError("the exponent beta * alpha * N of A is undefined (NaN)")
         raise ValueError(f"exp({ln_a:.6g}) overflows; asynchronism window too large")
     return max(1, int(round(math.exp(ln_a))))
 
@@ -569,6 +571,7 @@ def single_rows(
     beta: float | None = None,
 ) -> list[ScalingRow]:
     """One row over a given channel: A as given, else round(exp(beta * alpha * N))."""
+    # call-time imports: perfbench/tracing.py wraps these names on their home modules
     from .sequences import build_sync_word
     from .thresholds import sync_threshold
 
@@ -591,6 +594,7 @@ def bsc_scaling_rows(
     norm: str = "linf",
 ) -> list[ScalingRow]:
     """Achievability sweep rows: fixed BSC, A = round(exp(beta * alpha * N))."""
+    # call-time imports: perfbench/tracing.py wraps these names on their home modules
     from .channels import bsc as make_bsc
     from .sequences import build_sync_word
     from .thresholds import bsc_threshold_closed_form
@@ -623,6 +627,7 @@ def energy_scaling_rows(
     The feasibility threshold exp(E / (2 sigma^2)) is carried per row so
     reports can print it against A.
     """
+    # call-time imports: perfbench/tracing.py wraps these names on their home modules
     from .continuous import AwgnSpec, quantized_awgn
     from .sequences import build_sync_word, smallest_valid_k
     from .thresholds import sync_threshold

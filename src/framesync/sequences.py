@@ -3,7 +3,8 @@
 A sync word of length N is built from an m-sequence prefix of length
 floor(N/K) = 2^m - 1 (mapping sequence bit 1 to the idle symbol x(0) and bit 0
 to the active symbol x(1)) followed by an all-x(1) tail. Symbols are stored as
-indices: 0 = x(0), 1 = x(1).
+indices: 0 = x(0), 1 = x(1). A word exists exactly when PRIMITIVE_POLYS holds a
+register of that degree m (2 to 16); `_degree` is the one test of it.
 """
 
 from __future__ import annotations
@@ -33,8 +34,7 @@ PRIMITIVE_POLYS: dict[int, tuple[int, ...]] = {
     16: (16, 12, 3, 1, 0),
 }
 
-MIN_DEGREE = 2
-MAX_DEGREE = 16
+_DEGREES = f"[{min(PRIMITIVE_POLYS)}, {max(PRIMITIVE_POLYS)}]"  # for messages only
 
 
 class SequenceError(ValueError):
@@ -50,7 +50,7 @@ class ZeroSeed(SequenceError):
 
 
 class IncompatibleLength(SequenceError):
-    """floor(N/K) + 1 is not a power of two (or the register would be degenerate)."""
+    """floor(N/K) is not 2^m - 1 for a degree m that PRIMITIVE_POLYS holds."""
 
 
 class NoValidLength(SequenceError):
@@ -62,9 +62,7 @@ class Lfsr:
 
     def __init__(self, degree: int, seed: int = 1):
         if degree not in PRIMITIVE_POLYS:
-            raise UnsupportedDegree(
-                f"degree must be in [{MIN_DEGREE}, {MAX_DEGREE}], got {degree}"
-            )
+            raise UnsupportedDegree(f"degree must be in {_DEGREES}, got {degree}")
         if not 0 < seed < (1 << degree):
             if seed == 0:
                 raise ZeroSeed("the all-zero state is a fixed point")
@@ -141,9 +139,10 @@ class SyncWord:
         return SyncWord(sym, prefix_len, k)
 
 
-def _valid_prefix(prefix: int) -> bool:
-    """prefix = 2^m - 1 with m >= MIN_DEGREE; a register builder checks m <= MAX_DEGREE."""
-    return prefix >= (1 << MIN_DEGREE) - 1 and (prefix + 1) & prefix == 0
+def _degree(prefix: int) -> int | None:
+    """m when prefix = 2^m - 1 and PRIMITIVE_POLYS holds degree m, else None."""
+    m = prefix.bit_length()
+    return m if prefix == (1 << m) - 1 and m in PRIMITIVE_POLYS else None
 
 
 def build_sync_word(n: int, k: int, seed: int = 1) -> SyncWord:
@@ -151,14 +150,9 @@ def build_sync_word(n: int, k: int, seed: int = 1) -> SyncWord:
     if n < 1 or k < 1:
         raise SequenceError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     prefix = n // k
-    if not _valid_prefix(prefix):
-        raise IncompatibleLength(
-            f"floor({n}/{k}) = {prefix} is not 2^m - 1 for any m in "
-            f"[{MIN_DEGREE}, {MAX_DEGREE}]"
-        )
-    m = (prefix + 1).bit_length() - 1
-    if m > MAX_DEGREE:
-        raise IncompatibleLength(f"required register degree {m} exceeds {MAX_DEGREE}")
+    m = _degree(prefix)
+    if m is None:
+        raise IncompatibleLength(f"floor({n}/{k}) = {prefix} is not 2^m - 1 for any m in {_DEGREES}")
     bits = generate_mlsr(m, seed)
     symbols = np.ones(n, dtype=np.int8)
     symbols[:prefix] = np.where(bits == 0, 1, 0)
@@ -166,29 +160,22 @@ def build_sync_word(n: int, k: int, seed: int = 1) -> SyncWord:
 
 
 def nearest_valid_length(n_target: int, k: int) -> int:
-    """Largest N <= n_target with floor(N/k) = 2^m - 1 for some m in range."""
+    """Largest N <= n_target whose floor(N/k) passes `_degree`."""
     if k < 1:
         raise SequenceError(f"k must be >= 1, got {k}")
-    best = None
-    for m in range(MIN_DEGREE, MAX_DEGREE + 1):
-        prefix = (1 << m) - 1
-        lo = k * prefix
-        if lo > n_target:
-            break
-        best = min(n_target, lo + k - 1)
-    if best is None:
-        raise NoValidLength(
-            f"no valid length <= {n_target} for k={k} (minimum is {k * 3})"
-        )
-    return best
+    # floor(N/k) = 2^m - 1 on N in [k(2^m - 1), k 2^m - 1]; m starts at the largest run beginning by n_target
+    for m in range(max(n_target // k + 1, 1).bit_length() - 1, 0, -1):
+        if _degree((1 << m) - 1):
+            return min(n_target, (k << m) - 1)
+    raise NoValidLength(f"no N <= {n_target} for k={k}: floor(N/k) must be 2^m - 1 for m in {_DEGREES}")
 
 
 def smallest_valid_k(n: int) -> int:
-    """Smallest K >= 2 making floor(n/K) a valid prefix length 2^m - 1."""
-    for k in range(2, n // ((1 << MIN_DEGREE) - 1) + 1):  # past it floor(n/K) is too short
-        if _valid_prefix(n // k):
+    """Smallest K >= 2 whose floor(n/K) passes `_degree`."""
+    for k in range(2, n + 1):  # past n, floor(n/K) = 0
+        if _degree(n // k):
             return k
-    raise NoValidLength(f"no valid construction constant for n={n}")
+    raise NoValidLength(f"no K >= 2 for n={n}: floor(n/K) must be 2^m - 1 for m in {_DEGREES}")
 
 
 def min_shift_hamming_distance(word: SyncWord) -> tuple[int, int]:

@@ -161,7 +161,10 @@ def fading_bound_check(p: float, noise: Dmc) -> FadingBoundReport:
 
 def awgn_threshold(spec: AwgnSpec) -> float:
     """P / (2 sigma^2), the AWGN threshold in nats."""
-    return spec.power / (2.0 * spec.noise_var)
+    alpha = spec.power / (2.0 * spec.noise_var)
+    if alpha == math.inf:  # Gaussian laws share their support, so only the double can make it infinite
+        raise ValueError(f"P / (2 sigma^2) = {spec.power!r} / (2 * {spec.noise_var!r}) overflows a double")
+    return alpha
 
 
 def rayleigh_threshold_numeric(spec: RayleighAwgnSpec) -> float:

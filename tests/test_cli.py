@@ -91,6 +91,16 @@ class TestThreshold:
             code, out, err = run_cli(capsys, "threshold", *argv)
             assert code == 2 and err.startswith("error:") and out == "", argv
 
+    def test_awgn_threshold_overflow_is_validation_error(self, capsys, tmp_path):
+        # P / (2 sigma^2) past the largest double: an overflow, not the "infinite" of a support mismatch
+        out = tmp_path / "never.json"
+        for values in (("1", "1e-320"), ("1e300", "1e-10")):
+            code, printed, err = run_cli(capsys, "threshold", "--awgn", *values, "--out", str(out))
+            assert code == 2 and printed == "" and err.startswith("error:") and "overflows" in err, values
+            assert not out.exists()
+        code, printed, _ = run_cli(capsys, "threshold", "--awgn", "1e-320", "1")
+        assert code == 0 and json.loads(printed)["alpha_nats"] == 5e-321
+
     def test_row_sum_error_prints_a_plain_float(self, capsys, tmp_path):
         # under numpy 2 both messages printed the sum as np.float64(0.9)
         path = tmp_path / "short.mat"
@@ -301,6 +311,14 @@ class TestSimulate:
         assert proc.stderr.startswith("error:") and "overflows" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    def test_undefined_window_exponent_is_validation_error(self, capsys):
+        # beta = nan, and beta = 0 against alpha = inf (a noiseless BSC): beta * alpha * N is NaN
+        for settings in (("beta=nan",), ("channel=bsc:0", "beta=0")):
+            argv = [arg for setting in settings for arg in ("--set", setting)]
+            code, out, err = run_cli(capsys, "simulate", "--preset", "single_bsc", *argv)
+            assert code == 2 and out == "", settings
+            assert err.startswith("error:") and "beta * alpha * N" in err and "undefined" in err, settings
 
     def test_refusal_names_the_reach_on_stderr(self, capsys):
         # single_bsc at beta = 0.99, ln A = 165: past the reach, which goes to stderr with exit 3

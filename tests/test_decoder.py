@@ -642,6 +642,33 @@ class TestScaling:
         with pytest.raises(ValueError):
             energy_scaling_rows(32.0, 1.0, n_list=[0])
 
+    def test_row_builders_call_their_helpers_through_the_home_modules(self, monkeypatch):
+        # perfbench/tracing.py times build_sync_word and sync_threshold by wrapping these two names
+        import framesync.sequences
+        import framesync.thresholds
+
+        calls = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(framesync.sequences, "build_sync_word")
+        counting(framesync.thresholds, "sync_threshold")
+        for build, args, kwargs, wants in (
+            (single_rows, (bsc(0.1), 21, 3), dict(a=7), {"build_sync_word", "sync_threshold"}),
+            (bsc_scaling_rows, (0.1, 3, [21]), dict(beta=0.5, mu=0.1), {"build_sync_word"}),
+            (energy_scaling_rows, (24.0, 1.0), dict(n_list=[32]), {"build_sync_word", "sync_threshold"}),
+        ):
+            calls.clear()
+            build(*args, **kwargs)
+            assert wants <= set(calls), build.__name__
+
     def test_csv_shape_and_determinism(self):
         rows = bsc_scaling_rows(0.1, 2, [14, 30], beta=0.2, mu=0.2, norm="l1")
         res1 = [(row, monte_carlo(row.config, 400, master_seed=8)) for row in rows]

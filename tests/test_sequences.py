@@ -9,11 +9,12 @@ from framesync import (
     UnsupportedDegree,
     ZeroSeed,
     build_sync_word,
+    energy_scaling_rows,
     generate_mlsr,
     min_shift_hamming_distance,
     nearest_valid_length,
 )
-from framesync.sequences import PRIMITIVE_POLYS
+from framesync.sequences import PRIMITIVE_POLYS, smallest_valid_k
 
 
 def brute_force_lfsr(m, taps_mask, seed, steps):
@@ -186,3 +187,63 @@ class TestMinShiftDistance:
             dist, _ = min_shift_hamming_distance(word)
             ratios.append(dist / n)
         assert min(ratios) >= 1.0 / 12.0
+
+
+def builds(n, k):
+    """Brute-force oracle: floor(n/k) + 1 = 2^m for a degree 2 <= m <= 16."""
+    q = n // k + 1
+    return q > 0 and q & (q - 1) == 0 and 2 <= q.bit_length() - 1 <= 16
+
+
+# N with a K in 2..4 whose prefix is 2^17 - 1, a degree the table lacks, and a larger K that builds
+PAST_THE_TABLE = (262142, 262143, 393213, 393214, 524284)
+# K = 1..6 by every N within K of a run boundary K(2^m - 1), m = 1..18
+BOUNDARY_PAIRS = [
+    (n, k)
+    for k in range(1, 7)
+    for m in range(1, 19)
+    for n in range(k * ((1 << m) - 1) - k, k * ((1 << m) - 1) + k + 1)
+]
+
+
+class TestOneRule:
+    """Which (N, K) give a word: the register table decides, through one test."""
+
+    def test_build_succeeds_exactly_on_a_table_degree(self):
+        for n, k in BOUNDARY_PAIRS + [(n, k) for n in PAST_THE_TABLE for k in range(1, 7)]:
+            if n < 1:
+                continue
+            if builds(n, k):
+                word = build_sync_word(n, k)
+                assert len(word) == n and word.prefix_len == n // k, (n, k)
+            else:
+                with pytest.raises(IncompatibleLength):
+                    build_sync_word(n, k)
+
+    def test_smallest_valid_k_is_the_smallest_that_builds(self):
+        for n in sorted({n for n, _ in BOUNDARY_PAIRS} | set(PAST_THE_TABLE) | set(range(-2, 200))):
+            want = next((k for k in range(2, max(n, 1) + 1) if builds(n, k)), None)
+            if want is None:
+                with pytest.raises(NoValidLength):
+                    smallest_valid_k(n)
+                continue
+            assert smallest_valid_k(n) == want, n
+            if n in PAST_THE_TABLE:
+                assert len(build_sync_word(n, want)) == n
+
+    def test_nearest_valid_length_is_the_largest_below_the_target(self):
+        for k in range(1, 7):
+            best = None
+            for target in range(-2, 3000):
+                if target >= 1 and builds(target, k):
+                    best = target
+                if best is None:
+                    with pytest.raises(NoValidLength):
+                        nearest_valid_length(target, k)
+                else:
+                    assert nearest_valid_length(target, k) == best, (target, k)
+        assert nearest_valid_length(10**9, 3) == 196607  # 3 * 2^16 - 1: degree 16 is the deepest
+
+    def test_energy_sweep_builds_past_the_table_at_the_smallest_k(self):
+        (row,) = energy_scaling_rows(32.0, 1.0, n_list=[262142])
+        assert row.n == 262142 and row.config.word.k == 4  # 262142 // 4 = 2^16 - 1

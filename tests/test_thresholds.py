@@ -242,6 +242,13 @@ class TestContinuousThresholds:
     def test_awgn_closed_form(self):
         assert awgn_threshold(AwgnSpec(power=0.0, noise_var=1.0)) == 0.0
         assert awgn_threshold(AwgnSpec(power=4.0, noise_var=1.0)) == 2.0
+        assert awgn_threshold(AwgnSpec(power=1e-320, noise_var=1.0)) == 5e-321
+
+    def test_awgn_overflow_raises(self):
+        # a support mismatch is what "infinite" means; Gaussian laws never have one
+        for power, noise_var in ((1.0, 1e-320), (1e300, 1e-10)):
+            with pytest.raises(ValueError, match="overflows"):
+                awgn_threshold(AwgnSpec(power=power, noise_var=noise_var))
 
     def test_awgn_quantized_oracle(self):
         spec = AwgnSpec(power=4.0, noise_var=1.0)
