@@ -137,6 +137,8 @@ def _parse_channel_args(args) -> tuple:
         return {"channel": f"file:{args.file}"}, sync_threshold(load_channel(args.file))
     if args.inline is not None:
         rows = [[float(v) for v in row.split(",")] for row in args.inline.split(";")]
+        if len({len(row) for row in rows}) > 1:
+            raise CliError(f"--inline rows must be equally long, got lengths {', '.join(str(len(r)) for r in rows)}")
         return {"channel": "inline"}, sync_threshold(dmc_new(np.array(rows)))
     if args.bsc is not None:
         name, values, report = "bsc", [args.bsc], sync_threshold(bsc(args.bsc))
@@ -268,9 +270,11 @@ ROW_BUILDERS = {
 RUN_KEYS = ("mode", "trials", "seed", "workers")
 
 
-def _single_rows(channel: str, n: int, k: int, bins: int = 8, **row) -> list:
-    """single_rows over the channel of a spec, quantized on bins cells where it is continuous."""
-    return single_rows(_parse_channel(channel, bins), n, k, **row)
+def _single_rows(channel: str, n: int, k: int, bins: int | None = None, **row) -> list:
+    """single_rows over the channel of a spec; an awgn: spec is quantized on bins cells (8), and no other reads bins."""
+    if bins is not None and not channel.startswith("awgn:"):
+        raise CliError(f"config key 'bins' is read only by an awgn: channel, not by {channel!r}")
+    return single_rows(_parse_channel(channel, 8 if bins is None else bins), n, k, **row)
 
 
 def _config_rows(cfg: dict[str, str]) -> tuple[str, list, dict]:

@@ -58,7 +58,10 @@ from functools import reduce
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .channels import Dmc, IndexOutOfRange, InverseCdf
+# the row builders call their helpers through these modules, on which perfbench/tracing.py wraps them
+from . import sequences, thresholds
+from .channels import Dmc, IndexOutOfRange, InverseCdf, bsc
+from .continuous import AwgnSpec, quantized_awgn
 from .sequences import SyncWord
 
 FULL_SIM_MAX_A = 50_000
@@ -346,19 +349,19 @@ class TrialEngine:
     the scan limit is A + N - 1.
     """
 
-    def __init__(self, config: TrialConfig, full_sim_max_a: int = FULL_SIM_MAX_A):
+    def __init__(self, config: TrialConfig):
         self.config = config
         self.decoder = config.decoder()
         self.n = len(config.word)
         self.scan_limit = config.a + self.n - 1
-        self.full_mode = config.a <= full_sim_max_a
+        self.full_mode = config.a <= FULL_SIM_MAX_A
         self._draw = [InverseCdf(np.cumsum(row)) for row in config.channel.rows[:2]]  # x(0), x(1)
         self._ones = np.flatnonzero(config.word.symbols == 1)
         stream_len = self.scan_limit + self.n - 1
         self.segment = stream_len if self.full_mode else min(stream_len, 3 * self.n - 2)
         if not self.full_mode:
             log_bound = _noise_window_log_bound(self.decoder)
-            n_far = math.log(2.0 * float(config.a) + 2.0 * self.n)
+            n_far = math.log(2 * config.a + 2 * self.n)  # exact: 2A + 2N may pass the largest double
             if n_far + log_bound > math.log(CERT_SLIP):
                 # the reach, the A where ln(2A + 2N) + log_bound = ln CERT_SLIP: under config.a, so exp is finite
                 reach = math.exp(math.log(CERT_SLIP / 2) - log_bound) - self.n
@@ -498,13 +501,7 @@ class ErrorReport:
         }
 
 
-def monte_carlo(
-    config: TrialConfig,
-    trials: int,
-    master_seed: int,
-    workers: int = 1,
-    full_sim_max_a: int = FULL_SIM_MAX_A,
-) -> ErrorReport:
+def monte_carlo(config: TrialConfig, trials: int, master_seed: int, workers: int = 1) -> ErrorReport:
     """Estimate error rates over independent trials.
 
     Trial i draws from a Philox stream keyed by (master_seed, i), so the
@@ -514,7 +511,7 @@ def monte_carlo(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    engine = TrialEngine(config, full_sim_max_a)
+    engine = TrialEngine(config)
     if workers == 1:
         parts = [engine.run_batch(master_seed, 0, trials)]
     else:
@@ -554,11 +551,13 @@ def _check_n_list(n_list: list[int]) -> None:
 
 
 def _window_from_exponent(ln_a: float) -> int:
-    if not ln_a <= 700.0:  # NaN fails it too: beta = nan, or beta = 0 with alpha = inf
-        if math.isnan(ln_a):
-            raise ValueError("the exponent beta * alpha * N of A is undefined (NaN)")
-        raise ValueError(f"exp({ln_a:.6g}) overflows; asynchronism window too large")
-    return max(1, int(round(math.exp(ln_a))))
+    """round(e^ln_a), at least 1; TrialConfig alone bounds it above."""
+    if math.isnan(ln_a):  # beta = nan, or beta = 0 with alpha = inf
+        raise ValueError("the exponent beta * alpha * N of A is undefined (NaN)")
+    try:
+        return max(1, round(math.exp(ln_a)))
+    except OverflowError:  # from exp past the largest double, or from round(inf)
+        raise ValueError(f"exp({ln_a:.6g}) overflows; asynchronism window too large") from None
 
 
 def single_rows(
@@ -571,12 +570,8 @@ def single_rows(
     beta: float | None = None,
 ) -> list[ScalingRow]:
     """One row over a given channel: A as given, else round(exp(beta * alpha * N))."""
-    # call-time imports: perfbench/tracing.py wraps these names on their home modules
-    from .sequences import build_sync_word
-    from .thresholds import sync_threshold
-
-    word = build_sync_word(n, k)
-    alpha = sync_threshold(channel).alpha
+    word = sequences.build_sync_word(n, k)
+    alpha = thresholds.sync_threshold(channel).alpha
     if a is None:
         if beta is None:
             raise ValueError("single mode needs either 'a' or 'beta'")
@@ -594,19 +589,14 @@ def bsc_scaling_rows(
     norm: str = "linf",
 ) -> list[ScalingRow]:
     """Achievability sweep rows: fixed BSC, A = round(exp(beta * alpha * N))."""
-    # call-time imports: perfbench/tracing.py wraps these names on their home modules
-    from .channels import bsc as make_bsc
-    from .sequences import build_sync_word
-    from .thresholds import bsc_threshold_closed_form
-
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0,1), got {beta}")
     _check_n_list(n_list)
-    alpha = bsc_threshold_closed_form(eps)
-    channel = make_bsc(eps)
+    alpha = thresholds.bsc_threshold_closed_form(eps)
+    channel = bsc(eps)
     rows = []
     for n in n_list:
-        word = build_sync_word(n, k)
+        word = sequences.build_sync_word(n, k)
         a = _window_from_exponent(beta * alpha * n)
         config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
         rows.append(ScalingRow(alpha, config))
@@ -627,25 +617,23 @@ def energy_scaling_rows(
     The feasibility threshold exp(E / (2 sigma^2)) is carried per row so
     reports can print it against A.
     """
-    # call-time imports: perfbench/tracing.py wraps these names on their home modules
-    from .continuous import AwgnSpec, quantized_awgn
-    from .sequences import build_sync_word, smallest_valid_k
-    from .thresholds import sync_threshold
-
     AwgnSpec(power=energy, noise_var=sigma2)  # checks E and sigma^2 before they divide
     _check_n_list(n_list)
     a = _window_from_exponent(energy / (4.0 * sigma2))
-    feas = math.exp(energy / (2.0 * sigma2)) if energy / (2.0 * sigma2) < 700 else math.inf
+    try:
+        feas = math.exp(energy / (2.0 * sigma2))
+    except OverflowError:
+        feas = math.inf
     rows = []
     for n in n_list:
-        word = build_sync_word(n, smallest_valid_k(n))  # rejects n < 1 before P = E/N
+        word = sequences.build_sync_word(n, sequences.smallest_valid_k(n))  # rejects n < 1 before P = E/N
         power = energy / n
         channel = quantized_awgn(AwgnSpec(power=power, noise_var=sigma2), bins)
         mu = mu_coeff / math.sqrt(n)
         config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
         rows.append(
             ScalingRow(
-                sync_threshold(channel).alpha,
+                thresholds.sync_threshold(channel).alpha,
                 config,
                 extra={"feasibility_threshold": feas, "energy": energy, "power": power},
             )

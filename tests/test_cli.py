@@ -139,6 +139,13 @@ class TestThreshold:
         assert code == 0
         assert json.loads(out)["argmax_symbol"] == 1
 
+    def test_ragged_inline_rows_name_their_lengths(self, capsys):
+        # these exited 2 with numpy's "inhomogeneous shape" message
+        for rows, lengths in (("0.5,0.5;0.5", "2, 1"), ("1;0.5,0.5;0.2,0.3,0.5", "1, 2, 3")):
+            code, out, err = run_cli(capsys, "threshold", "--inline", rows)
+            assert code == 2 and out == "", rows
+            assert err == f"error: --inline rows must be equally long, got lengths {lengths}\n"
+
 
 class TestLemma1Grid:
     def test_small_grid(self, capsys):
@@ -319,6 +326,31 @@ class TestSimulate:
             code, out, err = run_cli(capsys, "simulate", "--preset", "single_bsc", *argv)
             assert code == 2 and out == "", settings
             assert err.startswith("error:") and "beta * alpha * N" in err and "undefined" in err, settings
+
+    def test_window_past_e_to_the_700_runs_as_its_a_twin(self, capsys):
+        # beta * alpha * N = 703.08 gives A = 2.2e305, under the 2^1023 ceiling: this exited 2 with
+        # "exp(703.08) overflows" while the same A given as a= ran
+        base = ["simulate", "--preset", "single_bsc", "--set", "channel=bsc:0.001", "--set", "n=255",
+                "--set", "trials=50"]
+        code, out, _ = run_cli(capsys, *base, "--set", "beta=0.4")
+        assert code == 0
+        by_beta = json.loads(out)
+        code, out, _ = run_cli(capsys, *base, "--set", f"a={int(by_beta['a'])}")
+        assert code == 0
+        by_a = json.loads(out)
+        assert 1e305 < by_beta["a"] < 2.0**1023
+        assert (by_a["a"], by_a["report"]) == (by_beta["a"], by_beta["report"])
+
+    def test_bins_is_read_only_by_an_awgn_channel(self, capsys):
+        # single_bsc took bins = 0 with exit 0 and echoed it, though no BSC is quantized
+        for channel in ("bsc:0.05", "onoff:0.5,0.1"):
+            code, out, err = run_cli(capsys, "simulate", "--preset", "single_bsc", "--set", f"channel={channel}",
+                                     "--set", "bins=0", "--set", "trials=5")
+            assert code == 2 and out == "", channel
+            assert err.startswith("error: config key 'bins'") and channel in err
+        code, out, _ = run_cli(capsys, "simulate", "--preset", "single_bsc", "--set", "channel=awgn:4,1",
+                               "--set", "bins=6", "--set", "a=1000", "--set", "trials=5")
+        assert code == 0 and json.loads(out)["config"]["bins"] == "6"
 
     def test_refusal_names_the_reach_on_stderr(self, capsys):
         # single_bsc at beta = 0.99, ln A = 165: past the reach, which goes to stderr with exit 3

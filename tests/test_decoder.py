@@ -45,6 +45,7 @@ from framesync.decoder import (
     TrialEngine,
     _log_binom_mass,
     _noise_window_log_bound,
+    _window_from_exponent,
 )
 
 from exact_oracle import (
@@ -362,9 +363,23 @@ class TestSkipMode:
         word = build_sync_word(21, 3)
         channel = bsc(0.05)
         cfg = TrialConfig(a=2000, word=word, channel=channel, mu=0.08, norm="l1")
-        full = monte_carlo(cfg, 1500, master_seed=3, full_sim_max_a=10**6)
-        skip = monte_carlo(cfg, 1500, master_seed=3, full_sim_max_a=1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("framesync.decoder.FULL_SIM_MAX_A", 10**6)
+            full = monte_carlo(cfg, 1500, master_seed=3)
+            patch.setattr("framesync.decoder.FULL_SIM_MAX_A", 1)
+            skip = monte_carlo(cfg, 1500, master_seed=3)
         assert abs(full.p_err - skip.p_err) < 0.05
+
+    def test_full_sim_max_a_is_read_when_the_engine_is_built(self):
+        # the switch is the module constant as it stands when TrialEngine or monte_carlo runs
+        cfg = TrialConfig(a=2000, word=build_sync_word(21, 3), channel=bsc(0.05), mu=0.08, norm="l1")
+        for full_max_a, full in ((1999, False), (2000, True)):
+            engine = engine_at(cfg, full_max_a)
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr("framesync.decoder.FULL_SIM_MAX_A", full_max_a)
+                report = monte_carlo(cfg, 300, master_seed=5)
+            assert engine.full_mode is full
+            assert report.counts == tuple(engine.run_batch(5, 0, 300).values())
 
     def test_huge_a_runs_via_skip(self):
         word = build_sync_word(63, 4)
@@ -400,7 +415,15 @@ class TestSkipMode:
         # ln P(idle window typical) near 0: no A, however small, certifies the skip
         cfg = TrialConfig(a=1, word=build_sync_word(7, 2), channel=bsc(0.4), mu=0.9)
         with pytest.raises(SimulationInfeasible, match="; skip mode certifies no A$"):
-            TrialEngine(cfg, full_sim_max_a=0)
+            engine_at(cfg, 0)
+
+    def test_refusal_at_the_largest_window_states_a_finite_bound(self):
+        # ln(2A + 2N) of the exact integer: 2.0 * float(A) overflowed to inf, and the bound read exp(inf)
+        cfg = TrialConfig(a=2**1023 - 1, word=build_sync_word(7, 2), channel=bsc(0.4), mu=0.9)
+        with pytest.raises(SimulationInfeasible) as refusal:
+            TrialEngine(cfg)
+        bound = float(re.search(r"firing bound exp\((\S+)\)", str(refusal.value)).group(1))
+        assert bound == pytest.approx(math.log(2) * 1024, abs=0.1)
 
 
 def mp_log_binom_mass(n, q, lo, hi):
@@ -564,14 +587,14 @@ class TestCertificateSoundness:
     def test_certificate_counts_every_window_skip_mode_leaves_out(self, n, a, u0):
         # of the A + N - 1 windows, skip mode scans min(v, N) - 1 + N; the certificate charges 2A + 2N
         cfg = TrialConfig(a=a, word=word_from_bits([1] * n), channel=bsc(0.0), mu=0.05)
-        engine = TrialEngine(cfg, full_sim_max_a=0)  # idle noise never fires on BSC(0): certified at any A
+        engine = engine_at(cfg, 0)  # idle noise never fires on BSC(0): certified at any A
         u0 = np.array([*u0, 0.0, np.nextafter(1.0, 0.0)])
         for u, windows in zip(u0, engine._geometry(u0)[1].tolist()):
             v = min(int(u * float(a)) + 1, a)
             left_out = a + n - 1 - windows
             assert left_out == a - min(v, n)
             assert 0 <= left_out <= 2 * a + 2 * n
-            assert math.log(max(left_out, 1)) <= math.log(2.0 * float(a) + 2.0 * n)
+            assert math.log(max(left_out, 1)) <= math.log(2 * a + 2 * n)
 
 
 class TestExactOracle:
@@ -625,6 +648,27 @@ class TestScaling:
                 math.exp(12.0)
             )
             assert row.extra["power"] == pytest.approx(24.0 / row.n)
+
+    def test_feasibility_threshold_is_infinite_only_past_the_largest_double(self):
+        # E / (2 sigma^2) = 702 read as inf under the old cut at 700
+        (row,) = energy_scaling_rows(1404.0, n_list=[255])
+        assert row.extra["feasibility_threshold"] == math.exp(702.0)
+        (row,) = energy_scaling_rows(1424.0, n_list=[255])
+        assert row.extra["feasibility_threshold"] == math.inf
+
+    @pytest.mark.parametrize("ln_a", [-math.inf, 0.0, 699.9, 700.0, 703.08, 709.08, 709.1, 709.79, 1355.0,
+                                      math.inf, math.nan])
+    def test_window_from_exponent_is_bounded_by_the_config_alone(self, ln_a):
+        # A is round(e^x) for TrialConfig to accept, or a ValueError that names NaN, the overflow of
+        # e^x or TrialConfig's 2^1023 ceiling; never an OverflowError
+        try:
+            a = _window_from_exponent(ln_a)
+            TrialConfig(a=a, word=build_sync_word(7, 2), channel=bsc(0.1))
+        except ValueError as exc:  # an OverflowError is no ValueError: it fails the test
+            assert re.search(r"\(NaN\)|overflows|2\^1023", str(exc)), ln_a
+            assert math.isnan(ln_a) or ln_a > math.log(2.0**1023), ln_a
+        else:
+            assert a == max(1, round(math.exp(ln_a))) and ln_a < math.log(2.0**1023)
 
     def test_single_row_window(self):
         channel = quantized_awgn(AwgnSpec(power=4.0, noise_var=1.0), 8)
@@ -716,9 +760,16 @@ def trial_configs(draw, n_range=(2, 8), a_max=40, noisy=True):
     )
 
 
-def engine_or_skip(cfg, full_sim_max_a):
+def engine_at(cfg, full_max_a):
+    """TrialEngine(cfg) built while FULL_SIM_MAX_A is full_max_a."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr("framesync.decoder.FULL_SIM_MAX_A", full_max_a)
+        return TrialEngine(cfg)
+
+
+def engine_or_skip(cfg, full_max_a):
     try:
-        return TrialEngine(cfg, full_sim_max_a)
+        return engine_at(cfg, full_max_a)
     except SimulationInfeasible:
         assume(False)
 
@@ -951,7 +1002,7 @@ class TestEngineProperties:
         # screen sums, each within [-N, N], must equal the window sums taken in dtype on both sides
         # of that edge, and the engine must count as the naive trials do
         cfg = TrialConfig(a=a, word=build_sync_word(15, 2), channel=bsc(0.02), mu=0.2)
-        engine = TrialEngine(cfg, cfg.a)
+        engine = engine_at(cfg, cfg.a)
         weights = engine.decoder._screen[0]
         outputs = engine._outputs(np.zeros(engine.segment), engine.segment, np.zeros(1, int))
         assert engine.full_mode and len(outputs) == a + 28 and not outputs.any()
@@ -968,7 +1019,7 @@ class TestEngineProperties:
         # weighs 1, so the stream's total weight passes 2^15 and 2^16; the int16 screen sums, each
         # within [-N, N], must come out exact over a stream that long
         cfg = TrialConfig(a=70_000, word=build_sync_word(15, 2), channel=bsc(0.02), mu=0.2)
-        engine = TrialEngine(cfg, cfg.a)
+        engine = engine_at(cfg, cfg.a)
         assert engine.full_mode and engine.decoder._screen[0].tolist() == [1, 0]
         outputs = engine._outputs(np.random.default_rng(3).random(engine.segment), engine.segment, np.zeros(1, int))
         assert np.count_nonzero(outputs == 0) > 2**16
@@ -1000,7 +1051,7 @@ class TestEngineProperties:
         # full mode, min(v, N) - 1 + N in skip mode (every v < N at A = 3)
         n = 15
         cfg = TrialConfig(a=a, word=build_sync_word(n, 2), channel=bsc(0.02), mu=0.1)
-        engine = TrialEngine(cfg, 0 if skip else a)
+        engine = engine_at(cfg, 0 if skip else a)
         for i in range(20):
             rng, fresh = trial_rng(5, i), trial_rng(5, i)
             v = engine.run(rng).v_true
