@@ -131,12 +131,25 @@ def _onoff_values(tokens: list[str]) -> tuple[float, float]:
     return (float(keyed["p"]), float(keyed["eps"])) if keyed else (float(tokens[0]), float(tokens[1]))
 
 
+def _inline_rows(text: str) -> list[list[float]]:
+    """The rows of --inline, ';' between rows and ',' between entries; a row that is empty or
+    holds an entry that is not a number is named by its position."""
+    rows = []
+    for i, row in enumerate(text.split(";"), 1):
+        try:
+            rows.append([float(v) for v in row.split(",")])
+        except ValueError:
+            what = "is empty" if not row.strip() else f"holds an entry that is not a number: {row!r}"
+            raise CliError(f"--inline row {i} of {text!r} {what}") from None
+    return rows
+
+
 def _parse_channel_args(args) -> tuple:
     """Resolve the one channel source flag argparse admits into (description dict, ThresholdReport)."""
     if args.file is not None:
         return {"channel": f"file:{args.file}"}, sync_threshold(load_channel(args.file))
     if args.inline is not None:
-        rows = [[float(v) for v in row.split(",")] for row in args.inline.split(";")]
+        rows = _inline_rows(args.inline)
         if len({len(row) for row in rows}) > 1:
             raise CliError(f"--inline rows must be equally long, got lengths {', '.join(str(len(r)) for r in rows)}")
         return {"channel": "inline"}, sync_threshold(dmc_new(np.array(rows)))

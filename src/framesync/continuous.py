@@ -132,8 +132,9 @@ class RayleighAwgnSpec:
 
     def __post_init__(self):
         AwgnSpec(self.power, self.noise_var)  # the same checks on P and sigma^2
-        if not 0.0 < self.scale < math.inf:
-            raise ValueError(f"Rayleigh scale must be finite and > 0, got {self.scale}")
+        # the kernels divide by sigma_H^2: a square that underflows to 0 or overflows fails too
+        if not (0.0 < self.scale and 0.0 < self.scale * self.scale < math.inf):
+            raise ValueError(f"Rayleigh scale must be > 0 with a square finite and > 0, got {self.scale}")
 
     sigma = AwgnSpec.sigma
 
@@ -196,20 +197,22 @@ def _rayleigh_integrands(spec: RayleighAwgnSpec):
             f"sigma_H sqrt(P) / sigma = {widths:.4g} exceeds {MAX_SCALE_WIDTHS:g}: the Rayleigh quadratures fail")
     twice_scale2, twice_var, norm = 2.0 * scale2, 2.0 * var, math.sqrt(2.0 * math.pi * var)
     weights: dict[float, float] = {}
+    lookup = weights.get
 
     def weight(h: float) -> float:
-        if (w := weights.get(h)) is None:
-            w = h / scale2 * float(np.exp(-(h * h) / twice_scale2)) if h >= 0.0 else 0.0
-            if h:  # +0.0 and -0.0 share a key but not a sign
-                weights[h] = w
+        """w(h), kept in the table. The kernels call it on a miss, and where the table holds
+        0.0, which it recomputes to the same bits."""
+        w = h / scale2 * float(np.exp(-(h * h) / twice_scale2)) if h >= 0.0 else 0.0
+        if h:  # +0.0 and -0.0 share a key but not a sign
+            weights[h] = w
         return w
 
     def density(y: float, h: float) -> float:
         d = y - h * root_p  # squared by pow, not d * d: awgn_density squares a numpy scalar
-        return float(np.exp(-(d**2) / twice_var)) / norm * weight(h)
+        return float(np.exp(-(d**2) / twice_var)) / norm * (lookup(h) or weight(h))
 
     def cdf(e: float, h: float) -> float:
-        return weight(h) * float(ndtr((e - h * root_p) / sigma))
+        return (lookup(h) or weight(h)) * float(ndtr((e - h * root_p) / sigma))
 
     return density, cdf
 

@@ -168,7 +168,10 @@ def awgn_threshold(spec: AwgnSpec) -> float:
 
 
 def rayleigh_threshold_numeric(spec: RayleighAwgnSpec) -> float:
-    """Threshold of the Rayleigh-plus-AWGN channel by quadrature of the KL integrand."""
+    """Threshold of the Rayleigh-plus-AWGN channel by quadrature of the KL integrand.
+
+    Raises QuadratureNonConvergence unless the result is finite and at least 1e-6 nats;
+    P = 0 gives exactly 0.0."""
     if spec.power == 0.0:
         return 0.0
     s = spec.sigma
@@ -185,7 +188,14 @@ def rayleigh_threshold_numeric(spec: RayleighAwgnSpec) -> float:
         log_q0 = -y * y / (2.0 * s2) - log_norm
         return q1 * (math.log(q1) - log_q0)
 
-    return adaptive_quad(integrand, lo, hi, abs_tol=1e-12, rel_tol=1e-6)
+    # below abs_tol / rel_tol QUADPACK stops on the absolute tolerance, which certifies no digit
+    abs_tol, rel_tol = 1e-12, 1e-6
+    alpha = adaptive_quad(integrand, lo, hi, abs_tol=abs_tol, rel_tol=rel_tol)
+    if not abs_tol / rel_tol <= alpha < math.inf:
+        raise QuadratureNonConvergence(
+            f"Rayleigh threshold came out as {alpha!r} nats; the KL quadrature (abs_tol {abs_tol:g}, "
+            f"rel_tol {rel_tol:g}) certifies only a finite value >= {abs_tol / rel_tol:g}")
+    return alpha
 
 
 @dataclass(frozen=True)

@@ -146,6 +146,45 @@ class TestThreshold:
             assert code == 2 and out == "", rows
             assert err == f"error: --inline rows must be equally long, got lengths {lengths}\n"
 
+    def test_empty_or_unreadable_inline_rows_are_named(self, capsys):
+        # these exited 2 with "could not convert string to float: ''", naming neither flag nor row
+        for rows, what in (
+            ("0.5,0.5;", "row 2 of '0.5,0.5;' is empty"),
+            (";", "row 1 of ';' is empty"),
+            ("0.5,x;0.5,0.5", "row 1 of '0.5,x;0.5,0.5' holds an entry that is not a number: '0.5,x'"),
+            ("1,0;0.5,,0.5", "row 2 of '1,0;0.5,,0.5' holds an entry that is not a number: '0.5,,0.5'"),
+        ):
+            code, out, err = run_cli(capsys, "threshold", "--inline", rows)
+            assert (code, out, err) == (2, "", f"error: --inline {what}\n"), rows
+
+    # P, sigma^2 and sigma_H from zero through subnormals to the largest doubles
+    EXTREMES = (0.0, 5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-160, 1e-155, 1e-100, 1e-30, 1e-16, 1e-10,
+                1e-5, 0.5, 1.0, 3.0, 1e5, 1e10, 1e16, 1e30, 1e100, 1e155, 1e160, 1e200, 1e300, 1.7e308)
+
+    def test_rayleigh_threshold_keeps_the_exit_contract(self, capsys):
+        """Exit 0 only with a finite alpha >= 1e-6 nats (or 0.0 at P = 0), else 2 or 3 with an
+        error line, never a traceback. Before this check, 151 of the 400 draws raised
+        (ZeroDivisionError and OverflowError in the kernels) and 97 printed a negative, infinite
+        or uncertified alpha with exit 0."""
+        import random
+
+        draws = random.Random(0)
+        named = [("1", "1", "1e-300"), ("1", "1", "1e200"), ("1", "1.7e308", "1"), ("1e-30", "1", "1"),
+                 ("1", "1", "1e-155"), ("1", "1e-310", "1e-160"), ("1e-16", "1", "1")]
+        cases = named + [tuple(repr(draws.choice(self.EXTREMES)) for _ in range(3)) for _ in range(400)]
+        exits = set()
+        for argv in cases:
+            code, out, err = run_cli(capsys, "threshold", "--rayleigh", *argv)
+            exits.add(code)
+            if code == 0:
+                alpha = json.loads(out)["alpha_nats"]
+                assert alpha == 0.0 if float(argv[0]) == 0.0 else 1e-6 <= alpha < math.inf, argv
+            else:
+                assert code in (2, 3) and out == "" and err.startswith("error:"), argv
+        assert exits == {0, 2, 3}
+        for argv, code in zip(named, (2, 2, 3, 3, 3, 3, 3)):
+            assert run_cli(capsys, "threshold", "--rayleigh", *argv)[0] == code, argv
+
 
 class TestLemma1Grid:
     def test_small_grid(self, capsys):
@@ -196,6 +235,14 @@ class TestRayleighSweep:
         code, out, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "1", "--sigma-h-list", "1")
         assert code == 3 and out.splitlines()[1] == "1,1,nan,0.5,nan"
         assert "error: 1 of 1 sweep cells failed" in err
+
+    def test_uncertified_or_unrepresentable_cells(self, capsys):
+        # sigma_H = 1e-300 raised ZeroDivisionError; P = 1e-30 printed alpha = -1.76e-16 with exit 0
+        code, out, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "1", "--sigma-h-list", "1e-300")
+        assert code == 2 and out == "" and err.startswith("error: Rayleigh scale")
+        code, out, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "1e-30,1", "--sigma-h-list", "1")
+        assert code == 3 and out.splitlines()[1] == "1e-30,1,nan,5e-31,nan"
+        assert "error: 1 of 2 sweep cells failed" in err
 
     def test_cell_past_the_quadrature_bound_exits_3(self, capsys):
         code, out, err = run_cli(capsys, "rayleigh-sweep", "--snr-list", "1e300", "--sigma-h-list", "1")

@@ -66,6 +66,76 @@ class TestQuadrature:
         with pytest.raises(QuadratureNonConvergence):
             adaptive_quad(needle, 0.0, 1.0)
 
+    # Gaussian needles and sin(kx)^2 on [0, 1]. At the Rayleigh tolerance pairs their
+    # subinterval counts run from 1 past FIRST_LIMIT // 2 + 2 = 102: sin(442x)^2 and
+    # sin(444x)^2 stop at 101 and 102 under (1e-12, 1e-9), sin(410x)^2 at 103 under
+    # (1e-13, 1e-10), and sin(1000x)^2 fills the first run's 200 and converges at 243.
+    EXACTNESS_TABLE = [
+        *((f"needle w={w} c={c}", lambda x, w=w, c=c: math.exp(-0.5 * ((x - c) / w) ** 2))
+          for w in (1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 0.1, 0.3) for c in (0.1234, 0.5, 0.77)),
+        *((f"sin({k}x)^2", lambda x, k=k: math.sin(k * x) ** 2)
+          for k in (1, 10, 30, 100, 300, 410, 442, 444, 500, 1000)),
+    ]
+
+    def test_first_run_is_the_full_workspace_run(self, monkeypatch):
+        """adaptive_quad returns bit for bit what QUADPACK returns at SUBDIVISION_LIMIT (or raises
+        where that run fails), and reruns exactly when its first run passes limit // 2 + 2."""
+        import scipy.integrate
+
+        from framesync.quadrature import FIRST_LIMIT, SUBDIVISION_LIMIT
+
+        quad, limits = scipy.integrate.quad, []
+
+        def recording_quad(*args, **kwargs):
+            limits.append(kwargs["limit"])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", recording_quad)
+        lasts = set()
+        for name, fn in self.EXACTNESS_TABLE:
+            for abs_tol, rel_tol in ((1e-12, 1e-9), (1e-13, 1e-10)):
+                value, abserr, info, *message = quad(
+                    fn, 0.0, 1.0, epsabs=abs_tol, epsrel=rel_tol, limit=SUBDIVISION_LIMIT, full_output=True)
+                lasts.add(info["last"])
+                evals = []
+                counted = lambda x: evals.append(x) or fn(x)
+                limits.clear()
+                if message or abserr > abs_tol + rel_tol * abs(value) * 10.0:
+                    with pytest.raises(QuadratureNonConvergence):
+                        adaptive_quad(counted, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol)
+                else:
+                    got = adaptive_quad(counted, 0.0, 1.0, abs_tol=abs_tol, rel_tol=rel_tol)
+                    assert same_bits(got, value), (name, abs_tol, got, value)
+                rerun = info["last"] > FIRST_LIMIT // 2 + 2
+                assert limits == [FIRST_LIMIT, SUBDIVISION_LIMIT][: 1 + rerun], (name, abs_tol, info["last"])
+                if not rerun:
+                    assert len(evals) == info["neval"], (name, abs_tol)
+        assert min(lasts) == 1 and {101, 102, 103, 243} <= lasts
+
+    def test_committed_rayleigh_work_stays_in_the_first_run(self, monkeypatch):
+        """The sweep's default grid, the committed threshold and the benchmark's 256-bin quantization
+        never rerun at SUBDIVISION_LIMIT (the largest subinterval count among them is 12)."""
+        import scipy.integrate
+
+        from framesync.cli import DEFAULT_SIGMA_H, DEFAULT_SNR_GRID
+        from framesync.quadrature import FIRST_LIMIT
+        from framesync.thresholds import rayleigh_ratio_sweep
+
+        quad, runs = scipy.integrate.quad, []
+
+        def recording_quad(*args, **kwargs):
+            result = quad(*args, **kwargs)
+            runs.append((kwargs["limit"], result[2]["last"]))
+            return result
+
+        monkeypatch.setattr(scipy.integrate, "quad", recording_quad)
+        cells = rayleigh_ratio_sweep(DEFAULT_SNR_GRID, DEFAULT_SIGMA_H)
+        assert len(cells) == 21 and not any(math.isnan(c.ratio) for c in cells)
+        rayleigh_threshold_numeric(RayleighAwgnSpec(power=100.0, noise_var=1.0, scale=1.0))
+        quantize_to_dmc(RayleighAwgnSpec(power=100.0, noise_var=1.0, scale=1.0),
+                        QuantizationGrid(-8.0, 36.0, 256), mass_loss_tol=1e-2)
+        assert runs and {limit for limit, _ in runs} == {FIRST_LIMIT}, max(last for _, last in runs)
+
 
 class TestSpecs:
     def test_awgn_validation(self):
