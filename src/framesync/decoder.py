@@ -44,15 +44,18 @@ v < N), and the far windows that see pure idle noise are skipped only when an
 exact binomial bound certifies that the chance any of them fires is below
 CERT_SLIP; otherwise the engine refuses.
 
-The row builders turn a sweep's parameters into ScalingRows, one TrialConfig
-each, for a caller to run through monte_carlo row by row.
+Every sweep row comes from single_rows: the word, the channel's threshold
+alpha, A and one TrialConfig, for a caller to run through monte_carlo row by
+row. bsc_scaling_rows and energy_scaling_rows only pick each row's channel
+and parameters.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
@@ -517,13 +520,11 @@ def monte_carlo(config: TrialConfig, trials: int, master_seed: int, workers: int
     else:
         from concurrent.futures import ProcessPoolExecutor  # 11 ms of import a single worker never needs
 
-        bounds = np.linspace(0, trials, workers + 1).astype(int)
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(engine.run_batch, master_seed, int(lo), int(hi))
-                for lo, hi in zip(bounds[:-1], bounds[1:])
-                if hi > lo
-            ]
+        bounds = np.linspace(0, trials, workers + 1).astype(int).tolist()
+        chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
+        # a forked pool starts all its processes at the first submit: no more than there are chunks or CPUs
+        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+            futures = [pool.submit(engine.run_batch, master_seed, lo, hi) for lo, hi in chunks]
             parts = [fut.result() for fut in futures]
     return ErrorReport(trials, tuple(sum(part[k] for part in parts) for k in CLASSES))
 
@@ -569,12 +570,15 @@ def single_rows(
     a: int | None = None,
     beta: float | None = None,
 ) -> list[ScalingRow]:
-    """One row over a given channel: A as given, else round(exp(beta * alpha * N))."""
+    """The one row builder: a row over a given channel, A as given, else round(exp(beta * alpha * N))."""
     word = sequences.build_sync_word(n, k)
     alpha = thresholds.sync_threshold(channel).alpha
     if a is None:
         if beta is None:
             raise ValueError("single mode needs either 'a' or 'beta'")
+        if alpha == math.inf and beta > 0:  # beta = 0 or NaN leaves the exponent NaN, named below
+            raise ValueError("the channel's threshold alpha is infinite, so exp(beta * alpha * N) is undefined; "
+                             "give 'a' instead")
         a = _window_from_exponent(beta * alpha * n)
     config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
     return [ScalingRow(alpha, config)]
@@ -588,19 +592,14 @@ def bsc_scaling_rows(
     mu: float,
     norm: str = "linf",
 ) -> list[ScalingRow]:
-    """Achievability sweep rows: fixed BSC, A = round(exp(beta * alpha * N))."""
+    """Achievability sweep rows: single_rows over a fixed BSC, A = round(exp(beta * alpha * N))."""
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must be in (0,1), got {beta}")
     _check_n_list(n_list)
-    alpha = thresholds.bsc_threshold_closed_form(eps)
+    if not 0.0 < eps < 1.0:  # bsc() takes 0 and 1, whose threshold is infinite
+        raise ValueError(f"eps must be strictly inside (0,1), got {eps}")
     channel = bsc(eps)
-    rows = []
-    for n in n_list:
-        word = sequences.build_sync_word(n, k)
-        a = _window_from_exponent(beta * alpha * n)
-        config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
-        rows.append(ScalingRow(alpha, config))
-    return rows
+    return [row for n in n_list for row in single_rows(channel, n, k, mu, norm, beta=beta)]
 
 
 def energy_scaling_rows(
@@ -612,7 +611,8 @@ def energy_scaling_rows(
     mu_coeff: float = 1.2,
     norm: str = "l1",
 ) -> list[ScalingRow]:
-    """Fixed-energy sweep rows: P = E/N, A = round(exp(E / (4 sigma^2))).
+    """Fixed-energy sweep rows: single_rows over the AWGN channel of P = E/N quantized on bins
+    cells, A = round(exp(E / (4 sigma^2))), mu = mu_coeff / sqrt(N).
 
     The feasibility threshold exp(E / (2 sigma^2)) is carried per row so
     reports can print it against A.
@@ -626,18 +626,11 @@ def energy_scaling_rows(
         feas = math.inf
     rows = []
     for n in n_list:
-        word = sequences.build_sync_word(n, sequences.smallest_valid_k(n))  # rejects n < 1 before P = E/N
+        k = sequences.smallest_valid_k(n)  # rejects n < 1 before P = E/N
         power = energy / n
         channel = quantized_awgn(AwgnSpec(power=power, noise_var=sigma2), bins)
-        mu = mu_coeff / math.sqrt(n)
-        config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
-        rows.append(
-            ScalingRow(
-                thresholds.sync_threshold(channel).alpha,
-                config,
-                extra={"feasibility_threshold": feas, "energy": energy, "power": power},
-            )
-        )
+        (row,) = single_rows(channel, n, k, mu_coeff / math.sqrt(n), norm, a=a)
+        rows.append(replace(row, extra={"feasibility_threshold": feas, "energy": energy, "power": power}))
     return rows
 
 

@@ -39,12 +39,16 @@ def kl_divergence(p, q) -> float:
 
 
 def _kl(p: np.ndarray, q: np.ndarray) -> float:
-    """kl_divergence's arithmetic without its checks, for rows a Dmc has validated."""
+    """kl_divergence's arithmetic without its checks, for rows a Dmc has validated.
+
+    The logs are libm's (math.log), not numpy's, whose loops the CPU picks at run time.
+    """
     support = p > 0.0
-    if np.any(q[support] == 0.0):
+    p, q = p[support], q[support]
+    if np.any(q == 0.0):
         return math.inf
-    val = float(np.sum(p[support] * (np.log(p[support]) - np.log(q[support]))))
-    return max(val, 0.0)
+    log_p, log_q = (np.array([math.log(x) for x in row.tolist()]) for row in (p, q))
+    return max(float(np.sum(p * (log_p - log_q))), 0.0)
 
 
 @dataclass(frozen=True)

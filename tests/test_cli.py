@@ -366,13 +366,22 @@ class TestSimulate:
         assert "Traceback" not in proc.stderr
         assert not out.exists()
 
-    def test_undefined_window_exponent_is_validation_error(self, capsys):
+    def test_undefined_window_exponent_is_validation_error(self, capsys, tmp_path):
         # beta = nan, and beta = 0 against alpha = inf (a noiseless BSC): beta * alpha * N is NaN
         for settings in (("beta=nan",), ("channel=bsc:0", "beta=0")):
             argv = [arg for setting in settings for arg in ("--set", setting)]
             code, out, err = run_cli(capsys, "simulate", "--preset", "single_bsc", *argv)
             assert code == 2 and out == "", settings
             assert err.startswith("error:") and "beta * alpha * N" in err and "undefined" in err, settings
+        # beta > 0 against alpha = inf: exp(beta * alpha * N) is undefined, not a window too large; these
+        # exited 2 with "exp(inf) overflows; asynchronism window too large"
+        path = tmp_path / "outside.mat"
+        path.write_text("2 3\n0.5 0.5 0\n0.25 0.25 0.5\n")  # x(1) puts mass on output 2, x(0) none
+        for channel in ("bsc:1", "bsc:0", f"file:{path}"):
+            code, out, err = run_cli(capsys, "simulate", "--preset", "single_bsc", "--set", f"channel={channel}")
+            assert code == 2 and out == "", channel
+            assert err.startswith("error:") and "alpha is infinite" in err and "'a'" in err, channel
+            assert "overflows" not in err, channel
 
     def test_window_past_e_to_the_700_runs_as_its_a_twin(self, capsys):
         # beta * alpha * N = 703.08 gives A = 2.2e305, under the 2^1023 ceiling: this exited 2 with

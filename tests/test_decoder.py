@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 import tracemalloc
@@ -37,7 +38,7 @@ from framesync import (
     wilson_interval,
 )
 from framesync.channels import IndexOutOfRange
-from framesync.cli import _config_rows, _load_preset
+from framesync.cli import _config_rows, _load_preset, main
 from framesync.decoder import (
     _SCREEN_SLACK,
     CERT_SLIP,
@@ -331,6 +332,35 @@ class TestMonteCarlo:
         cfg = TrialConfig(a=int(round(math.exp(83.0))), word=build_sync_word(63, 4), channel=bsc(0.05), mu=0.05)
         reps = [monte_carlo(cfg, 1000, master_seed=77, workers=w) for w in (1, 2, 3)]
         assert reps[0] == reps[1] == reps[2]
+
+    @pytest.mark.parametrize("workers, trials, pool", [(5000, 10, 4), (3, 2, 2), (2, 3000, 2), (7, 1, 1)])
+    def test_pool_is_sized_to_the_work(self, monkeypatch, workers, trials, pool):
+        # a forked pool of max_workers processes starts them all at the first submit: workers = 5000
+        # forked 5000 processes for 10 trials. The fake runs each chunk inline and starts none.
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("os.cpu_count", lambda: 4)
+        cfg = TrialConfig(a=30, word=build_sync_word(14, 2), channel=bsc(0.1), mu=0.15)
+        assert monte_carlo(cfg, trials, master_seed=77, workers=workers) == monte_carlo(cfg, trials, master_seed=77)
+        assert sizes == [pool]
 
     def test_wilson_interval(self):
         lo, hi = wilson_interval(0, 100)
@@ -640,6 +670,20 @@ class TestScaling:
         for row in rows:
             assert row.a == int(round(math.exp(0.5 * alpha * row.n)))
 
+    @pytest.mark.parametrize("eps", [0.05, 0.1, 0.3])
+    @pytest.mark.parametrize("n, k", [(15, 2), (63, 4)])
+    def test_bsc_rows_are_single_rows_over_the_bsc(self, capsys, eps, n, k):
+        # bsc_scaling took alpha from bsc_threshold_closed_form, a last bit off sync_threshold at
+        # eps = 0.1: A = 1114066814722353584406528 where single mode gave 1114066814722337880932352
+        (row,) = bsc_scaling_rows(eps, k, [n], beta=0.5, mu=0.05)
+        (twin,) = single_rows(bsc(eps), n, k, 0.05, beta=0.5)
+        assert row.alpha == twin.alpha and row.a == twin.a
+        assert (row.config.a, row.config.mu, row.config.norm) == (twin.config.a, twin.config.mu, twin.config.norm)
+        assert np.array_equal(row.config.word.symbols, twin.config.word.symbols)
+        assert np.array_equal(row.config.channel.rows, twin.config.channel.rows)
+        assert main(["threshold", "--bsc", repr(eps)]) == 0
+        assert json.loads(capsys.readouterr().out)["alpha_nats"] == row.alpha
+
     def test_energy_rows_carry_feasibility(self):
         rows = energy_scaling_rows(24.0, 1.0, n_list=[32, 64], bins=6)
         for row in rows:
@@ -706,7 +750,7 @@ class TestScaling:
         counting(framesync.thresholds, "sync_threshold")
         for build, args, kwargs, wants in (
             (single_rows, (bsc(0.1), 21, 3), dict(a=7), {"build_sync_word", "sync_threshold"}),
-            (bsc_scaling_rows, (0.1, 3, [21]), dict(beta=0.5, mu=0.1), {"build_sync_word"}),
+            (bsc_scaling_rows, (0.1, 3, [21]), dict(beta=0.5, mu=0.1), {"build_sync_word", "sync_threshold"}),
             (energy_scaling_rows, (24.0, 1.0), dict(n_list=[32]), {"build_sync_word", "sync_threshold"}),
         ):
             calls.clear()
