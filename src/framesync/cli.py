@@ -87,7 +87,7 @@ def _float_list(text: str) -> list[float]:
 
 def _grid_option(text: str | None, default: list[float], name: str) -> list[float]:
     """The values of a list option, or its default when absent; an empty list is an error."""
-    values = _float_list(text) if text else default
+    values = default if text is None else _float_list(text)
     if not values:
         raise CliError(f"{name} must list at least one value")
     return values

@@ -14,7 +14,9 @@ x(0), scans slots 1..A + N - 1 and classifies the outcome:
   E3       no declaration by slot A + N - 1 (miss)
 
 One engine runs every trial, a block of trials at a time. Trial i draws from
-the Philox stream keyed by (master seed, i): one uniform places the word at
+the Philox stream keyed by (master seed, i), which run_batch gets by re-keying
+one Philox (three integer stores into its state where numpy's layout of it is
+confirmed, else its state setter): one uniform places the word at
 slot v, the rest drive an inverse-CDF channel pass over the trial's segment
 (every slot through x(0)'s CDF, then the word's x(1) slots through x(1)'s;
 channels.InverseCdf, exact, in the narrowest unsigned type of the outputs).
@@ -52,11 +54,12 @@ and parameters.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import operator
 import os
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -422,22 +425,12 @@ class TrialEngine:
         """Class counts of trials [lo, hi); trial i is run(trial_rng(master_seed, i))."""
         counts = np.zeros(len(CLASSES), dtype=np.int64)
         block = max(1, _BLOCK_SLOTS // self.segment)
-        # one Philox re-keyed per trial is stream-identical to trial_rng(master_seed, i)
-        # and far cheaper; a trial's draws are a prefix of its row of the longest segment
-        bit_gen = np.random.Philox(key=np.array([master_seed % 2**64, 0], dtype=np.uint64))
-        gen = np.random.Generator(bit_gen)
-        state = bit_gen.state  # counter 0 and an empty buffer, as for a new generator
-        # plain lists, not the uint64 arrays bit_gen.state returns: the setter reads them twice as fast
-        state = {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
-                 "buffer": state["buffer"].tolist()}
-        key = state["state"]["key"]
+        # a trial's draws are a prefix of its row of the longest segment
+        fill = _trial_draws(master_seed)
         blocks = np.empty((min(block, hi - lo), 1 + self.segment))  # one buffer for every block
         for start in range(lo, hi, block):
             u = blocks[: min(block, hi - start)]
-            for i, row in enumerate(u):
-                key[1] = (start + i) % 2**64
-                bit_gen.state = state
-                gen.random(out=row)
+            fill(u, start)
             counts += np.bincount(_class_index(self._decide(u), self.n), minlength=len(CLASSES))
         return dict(zip(CLASSES, counts.tolist()))
 
@@ -446,6 +439,71 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Counter-based per-trial stream keyed by (master_seed, trial_index)."""
     key = np.array([master_seed % 2**64, trial_index % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# numpy's philox_state as 64-bit words: pointers to the counter and to the key, buffer_pos (an int
+# padded to a word), the 4-word buffer, has_uint32 and uinteger, then the Philox object's own key
+# (2 words) and counter (4 words), at which the two pointers point
+_PHILOX_WORDS = 14
+_BUFFER_POS, _KEY, _CTR = 2, 8, 10
+
+
+def _philox_words(bit_gen: np.random.Philox) -> np.ndarray:
+    """A uint64 view of bit_gen's philox_state, read as laid out above."""
+    struct = (ctypes.c_uint64 * _PHILOX_WORDS).from_address(bit_gen.ctypes.state_address)
+    struct.owner = bit_gen  # the view's base holds the struct, and the struct the memory it reads
+    return np.frombuffer(struct, dtype=np.uint64)
+
+
+@cache
+def _philox_layout_known() -> bool:
+    """Whether this numpy's philox_state is laid out as _philox_words reads it: its counter
+    and key pointers hold the addresses of words _CTR and _KEY (read first, since only then
+    does the struct reach to its last word), and a state set through the public setter reads
+    back word for word."""
+    bit_gen = np.random.Philox(0)
+    address = bit_gen.ctypes.state_address
+    words = _philox_words(bit_gen)
+    pointers = [address + 8 * _CTR, address + 8 * _KEY]
+    if words[:2].tolist() != pointers:
+        return False
+    key, counter, buffer = [5, 2**63 + 6], [2**40 + 1, 2, 3, 4], [7, 8, 9, 10]
+    bit_gen.state = {"bit_generator": "Philox", "state": {"counter": counter, "key": key},
+                     "buffer": buffer, "buffer_pos": 3, "has_uint32": 1, "uinteger": 11}
+    return words.tolist() == [*pointers, 3, *buffer, 1 | 11 << 32, *key, *counter]
+
+
+def _trial_draws(master_seed: int):
+    """fill(u, first), which fills row r of u with the first doubles of trial_rng(master_seed,
+    first + r) from one Philox, re-keyed per trial and far cheaper than a new generator: key
+    word 1 to the trial, counter 0 and an empty buffer. Three stores into its philox_state where
+    the layout is known, else through the public state setter."""
+    bit_gen = np.random.Philox(key=np.array([master_seed % 2**64, 0], dtype=np.uint64))
+    random = np.random.Generator(bit_gen).random
+    if _philox_layout_known():
+        words = _philox_words(bit_gen)
+
+        def fill(u: np.ndarray, first: int) -> None:
+            for i, row in enumerate(u, first):
+                words[_KEY + 1] = i % 2**64
+                words[_CTR] = 0  # counter words 1-3 stay 0: word 0 carries into them only past 2^64 blocks
+                words[_BUFFER_POS] = 4  # the buffer's 4 words used up: the next draw runs a new block
+                random(out=row)
+
+        return fill
+    state = bit_gen.state  # counter 0 and an empty buffer, as for a new generator
+    # plain lists, not the uint64 arrays bit_gen.state returns: the setter reads them twice as fast
+    state = {**state, "state": {k: v.tolist() for k, v in state["state"].items()},
+             "buffer": state["buffer"].tolist()}
+    key = state["state"]["key"]
+
+    def fill(u: np.ndarray, first: int) -> None:
+        for i, row in enumerate(u, first):
+            key[1] = i % 2**64
+            bit_gen.state = state
+            random(out=row)
+
+    return fill
 
 
 def simulate_trial(config: TrialConfig, rng: np.random.Generator) -> TrialOutcome:
@@ -570,16 +628,21 @@ def single_rows(
     a: int | None = None,
     beta: float | None = None,
 ) -> list[ScalingRow]:
-    """The one row builder: a row over a given channel, A as given, else round(exp(beta * alpha * N))."""
+    """The one row builder: a row over a given channel, A as given, else round(exp(beta * alpha * N))
+    for beta in (0, 1)."""
     word = sequences.build_sync_word(n, k)
     alpha = thresholds.sync_threshold(channel).alpha
     if a is None:
         if beta is None:
             raise ValueError("single mode needs either 'a' or 'beta'")
-        if alpha == math.inf and beta > 0:  # beta = 0 or NaN leaves the exponent NaN, named below
-            raise ValueError("the channel's threshold alpha is infinite, so exp(beta * alpha * N) is undefined; "
-                             "give 'a' instead")
-        a = _window_from_exponent(beta * alpha * n)
+        ln_a = beta * alpha * n
+        if not math.isnan(ln_a):  # beta = NaN, or 0 against an infinite alpha: named as such below
+            if not 0.0 < beta < 1.0:
+                raise ValueError(f"beta must be in (0,1), got {beta}")
+            if alpha == math.inf:
+                raise ValueError("the channel's threshold alpha is infinite, so exp(beta * alpha * N) is "
+                                 "undefined; give 'a' instead")
+        a = _window_from_exponent(ln_a)
     config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
     return [ScalingRow(alpha, config)]
 
@@ -593,8 +656,6 @@ def bsc_scaling_rows(
     norm: str = "linf",
 ) -> list[ScalingRow]:
     """Achievability sweep rows: single_rows over a fixed BSC, A = round(exp(beta * alpha * N))."""
-    if not 0.0 < beta < 1.0:
-        raise ValueError(f"beta must be in (0,1), got {beta}")
     _check_n_list(n_list)
     if not 0.0 < eps < 1.0:  # bsc() takes 0 and 1, whose threshold is infinite
         raise ValueError(f"eps must be strictly inside (0,1), got {eps}")

@@ -204,6 +204,13 @@ class TestLemma1Grid:
         slack = float(out.strip().splitlines()[1].split(",")[4])
         assert abs(slack) < 1e-12
 
+    @pytest.mark.parametrize("option", ["--p-list", "--eps-list"])
+    @pytest.mark.parametrize("text", ["", ","], ids=["empty", "comma"])
+    def test_empty_list_exits_2(self, capsys, option, text):
+        # an explicitly empty list ran the whole default grid with exit 0
+        code, out, err = run_cli(capsys, "lemma1-grid", option, text)
+        assert code == 2 and out == "" and f"{option} must list at least one value" in err
+
 
 class TestRayleighSweep:
     def test_small_sweep(self, capsys):
@@ -257,6 +264,8 @@ class TestRayleighSweep:
             ("--sigma2", "inf"),
             ("--snr-list", ","),  # empty lists
             ("--sigma-h-list", ","),
+            ("--snr-list", ""),  # explicitly empty: these ran the default grid with exit 0
+            ("--sigma-h-list", ""),
         ],
     )
     def test_bad_grid_exits_2_writing_nothing(self, capsys, tmp_path, argv):
@@ -382,6 +391,17 @@ class TestSimulate:
             assert code == 2 and out == "", channel
             assert err.startswith("error:") and "alpha is infinite" in err and "'a'" in err, channel
             assert "overflows" not in err, channel
+
+    @pytest.mark.parametrize("beta", ["-1", "0", "1", "2", "-inf", "inf"])
+    def test_beta_outside_0_1_is_validation_error(self, capsys, beta):
+        # beta = -1 and beta = 0 over the preset's finite alpha ran with A = 1 and exit 0
+        code, out, err = run_cli(capsys, "simulate", "--preset", "single_bsc", "--set", f"beta={beta}",
+                                 "--set", "trials=10")
+        assert code == 2 and out == "" and f"beta must be in (0,1), got {float(beta)}" in err
+        # given, 'a' is the window and beta is not read
+        code, out, _ = run_cli(capsys, "simulate", "--preset", "single_bsc", "--set", f"beta={beta}",
+                               "--set", "a=5", "--set", "trials=10")
+        assert code == 0 and json.loads(out)["a"] == 5
 
     def test_window_past_e_to_the_700_runs_as_its_a_twin(self, capsys):
         # beta * alpha * N = 703.08 gives A = 2.2e305, under the 2^1023 ceiling: this exited 2 with

@@ -46,6 +46,7 @@ from framesync.decoder import (
     TrialEngine,
     _log_binom_mass,
     _noise_window_log_bound,
+    _philox_layout_known,
     _window_from_exponent,
 )
 
@@ -1153,3 +1154,69 @@ class TestEngineProperties:
             tracemalloc.stop()
         assert counts == {"Correct": 1, "E1": 0, "E2": 59, "E3": 0}
         assert peak < 6e6
+
+
+class TestPhiloxRekey:
+    """run_batch re-keys one Philox per trial; each row of uniforms it decides must be the
+    first doubles of trial_rng(master_seed, i), on the three-store path and on the setter's."""
+
+    @staticmethod
+    def counts_of_checked_rows(monkeypatch, cfg, seed, lo, hi):
+        """run_batch's counts of trials [lo, hi), once every row it decided is checked
+        against trial_rng."""
+        engine = TrialEngine(cfg)
+        decide, rows = engine._decide, []
+
+        def capture(u):
+            rows.extend(u.copy())
+            return decide(u)
+
+        monkeypatch.setattr(engine, "_decide", capture)
+        counts = engine.run_batch(seed, lo, hi)
+        assert len(rows) == hi - lo
+        for i, row in enumerate(rows, lo):
+            assert np.array_equal(row, trial_rng(seed, i).random(len(row))), (seed, i, len(row))
+        return counts
+
+    def test_layout_is_known_here(self):
+        # numpy's philox_state as _philox_words reads it: else run_batch runs the slower setter loop
+        assert _philox_layout_known()
+
+    # rows of 2 to 9 doubles (1 + A for a one-slot word), every residue of the row length mod 4, so
+    # the buffer position ends at each of its four places before the next trial's re-key; the
+    # setter path is the fallback for a layout the check does not know, forced here
+    @pytest.mark.parametrize("length", range(2, 10))
+    @pytest.mark.parametrize(
+        "seed, lo",
+        [(0, 0), (20250807, 17), (2**64 + 5, 2**32 - 3), (-7, 2**63 - 3), (2**64 - 1, 2**64 - 4)],
+    )
+    @pytest.mark.parametrize("path", ["stores", "setter"])
+    def test_rows_are_trial_streams(self, monkeypatch, length, seed, lo, path):
+        if path == "setter":
+            monkeypatch.setattr("framesync.decoder._philox_layout_known", lambda: False)
+        cfg = TrialConfig(a=length - 1, word=word_from_bits([1]), channel=bsc(0.1), mu=0.3)
+        assert TrialEngine(cfg).segment + 1 == length
+        self.counts_of_checked_rows(monkeypatch, cfg, seed, lo, lo + 6)
+
+    def test_setter_path_counts_match(self, monkeypatch):
+        # the two paths count a block of a short stream alike
+        cfg = TrialConfig(a=30, word=build_sync_word(15, 2), channel=bsc(0.15), mu=0.25)
+        stores = self.counts_of_checked_rows(monkeypatch, cfg, -3, 2**32 - 500, 2**32 + 1500)
+        monkeypatch.setattr("framesync.decoder._philox_layout_known", lambda: False)
+        setter = self.counts_of_checked_rows(monkeypatch, cfg, -3, 2**32 - 500, 2**32 + 1500)
+        assert setter == stores and sum(stores.values()) == 2000
+
+    # a counter or key word that the struct's pointer does not point at fails the check, and so
+    # does a view one word short of the struct, whose sentinel state cannot read back
+    @pytest.mark.parametrize("name, move", [("_CTR", 1), ("_KEY", 1), ("_PHILOX_WORDS", -1)])
+    def test_layout_check_fails_on_another_layout(self, monkeypatch, name, move):
+        import framesync.decoder as decoder
+
+        monkeypatch.setattr(decoder, name, getattr(decoder, name) + move)
+        _philox_layout_known.cache_clear()
+        try:
+            assert not _philox_layout_known()
+        finally:
+            monkeypatch.undo()
+            _philox_layout_known.cache_clear()
+        assert _philox_layout_known()
