@@ -120,14 +120,17 @@ class TypicalityDecoder:
         wi = self.word.symbols
         n = len(wi)
         rows = self.channel.rows
+        # the word's x(0) and x(1) slots, counted once (a unique() call would load numpy.ma)
+        sizes = tuple(np.bincount(wi, minlength=2).tolist())
+        object.__setattr__(self, "_sizes", sizes)
         ref = np.zeros((self.channel.n_inputs, self.channel.n_outputs))
-        for x in np.unique(wi):
-            ref[x] = np.count_nonzero(wi == x) / n * rows[x]
+        for x, nx in enumerate(sizes):
+            ref[x] = nx / n * rows[x]
         assert abs(ref.sum() - 1.0) < 1e-12
         ref.flags.writeable = False
         object.__setattr__(self, "reference", ref)
         # screen weights over outputs: x(1) against what idle noise puts in the x(1) cells
-        gap = ref[1] - np.count_nonzero(wi) / n * rows[0]
+        gap = ref[1] - sizes[1] / n * rows[0]
         weights = np.sign(gap) if self.norm == "l1" else np.arange(len(gap)) == np.argmax(np.abs(gap))
         # the screen's integer type: every screen sum, and every partial sum it is built from, is a
         # sum of at most N weights, so int16 holds it exactly while N < 2^15, however long the stream
@@ -338,10 +341,9 @@ def _noise_window_log_bound(decoder: TypicalityDecoder) -> float:
     table is within mu: one interval, as for the screen's kept sums. The exact
     binomial mass of the hardest cell's band bounds the whole event.
     """
-    xs, sizes = np.unique(decoder.word.symbols, return_counts=True)
     n_out = decoder.channel.n_outputs
     masses = [0.0]
-    for x, nx in zip(xs.tolist(), sizes.tolist()):  # Python ints: x * |Y| would wrap in int8
+    for x, nx in enumerate(decoder._sizes):  # a symbol the word lacks adds ln 1 = 0
         for y, q in enumerate(decoder.channel.rows[0].tolist()):
             band = np.flatnonzero(decoder._terms[x * n_out + y] <= decoder.mu).tolist()
             masses.append(_log_binom_mass(nx, q, band[0], band[-1]) if band else -math.inf)

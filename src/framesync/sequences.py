@@ -178,19 +178,25 @@ def smallest_valid_k(n: int) -> int:
     raise NoValidLength(f"no K >= 2 for n={n}: floor(n/K) must be 2^m - 1 for m in {_DEGREES}")
 
 
-def min_shift_hamming_distance(word: SyncWord) -> tuple[int, int]:
-    """Minimum Hamming distance to any nonzero cyclic shift, by brute force.
+def _cyclic_autocorrelation(symbols: np.ndarray) -> np.ndarray:
+    """sum_i s_i s_(i + tau mod N) of the word's +-1 form s, every tau in 0..N-1, from one
+    real FFT: floats that are integers up to the transform's rounding."""
+    spectrum = np.fft.rfft(1.0 - 2.0 * symbols)
+    return np.fft.irfft(spectrum.real**2 + spectrum.imag**2, n=len(symbols))
 
-    Returns (distance, smallest argmin shift). A shift-invariant word (all one
-    symbol) has distance 0.
+
+def min_shift_hamming_distance(word: SyncWord) -> tuple[int, int]:
+    """Minimum Hamming distance to any nonzero cyclic shift, in O(N log N).
+
+    Shift tau differs from the word in (N - c_tau) / 2 slots, c_tau the cyclic
+    autocorrelation of its +-1 form, so one rounded FFT correlation gives every
+    shift's distance. Returns (distance, smallest argmin shift). A
+    shift-invariant word (all one symbol) has distance 0.
     """
-    sym = word.symbols
-    n = len(sym)
+    n = len(word)
     if n < 2:
         raise SequenceError("word length must be >= 2")
-    best, arg = n + 1, 0
-    for tau in range(1, n):
-        d = int(np.count_nonzero(sym != np.roll(sym, tau)))
-        if d < best:
-            best, arg = d, tau
-    return best, arg
+    corr = np.rint(_cyclic_autocorrelation(word.symbols)[1:]).astype(np.int64)
+    dist = (n - corr) // 2
+    shift = int(np.argmin(dist))  # argmin takes the first, so the smallest shift on a tie
+    return int(dist[shift]), shift + 1

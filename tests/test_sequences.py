@@ -14,7 +14,7 @@ from framesync import (
     min_shift_hamming_distance,
     nearest_valid_length,
 )
-from framesync.sequences import PRIMITIVE_POLYS, smallest_valid_k
+from framesync.sequences import PRIMITIVE_POLYS, _cyclic_autocorrelation, smallest_valid_k
 
 
 def brute_force_lfsr(m, taps_mask, seed, steps):
@@ -26,6 +26,17 @@ def brute_force_lfsr(m, taps_mask, seed, steps):
         fb = bin(state & taps_mask).count("1") % 2
         state = (state >> 1) | (fb << (m - 1))
     return out
+
+
+def brute_force_shift_distance(sym):
+    """Reference: (least Hamming distance to a cyclic shift 1..N-1, smallest shift attaining it)."""
+    n = len(sym)
+    best, arg = n + 1, 0
+    for tau in range(1, n):
+        d = int(np.count_nonzero(sym != np.roll(sym, tau)))
+        if d < best:
+            best, arg = d, tau
+    return best, arg
 
 
 class TestMlsr:
@@ -162,22 +173,43 @@ class TestNearestValidLength:
 
 
 class TestMinShiftDistance:
-    def test_constant_word_is_shift_invariant(self):
-        word = SyncWord(np.ones(16, dtype=np.int8), prefix_len=0, k=0)
-        dist, _ = min_shift_hamming_distance(word)
-        assert dist == 0
+    @pytest.mark.parametrize("n", [2, 3, 16, 1000])
+    @pytest.mark.parametrize("symbol", [0, 1])
+    def test_constant_word_is_shift_invariant(self, n, symbol):
+        word = SyncWord(np.full(n, symbol, dtype=np.int8), prefix_len=0, k=0)
+        assert min_shift_hamming_distance(word) == (0, 1)
 
     def test_constructed_word_strictly_positive(self):
         word = build_sync_word(21, 3)
         dist, shift = min_shift_hamming_distance(word)
         assert dist > 0
         assert 1 <= shift <= 20
-        # brute-force oracle over all shifts
-        sym = word.symbols
-        ref = min(
-            int(np.count_nonzero(sym != np.roll(sym, t))) for t in range(1, 21)
-        )
-        assert dist == ref
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+    def test_matches_brute_force_on_table_words(self, k):
+        # both ends of each degree's band of N, degrees 2 to 11
+        for m in range(2, 12):
+            for n in (k * (2**m - 1), k * 2**m - 1):
+                word = build_sync_word(n, k)
+                assert min_shift_hamming_distance(word) == brute_force_shift_distance(word.symbols), (n, k)
+
+    def test_matches_brute_force_at_n_32767(self):
+        word = build_sync_word(32767, 1)
+        assert min_shift_hamming_distance(word) == brute_force_shift_distance(word.symbols) == (16384, 1)
+
+    def test_ties_take_the_smallest_shift(self):
+        # every word of length 2 to 10: periodic words tie at several shifts, and the answer is the first
+        for n in range(2, 11):
+            for code in range(2**n):
+                sym = np.array([code >> i & 1 for i in range(n)], dtype=np.int8)
+                word = SyncWord(sym, prefix_len=0, k=0)
+                assert min_shift_hamming_distance(word) == brute_force_shift_distance(sym), sym
+
+    def test_rounding_margin_at_largest_table_word(self):
+        # degree 16, the table's largest, at K = 4: N = 262143; each correlation must round unambiguously
+        word = build_sync_word(262143, 4)
+        corr = _cyclic_autocorrelation(word.symbols)
+        assert np.abs(corr - np.rint(corr)).max() < 0.25
 
     def test_distance_grows_linearly_in_family(self):
         # N in {21, 45, 93} at K = 3: distance/N bounded below
