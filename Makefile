@@ -2,7 +2,7 @@ PYTHON ?= python3
 OUT ?= out
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test acceptance reproduce verify-out check bench bench-pairs clean
+.PHONY: test acceptance reproduce verify-out check bench bench-pairs bench-json clean
 
 test:
 	$(PYTHON) -m pytest tests -q --durations=10
@@ -45,14 +45,17 @@ bench:
 # on this checkout, the side that runs first alternating; pair i runs both sides at seed SEED + i,
 # so their outputs compare byte for byte. BASE's records are copied to .perfbench/pairs/ before
 # the directory goes; after each workload's pairs, its records on this checkout are summarized
-# against BASE's.
+# against BASE's. The paths of both sides' records, all workloads', go to $(RECORDS)change.txt and
+# $(RECORDS)base.txt, one a line, for bench-json.
 BASE ?= HEAD
 PAIRS ?= 10
 SEED ?= 1000
+RECORDS := .perfbench/records-
 bench-pairs:
 	@set -e; tmp=$$(mktemp -d); tree=$$tmp/base; here=$$(pwd); \
 	trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tree"; git archive $(BASE) | tar -x -C "$$tree"; mkdir -p .perfbench/pairs; \
+	: > $(RECORDS)change.txt; : > $(RECORDS)base.txt; \
 	for w in $(W); do \
 		new=; old=; \
 		for i in $$(seq 0 $$(($(PAIRS) - 1))); do \
@@ -69,7 +72,38 @@ bench-pairs:
 			done; \
 		done; \
 		$(PYTHON) perfbench/summarize.py $$new --against $$old; \
-	done
+		printf '%s\n' $$new >> $(RECORDS)change.txt; printf '%s\n' $$old >> $(RECORDS)base.txt; \
+	done; \
+	echo "records: $(RECORDS)change.txt (this checkout), $(RECORDS)base.txt ($(BASE))"
+
+# BENCH_$(PR).json at the repository root from the records the last bench-pairs listed: under
+# "summary", summarize.py's JSON of this checkout's records against BASE's; under "change" and
+# "base", each record's workload, seed, seconds and run stamp (commit, source sha256, versions,
+# CPUs used, load average); under "pairs", the seeds each workload ran on both sides
+define BENCH_STAMPS
+import json, sys
+path, change, base = sys.argv[1:]
+keys = ("git_commit", "source_sha256", "python", "numpy", "scipy", "nproc", "cpus_used", "loadavg_before",
+        "loadavg_after")
+def side(listing):
+    records = [json.load(open(rec)) for rec in open(listing).read().split()]
+    return [{"workload": r["workload"], "seed": r["seed"], "seconds": r["seconds"],
+             **{k: r["stamp"][k] for k in keys}} for r in records]
+bench = {"summary": json.load(open(path)), "change": side(change), "base": side(base)}
+seeds = {s: {(r["workload"], r["seed"]) for r in bench[s]} for s in ("change", "base")}
+bench["pairs"] = {}
+for workload, seed in sorted(seeds["change"] & seeds["base"]):
+    bench["pairs"].setdefault(workload, []).append(seed)
+with open(path, "w") as fh:
+    json.dump(bench, fh, indent=1, sort_keys=True)
+    fh.write("\n")
+endef
+export BENCH_STAMPS
+bench-json:
+	@test -n "$(PR)" || { echo "usage: make bench-json PR=n" >&2; exit 2; }
+	$(PYTHON) perfbench/summarize.py $$(cat $(RECORDS)change.txt) --against $$(cat $(RECORDS)base.txt) \
+		--json BENCH_$(PR).json
+	$(PYTHON) -c "$$BENCH_STAMPS" BENCH_$(PR).json $(RECORDS)change.txt $(RECORDS)base.txt
 
 clean:
 	rm -rf out

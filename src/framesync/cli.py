@@ -1,8 +1,10 @@
 """Command-line front end: thresholds, bound grids, sweeps, simulations, words.
 
 Subcommands: threshold, lemma1-grid, rayleigh-sweep, simulate, sequence.
-Exit codes: 0 success, 2 validation failure, 3 runtime failure (partial
-results are flushed where possible).
+A command returns 0 or raises, and `main` alone turns the exception into an
+`error:` line and an exit code by its class: 2 for ValueError and OSError (an
+invalid input; nothing is written), 3 for RuntimeError and MemoryError (a run
+that failed after it started; what it finished is written first).
 
 Every run is deterministic given its full flag set; output files are written
 atomically and contain a config echo so `simulate --replay <file>` reproduces
@@ -34,7 +36,6 @@ from .decoder import (
     scaling_to_csv,
     single_rows,
 )
-from .quadrature import QuadratureNonConvergence
 from .sequences import build_sync_word, min_shift_hamming_distance, nearest_valid_length
 from .thresholds import (
     ThresholdReport,
@@ -51,10 +52,8 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_VALIDATION):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """An invalid command line or config."""
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -200,8 +199,7 @@ def cmd_lemma1_grid(args) -> int:
     _emit("\n".join(lines) + "\n", args.out)
     if violated:
         # a violated bound means a bug, not a finding
-        print("error: fading bound violated on the grid", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise RuntimeError("fading bound violated on the grid")
     return EXIT_OK
 
 
@@ -219,8 +217,7 @@ def cmd_rayleigh_sweep(args) -> int:
     _emit(sweep_to_csv(cells), args.out)
     failed = sum(math.isnan(c.ratio) for c in cells)
     if failed:
-        print(f"error: {failed} of {len(cells)} sweep cells failed (written as nan)", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise RuntimeError(f"{failed} of {len(cells)} sweep cells failed (written as nan)")
     return EXIT_OK
 
 
@@ -338,11 +335,11 @@ def cmd_simulate(args) -> int:
     try:
         for row in rows:
             results.append((row, monte_carlo(row.config, **run)))
-    except RuntimeError as exc:  # the rows finished before it are still written
+    except (RuntimeError, MemoryError) as exc:  # the rows finished before it are still written
         failure = exc
     if mode == "single":
         if failure is not None:
-            raise CliError(str(failure), EXIT_RUNTIME)
+            raise failure
         row, report = results[0]
         text = _json_dumps({"config": _echo_dict(cfg), "a": float(row.a), "report": report.to_json_dict()})
     else:
@@ -351,8 +348,7 @@ def cmd_simulate(args) -> int:
     _emit(text, args.out)
     print(f"wall_time_s {time.monotonic() - t0:.3f}", file=sys.stderr)
     if failure is not None:
-        print(f"error: {failure} (partial results flushed)", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise RuntimeError(f"{failure} (partial results flushed)") from failure
     return EXIT_OK
 
 
@@ -436,15 +432,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
+    except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except QuadratureNonConvergence as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        return EXIT_RUNTIME if isinstance(exc, (RuntimeError, MemoryError)) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

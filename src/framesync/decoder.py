@@ -224,7 +224,7 @@ class TypicalityDecoder:
             return first
         lo, hi = self._kept
         sums = self._screen_sums(stream)
-        # (k - lo) mod 2^bits <= hi - lo exactly when lo <= k <= hi, since hi - k <= 2N < 2^bits
+        # (k - lo) mod 2^bits <= hi - lo exactly when lo <= k <= hi, since hi - k <= 2N < 2^bits (see sequences.MAX_N)
         live = np.flatnonzero((sums - lo).view(f"u{sums.itemsize}") <= hi - lo)
         rows, starts = np.divmod(live, stride)
         scanned = starts < n_windows[rows]  # also drops windows that cross into the next row

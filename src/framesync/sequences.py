@@ -36,6 +36,12 @@ PRIMITIVE_POLYS: dict[int, tuple[int, ...]] = {
 
 _DEGREES = f"[{min(PRIMITIVE_POLYS)}, {max(PRIMITIVE_POLYS)}]"  # for messages only
 
+# The longest word. The trial engine's first_typical passes a screen sum k < lo only when
+# hi - k >= 2^bits; since hi - k <= 2N, its unsigned range check is exact while 2N < 2^bits, and
+# bits = 32 from N = 2^15 (16 below, where 2N < 2^16 holds too). The int32 screen sums hold +-N
+# over the same range.
+MAX_N = 2**31 - 1
+
 
 class SequenceError(ValueError):
     pass
@@ -149,6 +155,8 @@ def build_sync_word(n: int, k: int, seed: int = 1) -> SyncWord:
     """Construct the word: mapped m-sequence prefix of length floor(n/k), all-x(1) tail."""
     if n < 1 or k < 1:
         raise SequenceError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    if n > MAX_N:
+        raise SequenceError(f"n={n} is past MAX_N = {MAX_N}, the longest word the trial engine screens exactly")
     prefix = n // k
     m = _degree(prefix)
     if m is None:
@@ -172,7 +180,8 @@ def nearest_valid_length(n_target: int, k: int) -> int:
 
 def smallest_valid_k(n: int) -> int:
     """Smallest K >= 2 whose floor(n/K) passes `_degree`."""
-    for k in range(2, n + 1):  # past n, floor(n/K) = 0
+    # K <= n / 2^16 gives floor(n/K) >= 2^16, past every table degree; past n, floor(n/K) = 0
+    for k in range(max(2, n >> max(PRIMITIVE_POLYS)), n + 1):
         if _degree(n // k):
             return k
     raise NoValidLength(f"no K >= 2 for n={n}: floor(n/K) must be 2^m - 1 for m in {_DEGREES}")

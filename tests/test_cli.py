@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,8 +8,14 @@ import sys
 import pytest
 
 import framesync
+import framesync.cli as cli
 import framesync.thresholds
-from framesync import QuadratureNonConvergence, bsc_threshold_closed_form, composite_binary_threshold_closed_form
+from framesync import (
+    QuadratureNonConvergence,
+    SimulationInfeasible,
+    bsc_threshold_closed_form,
+    composite_binary_threshold_closed_form,
+)
 from framesync.cli import _config_from_replay, main
 
 
@@ -16,6 +23,67 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class TestExitPolicy:
+    """main alone turns an exception into its error line, and picks the exit code by its class."""
+
+    # each command, and a name in cli that it calls
+    COMMANDS = [
+        (["sequence", "--n", "63", "--k", "4"], "build_sync_word"),
+        (["threshold", "--bsc", "0.1"], "sync_threshold"),
+        (["lemma1-grid", "--p-list", "0.5", "--eps-list", "0.1"], "fading_bound_check"),
+        (["rayleigh-sweep", "--snr-list", "1", "--sigma-h-list", "1"], "rayleigh_ratio_sweep"),
+        (["simulate", "--preset", "single_bsc", "--set", "trials=5"], "monte_carlo"),  # a row's failure, re-raised
+    ]
+
+    @pytest.mark.parametrize("argv, name", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+    @pytest.mark.parametrize("exc, code", [
+        (ValueError("bad value"), 2),
+        (OSError("unreadable"), 2),
+        (SimulationInfeasible("refused"), 3),
+        (QuadratureNonConvergence("no convergence"), 3),
+        (MemoryError("Unable to allocate 2.00 GiB"), 3),
+        (RuntimeError("failed"), 3),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, BaseException) else str(v))
+    def test_exception_class_picks_the_exit_code(self, capsys, monkeypatch, argv, name, exc, code):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, name, fail)
+        assert run_cli(capsys, *argv) == (code, "", f"error: {exc}\n")
+
+    def test_violated_bound_writes_the_grid_then_exits_3(self, capsys, monkeypatch, tmp_path):
+        real = cli.fading_bound_check
+
+        def violated_at_half(p, noise):
+            rep = real(p, noise)
+            return dataclasses.replace(rep, holds=False) if p == 0.5 else rep
+
+        monkeypatch.setattr(cli, "fading_bound_check", violated_at_half)
+        out = tmp_path / "grid.csv"
+        code, _, err = run_cli(capsys, "lemma1-grid", "--p-list", "0.5,1", "--eps-list", "0.1", "--out", str(out))
+        assert code == 3 and err == "error: fading bound violated on the grid\n"
+        assert [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()] == ["holds", "false", "true"]
+
+    def test_memory_error_at_a_row_flushes_the_rows_before_it(self, capsys, monkeypatch, tmp_path):
+        real, calls = cli.monte_carlo, []
+
+        def second_row_fails(config, **run):
+            calls.append(config)
+            if len(calls) == 2:
+                raise MemoryError("Unable to allocate 1.53 GiB")
+            return real(config, **run)
+
+        monkeypatch.setattr(cli, "monte_carlo", second_row_fails)
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "simulate", "--preset", "bsc_scaling", "--set", "trials=20", "--out", str(out))
+        assert code == 3
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            "error: Unable to allocate 1.53 GiB (partial results flushed)"
+        ]
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert len(rows) == 2 and rows[1].startswith("63,")  # the header and the N = 63 row
 
 
 class TestThreshold:

@@ -4,9 +4,12 @@ Preset configs are mutated key by key: a new value, an unknown key, a deleted
 key or another mode. Every single mutation of every preset runs once; random
 combinations of up to three run under hypothesis. Each mutated config goes
 through `simulate --set` or `simulate --config`. Transition tables are mutated
-through `threshold --inline`. Every run calls main() in-process with
-workers = 1 and at most 20 trials; sizes stay small because every value comes
-from a short list of small or degenerate strings.
+through `threshold --inline`, and word lengths through `sequence`. Every run
+calls main() in-process with workers = 1 and at most 20 trials; sizes stay
+small because every value comes from a short list of small or degenerate
+strings, and a length past sequences.MAX_N is refused before anything is
+built. Under an address-space cap, a child process checks that a word too
+large for memory exits 3, not with a traceback.
 """
 
 import contextlib
@@ -15,14 +18,18 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framesync
 from framesync.cli import MODE_KEYS, RUN_KEYS, _load_preset, main
 from framesync.decoder import bsc_scaling_rows, energy_scaling_rows, single_rows
+from framesync.sequences import MAX_N
 
 PRESETS = {name: _load_preset(name) for name in ("single_bsc", "bsc_scaling", "energy_scaling")}
 MAX_TRIALS = 20
@@ -35,10 +42,10 @@ KEY_VALUES = {
     "seed": ["0", "-1", str(2**70)],
     "workers": ["1"],
     "channel": ["bsc:0", "bsc:nan", "onoff:2,0.1", "awgn:4,1", "awgn:1", "awgn:1,inf", "file:/nonexistent", "x"],
-    "n": ["7", "15", "0", "x"],
+    "n": ["7", "15", "0", "x", str(MAX_N + 1)],
     "k": ["2", "4", "0", "100"],
     "a": ["1", "300", "60000", str(10**40), "9" * 400, "0"],
-    "n_list": ["15,21", "", "0,15", "15,nan"],
+    "n_list": ["15,21", "", "0,15", "15,nan", f"15,{MAX_N + 1}"],
     "bins": ["2", "40", "1", "x"],
     "norm": ["linf", "l1", "l2"],
     "energy": ["0", "8", "300", "-1", "nan"],
@@ -200,3 +207,46 @@ def test_threshold_inline_keeps_exit_contract(table):
         if code == 0:
             with open(out) as fh:
                 json.loads(fh.read(), parse_constant=_strict_constant)
+
+
+# word lengths for `sequence`: valid, degenerate, and past MAX_N (2147516415 = 32769 (2^16 - 1));
+# none builds a word longer than 2^18
+SEQUENCE_N = ["63", "100", "0", "-5", str(MAX_N + 1), "2147516415"]
+SEQUENCE_K = ["1", "4", "0", "32769"]
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["nearest", "exact"])
+def test_sequence_keeps_exit_contract(exact):
+    for n in SEQUENCE_N:
+        for k in SEQUENCE_K:
+            code, err = run(["sequence", "--n", n, "--k", k, *(["--exact"] if exact else [])])
+            assert_contract(code, err)
+            if exact and int(n) > MAX_N and int(k) > 0:
+                assert code == 2 and f"is past MAX_N = {MAX_N}" in err, (n, k)
+
+
+# main() under RLIMIT_AS at the child's own size plus 512 MiB: room to run, none for a word of
+# gigabytes, whose allocation then fails at once without touching memory
+CAPPED_MAIN = """
+import resource, sys
+import framesync.cli
+with open("/proc/self/status") as fh:
+    size = next(int(line.split()[1]) * 1024 for line in fh if line.startswith("VmSize:"))
+resource.setrlimit(resource.RLIMIT_AS, (size + 2**29, size + 2**29))
+sys.exit(framesync.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmSize from /proc")
+@pytest.mark.parametrize("argv, code", [
+    (["sequence", "--n", str(MAX_N), "--k", "32768"], 3),  # the longest word: 2 GiB of symbols
+    (["simulate", "--preset", "single_bsc", "--set", f"n={MAX_N}", "--set", "k=32768", "--set", "a=2",
+      "--set", "trials=1"], 3),
+    (["sequence", "--n", "2147516415", "--k", "32769"], 2),  # past MAX_N, refused before any array
+], ids=["sequence", "simulate", "past-ceiling"])
+def test_exit_contract_under_an_address_space_cap(argv, code):
+    src = os.path.dirname(os.path.dirname(framesync.__file__))
+    proc = subprocess.run([sys.executable, "-c", CAPPED_MAIN, *argv], env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error:") and len(proc.stderr.splitlines()) == 1, proc.stderr

@@ -14,7 +14,8 @@ from framesync import (
     min_shift_hamming_distance,
     nearest_valid_length,
 )
-from framesync.sequences import PRIMITIVE_POLYS, _cyclic_autocorrelation, smallest_valid_k
+import framesync.sequences
+from framesync.sequences import MAX_N, PRIMITIVE_POLYS, SequenceError, _cyclic_autocorrelation, smallest_valid_k
 
 
 def brute_force_lfsr(m, taps_mask, seed, steps):
@@ -275,6 +276,20 @@ class TestOneRule:
                 else:
                     assert nearest_valid_length(target, k) == best, (target, k)
         assert nearest_valid_length(10**9, 3) == 196607  # 3 * 2^16 - 1: degree 16 is the deepest
+
+    def test_word_length_ceiling(self, monkeypatch):
+        assert nearest_valid_length(MAX_N, 32768) == MAX_N  # floor(MAX_N / 32768) = 2^16 - 1
+        # one past it is refused before the register runs or any array is made
+        monkeypatch.setattr(framesync.sequences, "generate_mlsr", None)
+        for n, k in ((MAX_N + 1, 32769), (2147516415, 32769), (MAX_N + 1, 4)):
+            with pytest.raises(SequenceError, match=f"^n={n} is past MAX_N = {MAX_N}"):
+                build_sync_word(n, k)
+
+    def test_smallest_valid_k_past_the_ceiling(self):
+        # the scan started at K = 2, so an energy sweep at N = 10^18 never reached the ceiling check
+        for n in (MAX_N, MAX_N + 1, 2**40 + 12345, 10**18):
+            k = smallest_valid_k(n)
+            assert builds(n, k) and not any(builds(n, j) for j in range(max(2, k - 70000), k)), n
 
     def test_energy_sweep_builds_past_the_table_at_the_smallest_k(self):
         (row,) = energy_scaling_rows(32.0, 1.0, n_list=[262142])
