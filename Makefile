@@ -79,9 +79,11 @@ bench-pairs:
 # BENCH_$(PR).json at the repository root from the records the last bench-pairs listed: under
 # "summary", summarize.py's JSON of this checkout's records against BASE's; under "change" and
 # "base", each record's workload, seed, seconds and run stamp (commit, source sha256, versions,
-# CPUs used, load average); under "pairs", the seeds each workload ran on both sides
+# CPUs used, load average); under "pairs", the seeds each workload ran on both sides; under
+# "tier1", the wall seconds of one `$(PYTHON) -m pytest tests -q` run on this checkout, its passed
+# and failed counts, and the host's nproc
 define BENCH_STAMPS
-import json, sys
+import json, os, re, subprocess, sys, time
 path, change, base = sys.argv[1:]
 keys = ("git_commit", "source_sha256", "python", "numpy", "scipy", "nproc", "cpus_used", "loadavg_before",
         "loadavg_after")
@@ -94,6 +96,12 @@ seeds = {s: {(r["workload"], r["seed"]) for r in bench[s]} for s in ("change", "
 bench["pairs"] = {}
 for workload, seed in sorted(seeds["change"] & seeds["base"]):
     bench["pairs"].setdefault(workload, []).append(seed)
+t0 = time.monotonic()
+tests = subprocess.run([sys.executable, "-m", "pytest", "tests", "-q"], capture_output=True, text=True)
+bench["tier1"] = {"wall_s": round(time.monotonic() - t0, 3), "passed": 0, "failed": 0,
+                  "nproc": len(os.sched_getaffinity(0))}
+for count, outcome in re.findall(r"(\d+) (passed|failed)", tests.stdout.splitlines()[-1]):
+    bench["tier1"][outcome] = int(count)
 with open(path, "w") as fh:
     json.dump(bench, fh, indent=1, sort_keys=True)
     fh.write("\n")

@@ -84,16 +84,20 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _named(name: str, parse, text):
+    """parse(text), a ValueError it raises prefixed by the flag or config key the text came from."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise CliError(f"{name}: {exc}") from None
+
+
 def _grid_option(text: str | None, default: list[float], name: str) -> list[float]:
     """The values of a list option, or its default when absent; an empty list is an error."""
-    values = default if text is None else _float_list(text)
+    values = default if text is None else _named(name, _float_list, text)
     if not values:
         raise CliError(f"{name} must list at least one value")
     return values
-
-
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _parse_channel(spec: str, bins: int):
@@ -104,7 +108,7 @@ def _parse_channel(spec: str, bins: int):
     arity = {"bsc": 1, "onoff": 2, "awgn": 2}
     if kind not in arity:
         raise CliError(f"unknown channel spec {spec!r}")
-    vals = _float_list(params)
+    vals = _named("config key 'channel'", _float_list, params)
     if len(vals) != arity[kind]:
         raise CliError(f"channel {kind!r} takes {arity[kind]} comma-separated values, got {params!r}")
     if kind == "bsc":
@@ -127,7 +131,7 @@ def _onoff_values(tokens: list[str]) -> tuple[float, float]:
     keyed = dict(tok.split("=", 1) for tok in tokens if "=" in tok)
     if keyed and set(keyed) != {"p", "eps"}:  # an unknown or repeated key, or a bare value beside a keyed one
         raise CliError(f"--onoff-bsc takes P EPS or p=P eps=EPS, got {' '.join(tokens)!r}")
-    return (float(keyed["p"]), float(keyed["eps"])) if keyed else (float(tokens[0]), float(tokens[1]))
+    return tuple(_named("--onoff-bsc", float, v) for v in ((keyed["p"], keyed["eps"]) if keyed else tokens))
 
 
 def _inline_rows(text: str) -> list[list[float]]:
@@ -265,14 +269,14 @@ def _config_from_replay(path: str) -> dict[str, str]:
     return cfg
 
 
-# each simulate mode's keys beside mode, trials, seed and workers, with their parsers; any
-# other key is an error. A key the config leaves out takes its row builder's default, and
-# is required where the builder has none.
-MODE_KEYS = {
-    "single": dict(channel=str, n=int, k=int, a=int, beta=float, mu=float, norm=str, bins=int),
-    "bsc-scaling": dict(eps=float, k=int, n_list=_int_list, beta=float, mu=float, norm=str),
-    "energy-scaling": dict(energy=float, sigma2=float, n_list=_int_list, bins=int, mu_coeff=float, norm=str),
-}
+# how each simulate key is read, the same in every mode. A mode reads mode, trials, seed and
+# workers and the parameters of its row builder; any other key is an error. A key the config
+# leaves out takes its row builder's default, and is required where the builder has none.
+KEY_PARSERS = dict(
+    mode=str, trials=int, seed=int, workers=int, channel=str, n=int, k=int, a=int, beta=float, mu=float, norm=str,
+    bins=int, eps=float, energy=float, sigma2=float, mu_coeff=float,
+    n_list=lambda text: [int(tok) for tok in text.split(",") if tok.strip()],
+)
 # looked up by name at each call, so a wrapper set on this module's attribute is the one called
 ROW_BUILDERS = {
     "single": "_single_rows", "bsc-scaling": "bsc_scaling_rows", "energy-scaling": "energy_scaling_rows"
@@ -280,31 +284,31 @@ ROW_BUILDERS = {
 RUN_KEYS = ("mode", "trials", "seed", "workers")
 
 
-def _single_rows(channel: str, n: int, k: int, bins: int | None = None, **row) -> list:
+def _single_rows(channel: str, n: int, k: int, mu: float | None = None, norm: str = "linf", a: int | None = None,
+                 beta: float | None = None, bins: int | None = None) -> list:
     """single_rows over the channel of a spec; an awgn: spec is quantized on bins cells (8), and no other reads bins."""
     if bins is not None and not channel.startswith("awgn:"):
         raise CliError(f"config key 'bins' is read only by an awgn: channel, not by {channel!r}")
-    return single_rows(_parse_channel(channel, 8 if bins is None else bins), n, k, **row)
+    return single_rows(_parse_channel(channel, 8 if bins is None else bins), n, k, mu, norm, a, beta)
 
 
 def _config_rows(cfg: dict[str, str]) -> tuple[str, list, dict]:
     """(mode, rows, run settings for monte_carlo) of a simulate config."""
     mode = cfg.get("mode", "single")
-    if mode not in MODE_KEYS:
+    if mode not in ROW_BUILDERS:
         raise CliError(f"unknown simulate mode {mode!r}")
-    keys = MODE_KEYS[mode]
-    unread = sorted(set(cfg) - set(RUN_KEYS) - set(keys))
-    if unread:
-        raise CliError(f"config keys not read by mode {mode!r}: {', '.join(unread)}")
     builder = globals()[ROW_BUILDERS[mode]]
     params = inspect.signature(builder).parameters.values()
-    for key in ["trials", *(p.name for p in params if p.default is p.empty and p.kind != p.VAR_KEYWORD)]:
+    unread = sorted(set(cfg) - set(RUN_KEYS) - {p.name for p in params})
+    if unread:
+        raise CliError(f"config keys not read by mode {mode!r}: {', '.join(unread)}")
+    for key in ["trials", *(p.name for p in params if p.default is p.empty)]:
         if key not in cfg:
             raise CliError(f"config key {key!r} is required for mode {mode!r}")
+    parsed = {key: _named(f"config key {key!r}", KEY_PARSERS[key], text) for key, text in cfg.items()}
     # monte_carlo rejects trials < 1 and workers < 1
-    run = {"trials": int(cfg["trials"]), "master_seed": int(cfg.get("seed", "0")),
-           "workers": int(cfg.get("workers", "1"))}
-    return mode, builder(**{key: parse(cfg[key]) for key, parse in keys.items() if key in cfg}), run
+    run = {"trials": parsed["trials"], "master_seed": parsed.get("seed", 0), "workers": parsed.get("workers", 1)}
+    return mode, builder(**{key: v for key, v in parsed.items() if key not in RUN_KEYS}), run
 
 
 def _echo_dict(cfg: dict[str, str]) -> dict[str, str]:

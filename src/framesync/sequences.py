@@ -79,7 +79,7 @@ class Lfsr:
 
     def step(self) -> int:
         out = self.state & 1
-        fb = bin(self.state & self.mask).count("1") & 1
+        fb = (self.state & self.mask).bit_count() & 1
         self.state = (self.state >> 1) | (fb << (self.degree - 1))
         return out
 
@@ -106,14 +106,17 @@ class SyncWord:
     k: int
 
     def __post_init__(self):
-        sym = np.asarray(self.symbols, dtype=np.int8)
+        sym = np.asarray(self.symbols)
         if sym.ndim != 1 or sym.size == 0:
             raise SequenceError("word must be a non-empty 1-D symbol sequence")
-        if not np.all((sym == 0) | (sym == 1)):
+        # each symbol exactly 0 or 1 as given, before the cast; an integer array is checked by its
+        # range, which makes no temporary of the word's size
+        exact = sym.min() >= 0 and sym.max() <= 1 if sym.dtype.kind in "biu" else np.array_equal(sym, sym != 0)
+        if not exact:
             raise SequenceError("word symbols must be 0 or 1")
         if not 0 <= self.prefix_len <= sym.size:
             raise SequenceError("prefix length out of range")
-        sym = sym.copy()
+        sym = sym.astype(np.int8)
         sym.flags.writeable = False
         object.__setattr__(self, "symbols", sym)
 
@@ -163,7 +166,7 @@ def build_sync_word(n: int, k: int, seed: int = 1) -> SyncWord:
         raise IncompatibleLength(f"floor({n}/{k}) = {prefix} is not 2^m - 1 for any m in {_DEGREES}")
     bits = generate_mlsr(m, seed)
     symbols = np.ones(n, dtype=np.int8)
-    symbols[:prefix] = np.where(bits == 0, 1, 0)
+    symbols[:prefix] = bits == 0
     return SyncWord(symbols, prefix_len=prefix, k=k)
 
 

@@ -53,6 +53,32 @@ class TestExitPolicy:
         monkeypatch.setattr(cli, name, fail)
         assert run_cli(capsys, *argv) == (code, "", f"error: {exc}\n")
 
+    # a value its parser refuses; these printed the bare Python message, naming no key or flag
+    MALFORMED = [
+        (["simulate", "--preset", "single_bsc", "--set", "seed=1e3"],
+         "config key 'seed': invalid literal for int() with base 10: '1e3'"),
+        (["simulate", "--preset", "single_bsc", "--set", "trials=x"],
+         "config key 'trials': invalid literal for int() with base 10: 'x'"),
+        (["simulate", "--preset", "single_bsc", "--set", "n=x"],
+         "config key 'n': invalid literal for int() with base 10: 'x'"),
+        (["simulate", "--preset", "single_bsc", "--set", "mu=abc"],
+         "config key 'mu': could not convert string to float: 'abc'"),
+        (["simulate", "--preset", "single_bsc", "--set", "channel=bsc:x"],
+         "config key 'channel': could not convert string to float: 'x'"),
+        (["simulate", "--preset", "bsc_scaling", "--set", "n_list=15,x"],
+         "config key 'n_list': invalid literal for int() with base 10: 'x'"),
+        (["simulate", "--preset", "energy_scaling", "--set", "bins=x"],
+         "config key 'bins': invalid literal for int() with base 10: 'x'"),
+        (["lemma1-grid", "--p-list", "x"], "--p-list: could not convert string to float: 'x'"),
+        (["rayleigh-sweep", "--snr-list", "1,y"], "--snr-list: could not convert string to float: 'y'"),
+        (["threshold", "--onoff-bsc", "x", "0.1"], "--onoff-bsc: could not convert string to float: 'x'"),
+        (["threshold", "--onoff-bsc", "eps=0.1", "p=x"], "--onoff-bsc: could not convert string to float: 'x'"),
+    ]
+
+    @pytest.mark.parametrize("argv, message", MALFORMED, ids=[" ".join(argv[1:]) for argv, _ in MALFORMED])
+    def test_malformed_value_names_its_key_or_flag(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
     def test_violated_bound_writes_the_grid_then_exits_3(self, capsys, monkeypatch, tmp_path):
         real = cli.fading_bound_check
 

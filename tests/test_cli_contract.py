@@ -27,12 +27,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framesync
-from framesync.cli import MODE_KEYS, RUN_KEYS, _load_preset, main
-from framesync.decoder import bsc_scaling_rows, energy_scaling_rows, single_rows
+import framesync.cli as cli
+from framesync.cli import KEY_PARSERS, ROW_BUILDERS, RUN_KEYS, _load_preset, main
+from framesync.decoder import single_rows
 from framesync.sequences import MAX_N
 
 PRESETS = {name: _load_preset(name) for name in ("single_bsc", "bsc_scaling", "energy_scaling")}
 MAX_TRIALS = 20
+
+
+def builder_params(mode: str):
+    """The parameters of a mode's row builder: the keys the mode reads beside RUN_KEYS."""
+    return inspect.signature(getattr(cli, ROW_BUILDERS[mode])).parameters.values()
+
 
 REALS = ["0.05", "0.5", "1.5", "0", "nan", "inf", "1e-300"]
 # values tried per key: one or two in range, the edges, and out of range or malformed ones
@@ -62,7 +69,7 @@ KEY_VALUES = {
 def mutation(draw, mode: str):
     """(key, value), value None to delete the key; keys mostly of the preset's mode,
     values mostly from the key's own list."""
-    own = [*RUN_KEYS, *MODE_KEYS[mode]]
+    own = [*RUN_KEYS, *(p.name for p in builder_params(mode))]
     key = draw(st.sampled_from(own if draw(st.integers(0, 5)) else sorted(KEY_VALUES)))
     if draw(st.integers(0, 7)) == 0:
         return key, None
@@ -131,22 +138,27 @@ def test_every_single_mutation_keeps_exit_contract():
                 run_simulate(name, cfg, via_file=True)
 
 
-# the library's row builder of each mode; single mode also reads `bins`, the cells a
-# continuous channel spec is quantized on
-BUILDERS = {"single": single_rows, "bsc-scaling": bsc_scaling_rows, "energy-scaling": energy_scaling_rows}
+@pytest.mark.parametrize("mode", sorted(ROW_BUILDERS))
+def test_every_key_a_mode_reads_has_a_parser(mode):
+    assert {*RUN_KEYS, *(p.name for p in builder_params(mode))} <= set(KEY_PARSERS)
 
 
-@pytest.mark.parametrize("mode", sorted(MODE_KEYS))
-def test_mode_keys_are_their_builders_parameters(mode):
-    params = set(inspect.signature(BUILDERS[mode]).parameters)
-    assert set(MODE_KEYS[mode]) == (params | {"bins"} if mode == "single" else params)
+def test_key_parsers_hold_no_other_key():
+    read = {p.name for mode in ROW_BUILDERS for p in builder_params(mode)}
+    assert set(KEY_PARSERS) == read | set(RUN_KEYS)
+
+
+def test_single_mode_reads_single_rows_parameters_and_bins():
+    # single mode's builder takes a channel spec where single_rows takes a channel, and adds bins
+    own = {p.name: p.default for p in builder_params("single")}
+    assert own.pop("bins") is None
+    assert own == {p.name: p.default for p in inspect.signature(single_rows).parameters.values()}
 
 
 @pytest.mark.parametrize("name", sorted(PRESETS))
 def test_builder_parameters_without_default_are_required(name, tmp_path):
     mode = PRESETS[name]["mode"]
-    params = inspect.signature(BUILDERS[mode]).parameters.values()
-    required = [p.name for p in params if p.default is p.empty]
+    required = [p.name for p in builder_params(mode) if p.default is p.empty]
     assert required
     for key in required:
         path = tmp_path / f"{key}.cfg"

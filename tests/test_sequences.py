@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,30 @@ class TestBuildSyncWord:
         word = build_sync_word(45, 3)
         back = SyncWord.from_line(word.to_line(), word.prefix_len, word.k)
         assert np.array_equal(back.symbols, word.symbols)
+
+    @pytest.mark.parametrize("symbols", [
+        np.array([0.5, 1.0, 1.7]),  # was cast to int8 first and taken as [0 1 1]
+        np.array([0, 1, 256]),  # wrapped to [0 1 0]
+        [0, 1, 257],  # raised OverflowError in the cast
+    ], ids=["fractions", "int-array-256", "list-257"])
+    def test_symbols_are_checked_as_given(self, symbols):
+        with pytest.raises(SequenceError, match="0 or 1"):
+            SyncWord(symbols, 0, 0)
+
+    def test_exact_symbols_of_any_type_accepted(self):
+        for symbols in ([0, 1, 1], np.array([0.0, 1.0, 1.0]), np.array([False, True, True]), np.array([0, 1, 1])):
+            assert SyncWord(symbols, 0, 0).symbols.tolist() == [0, 1, 1]
+
+    def test_peak_memory_is_about_two_words(self):
+        # the built symbols and the word's own copy; the 0/1 check makes no temporary of the word's size
+        n = 1048575  # K = 16, degree 16
+        tracemalloc.start()
+        try:
+            build_sync_word(n, 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.1 * n
 
 
 class TestSyncWordValue:
