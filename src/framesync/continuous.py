@@ -11,9 +11,9 @@ so E[h^2] = 2 scale^2.
 The Gaussian CDF of the AWGN cell masses, ``phi``, is the Cephes ``ndtr`` that
 ``scipy.special.ndtr`` runs (S. L. Moshier, Methods and Programs for Mathematical Functions,
 1989), transcribed operation for operation with libm's exp, so it returns scipy's doubles
-without loading scipy. The Rayleigh CDF integrand keeps scipy's: it runs tens of thousands of
-times per quantization, where the compiled call is six times faster, and its command loads
-scipy for QUADPACK anyway.
+without loading scipy. The Rayleigh CDF integrand keeps scipy's: it runs once per quantizer
+edge, on an array over every amplitude node met so far, and once per new node on a float; its
+command loads scipy for QUADPACK anyway.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -181,14 +180,50 @@ def awgn_density(y, mean: float, noise_var: float):
     return float(out) if out.ndim == 0 else out
 
 
+def _density_node(y: float, shift: float, w: float, twice_var: float, norm: float) -> float:
+    """N(y; shift, sigma^2) w on floats, shift = h sqrt(P), in awgn_density's operations and order
+    on arrays. Its square is d * d, numpy's square of an array: libm's pow, which d**2 calls on a
+    float or a numpy scalar, is an ulp off on about one d in a thousand."""
+    d = y - shift
+    if (square := d * d) == math.inf:
+        square = d**2  # Python's pow raises OverflowError where a finite d squares past DBL_MAX
+    return float(np.exp(-square / twice_var)) / norm * w
+
+
+def _density_row(y: float, shifts: np.ndarray, weights: np.ndarray, twice_var: float, norm: float) -> np.ndarray:
+    """_density_node over arrays of nodes, operation for operation."""
+    d = y - shifts
+    return np.exp(-(d * d) / twice_var) / norm * weights
+
+
+def _cdf_node(e: float, shift: float, w: float, sigma: float, ndtr) -> float:
+    """w P(shift + n <= e) on floats."""
+    return w * float(ndtr((e - shift) / sigma))
+
+
+def _cdf_row(e: float, shifts: np.ndarray, weights: np.ndarray, sigma: float, ndtr) -> np.ndarray:
+    """_cdf_node over arrays of nodes, operation for operation."""
+    return weights * ndtr((e - shifts) / sigma)
+
+
 def _rayleigh_integrands(spec: RayleighAwgnSpec):
-    """Float kernels over the amplitude h: (y, h) -> N(y; h sqrt(P), sigma^2) w(h) and (e, h) ->
-    w(h) P(h sqrt(P) + n <= e), w the Rayleigh amplitude density (0 for h < 0). Plain floats, as
-    0-d numpy costs more than the arithmetic; numpy's exp (math.exp differs in the last bit) and
-    awgn_density's operation order keep each value bit-identical to awgn_density * w on arrays.
-    QUADPACK asks for the same h nodes at every y and every edge, so w(h) is kept in a table
-    that lives as long as these two kernels. Raises QuadratureNonConvergence past
-    MAX_SCALE_WIDTHS, where the quadratures go wrong."""
+    """The kernels over the amplitude h as functions of the outer point: density_at(y) is
+    h -> N(y; h sqrt(P), sigma^2) w(h) and cdf_at(e) is h -> w(h) P(h sqrt(P) + n <= e), w the
+    Rayleigh amplitude density (0 for h < 0).
+
+    QUADPACK asks for the same h nodes at every y and every edge, one node per callback. The two
+    kernels share a table of the nodes met so far, holding h sqrt(P) and w(h) per node. At each
+    outer point a kernel evaluates its array form (_density_row, _cdf_row) over the whole table
+    and turns it into a list once; a callback at a node of that row returns its entry. A node the
+    row lacks goes through the float form (_density_node, _cdf_node) and joins the table, so the
+    float form runs once per distinct node. Both forms run the same operations in the same order
+    with numpy's exp and scipy's ndtr, which return the same double for an array element as for a
+    float (math.exp differs in the last bit): every value is bit-identical to awgn_density * w on
+    arrays, hit or miss. Zero never joins the table: +0.0 and -0.0 share a key but not a sign. A
+    row on which numpy overflows or goes invalid is left to the float form, which raises
+    OverflowError or returns inf or nan silently, as it always has. The table lives as long as
+    these two kernels. Raises QuadratureNonConvergence past MAX_SCALE_WIDTHS, where the
+    quadratures go wrong."""
     from scipy.special import ndtr  # scipy loads only where a command computes with it
 
     root_p, sigma, scale2, var = math.sqrt(spec.power), spec.sigma, spec.scale**2, spec.noise_var
@@ -196,25 +231,42 @@ def _rayleigh_integrands(spec: RayleighAwgnSpec):
         raise QuadratureNonConvergence(
             f"sigma_H sqrt(P) / sigma = {widths:.4g} exceeds {MAX_SCALE_WIDTHS:g}: the Rayleigh quadratures fail")
     twice_scale2, twice_var, norm = 2.0 * scale2, 2.0 * var, math.sqrt(2.0 * math.pi * var)
-    weights: dict[float, float] = {}
-    lookup = weights.get
+    columns: dict[float, int] = {}  # node h -> its index in shifts and weights
+    shifts: list[float] = []  # h sqrt(P)
+    weights: list[float] = []  # w(h)
+    table = [np.empty(0), np.empty(0)]  # shifts and weights as arrays, rebuilt after nodes join
 
-    def weight(h: float) -> float:
-        """w(h), kept in the table. The kernels call it on a miss, and where the table holds
-        0.0, which it recomputes to the same bits."""
+    def at_node(node_form, x: float, h: float, *consts) -> float:
+        """The kernel at a node the row lacks, by its float form; a new node joins the table."""
+        if (i := columns.get(h)) is not None:
+            return node_form(x, shifts[i], weights[i], *consts)
         w = h / scale2 * float(np.exp(-(h * h) / twice_scale2)) if h >= 0.0 else 0.0
-        if h:  # +0.0 and -0.0 share a key but not a sign
-            weights[h] = w
-        return w
+        if h:
+            columns[h] = len(weights)
+            shifts.append(h * root_p)
+            weights.append(w)
+        return node_form(x, h * root_p, w, *consts)
 
-    def density(y: float, h: float) -> float:
-        d = y - h * root_p  # squared by pow, not d * d: awgn_density squares a numpy scalar
-        return float(np.exp(-(d**2) / twice_var)) / norm * (lookup(h) or weight(h))
+    def kernel_at(node_form, row_form, *consts) -> Callable[[float], Callable[[float], float]]:
+        def at(x: float) -> Callable[[float], float]:
+            if len(table[1]) < len(weights):
+                table[:] = np.array(shifts), np.array(weights)
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    row = row_form(x, *table, *consts).tolist()
+            except FloatingPointError:
+                row = []  # every node by the float form
+            n, column = len(row), columns.get
 
-    def cdf(e: float, h: float) -> float:
-        return (lookup(h) or weight(h)) * float(ndtr((e - h * root_p) / sigma))
+            def kernel(h: float) -> float:
+                i = column(h, n)  # >= n for a node that joined after this row, or not at all
+                return row[i] if i < n else at_node(node_form, x, h, *consts)
 
-    return density, cdf
+            return kernel
+
+        return at
+
+    return kernel_at(_density_node, _density_row, twice_var, norm), kernel_at(_cdf_node, _cdf_row, sigma, ndtr)
 
 
 def rayleigh_density_of(spec: RayleighAwgnSpec) -> Callable[[float], float]:
@@ -222,9 +274,9 @@ def rayleigh_density_of(spec: RayleighAwgnSpec) -> Callable[[float], float]:
 
     Its absolute tolerance scales as 1/sigma like the density (ABS_TOL at sigma = 1), which
     leaves sigma_H sqrt(P) / sigma the one parameter the quadrature sees."""
-    density, _ = _rayleigh_integrands(spec)
+    density_at, _ = _rayleigh_integrands(spec)
     h_max, abs_tol = spec.h_max, ABS_TOL / spec.sigma
-    return lambda y: adaptive_quad(partial(density, y), 0.0, h_max, abs_tol=abs_tol)
+    return lambda y: adaptive_quad(density_at(y), 0.0, h_max, abs_tol=abs_tol)
 
 
 def _gaussian_row(edges: np.ndarray, mean: float, sigma: float) -> tuple[np.ndarray, float]:
@@ -260,8 +312,8 @@ def quantize_to_dmc(
     edges = grid.edges
     idle, idle_tail = _gaussian_row(edges, 0.0, spec.sigma)  # pure noise
     if isinstance(spec, RayleighAwgnSpec):
-        _, cdf_integrand = _rayleigh_integrands(spec)  # the faded-signal law's CDF at each edge
-        cdf = np.array([adaptive_quad(partial(cdf_integrand, e), 0.0, spec.h_max, abs_tol=1e-13,
+        _, cdf_at = _rayleigh_integrands(spec)  # the faded-signal law's CDF at each edge
+        cdf = np.array([adaptive_quad(cdf_at(e), 0.0, spec.h_max, abs_tol=1e-13,
                                       rel_tol=1e-10) for e in edges.tolist()])
         sync_tail = 1.0 - (cdf[-1] - cdf[0])
         cdf[0], cdf[-1] = 0.0, 1.0  # tail cells absorb

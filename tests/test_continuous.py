@@ -1,6 +1,8 @@
+import contextlib
 import math
 import struct
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import framesync.continuous
 import rayleigh_oracle
 from framesync import (
     AwgnSpec,
@@ -255,8 +258,36 @@ class TestPhi:
         ]))
 
 
+@contextlib.contextmanager
+def counted_float_forms():
+    """Counts, by kernel, of the float-form evaluations of the Rayleigh kernels built inside the block."""
+    counts = {"density": 0, "cdf": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        for kernel in counts:
+            form = getattr(framesync.continuous, f"_{kernel}_node")
+
+            def counted(*args, form=form, kernel=kernel):
+                counts[kernel] += 1
+                return form(*args)
+
+            mp.setattr(framesync.continuous, f"_{kernel}_node", counted)
+        yield counts
+
+
+def recorded(kernel, calls: list):
+    """kernel, appending (h, value) to calls at each node QUADPACK asks for."""
+
+    def k(h):
+        value = kernel(h)
+        calls.append((h, value))
+        return value
+
+    return k
+
+
 class TestRayleighKernels:
-    """The float integrands equal the array composition they replace, bit for bit."""
+    """The kernels' table rows equal their float forms, and both the array composition they
+    replace, bit for bit; the float form runs once per distinct node."""
 
     @settings(max_examples=200, derandomize=True, deadline=None)
     @given(
@@ -270,20 +301,107 @@ class TestRayleighKernels:
         sigma = math.sqrt(noise_var)
         power = (frac * MAX_SCALE_WIDTHS * sigma / scale) ** 2
         root_p = math.sqrt(power)
-        density, cdf = _rayleigh_integrands(RayleighAwgnSpec(power, noise_var, scale))
         # amplitudes h < 0 too, where the amplitude density is 0; outputs near the signal
         # h sqrt(P), so that every exponential is in play
         draws = np.random.default_rng(seed).uniform([-1.0, -12.0, -12.0], [9.0, 12.0, 12.0], (16, 3))
         draws[:2, 0] = 0.0, -0.0  # the two zeros of h, whose weights differ only in sign
-        for h_scales, y_sigmas, e_sigmas in draws.tolist():
-            h = h_scales * scale
-            y, e = h * root_p + y_sigmas * sigma, h * root_p + e_sigmas * sigma
-            assert same_bits(density(y, h), awgn_density(y, h * root_p, noise_var) * rayleigh_pdf(h, scale))
-            assert same_bits(cdf(e, h), rayleigh_pdf(h, scale) * ndtr((e - h * root_p) / sigma))
+        points = [(h * scale, h * scale * root_p + y * sigma, h * scale * root_p + e * sigma)
+                  for h, y, e in draws.tolist()]
+        spec = RayleighAwgnSpec(power, noise_var, scale)
+        with counted_float_forms() as counts:
+            # one table each, as the two kernels of one spec share theirs
+            density_at, cdf_at = _rayleigh_integrands(spec)[0], _rayleigh_integrands(spec)[1]
+            # the first pass meets each node by the float form, the second reads it from a row
+            passes = [[(density_at(y)(h), cdf_at(e)(h)) for h, y, e in points] for _ in range(2)]
+        # the zeros never join the table: both passes take them by the float form
+        assert counts == {"density": len(points) + 2, "cdf": len(points) + 2}
+        assert np.array(passes[1]).tobytes() == np.array(passes[0]).tobytes()
+        # the composition on arrays, where numpy squares by d * d (on a numpy scalar, d**2 is
+        # libm's pow, an ulp off on about one d in a thousand)
+        h, y, e = np.array(points).T
+        densities = awgn_density(y, h * root_p, noise_var) * rayleigh_pdf(h, scale)
+        cdfs = rayleigh_pdf(h, scale) * ndtr((e - h * root_p) / sigma)
+        assert np.array(passes[0]).tobytes() == np.column_stack([densities, cdfs]).tobytes()
+
+    def test_nodes_met_at_one_outer_point_read_the_same_bits_at_the_next(self):
+        spec = RayleighAwgnSpec(power=100.0, noise_var=1.0, scale=1.0)
+        with counted_float_forms() as counts:
+            for i, kernel in enumerate(counts):
+                kernel_at = _rayleigh_integrands(spec)[i]  # a table of its own
+                met, read = [], []
+                first = adaptive_quad(recorded(kernel_at(10.0), met), 0.0, spec.h_max)
+                assert counts[kernel] == len({h for h, _ in met}) == len(met)  # all misses
+                second = adaptive_quad(recorded(kernel_at(10.0), read), 0.0, spec.h_max)
+                assert counts[kernel] == len(met)  # all hits
+                assert same_bits(first, second)
+                assert np.array(read).tobytes() == np.array(met).tobytes()
+
+    def test_a_row_lacks_the_nodes_that_joined_after_it(self):
+        spec = RayleighAwgnSpec(power=100.0, noise_var=1.0, scale=1.0)
+        density_at, _ = _rayleigh_integrands(spec)
+        first, second = density_at(0.5), density_at(10.0)  # two rows of the empty table
+        adaptive_quad(first, 0.0, spec.h_max)  # its nodes join the table, not second's row
+        alone = adaptive_quad(_rayleigh_integrands(spec)[0](10.0), 0.0, spec.h_max)
+        assert same_bits(adaptive_quad(second, 0.0, spec.h_max), alone)
+
+    def test_interleaved_specs_give_the_bits_of_each_alone(self):
+        specs = [RayleighAwgnSpec(100.0, 1.0, 1.0), RayleighAwgnSpec(10.0, 4.0, 2.0)]
+        xs = (-3.0, 0.5, 10.0, 30.0)
+
+        def integral(spec, kernel_at, x):
+            return adaptive_quad(kernel_at(x), 0.0, spec.h_max)
+
+        # each spec alone: its density at every x, then its CDF at every x
+        alone = [[integral(spec, kernel_at, x) for kernel_at in _rayleigh_integrands(spec) for x in xs]
+                 for spec in specs]
+        # interleaved: at each x, one spec's density and CDF, then the other's
+        interleaved = [[], []]
+        kernels = [_rayleigh_integrands(spec) for spec in specs]
+        for x in xs:
+            for spec, ats, out in zip(specs, kernels, interleaved):
+                out.extend(integral(spec, kernel_at, x) for kernel_at in ats)
+        for out in interleaved:
+            out[:] = out[0::2] + out[1::2]  # densities, then CDFs
+        assert np.array(interleaved).tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("run", ["threshold 1", "threshold 10", "threshold 100", "quantize 256"])
+    def test_the_float_form_runs_once_per_distinct_node(self, monkeypatch, run):
+        """The clockless guard that the table is used: QUADPACK asks for each node at many outer
+        points, the float form evaluates it once."""
+        calls = []
+        quad = framesync.continuous.adaptive_quad
+        monkeypatch.setattr(framesync.continuous, "adaptive_quad",
+                            lambda fn, *args, **kwargs: quad(recorded(fn, calls), *args, **kwargs))
+        what, value = run.split()
+        with counted_float_forms() as counts:
+            if what == "threshold":
+                rayleigh_threshold_numeric(RayleighAwgnSpec(power=float(value), noise_var=1.0, scale=1.0))
+            else:
+                quantize_to_dmc(RayleighAwgnSpec(power=100.0, noise_var=1.0, scale=1.0),
+                                QuantizationGrid(-8.0, 36.0, int(value)), mass_loss_tol=1e-2)
+        kernel = "density" if what == "threshold" else "cdf"
+        nodes = {h for h, _ in calls}
+        assert counts == {"density": 0, "cdf": 0} | {kernel: len(nodes)}
+        assert len(calls) > 20 * len(nodes)
+
+    def test_rows_numpy_cannot_evaluate_are_left_to_the_float_form(self):
+        """Where y - h sqrt(P) squares past the largest double, the float form raises OverflowError
+        (Python's pow), and where N(y; h sqrt(P), sigma^2) w(h) overflows it returns inf silently;
+        numpy would warn and return 0 and inf. Such rows take the float form, so neither the
+        error nor the silence changes."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            density = rayleigh_density_of(RayleighAwgnSpec(1.0, 1.0, 1.0))
+            density(0.5)  # the table fills
+            with pytest.raises(QuadratureNonConvergence, match="OverflowError"):
+                density(1e200)
+            with pytest.raises(QuadratureNonConvergence, match="OverflowError"):
+                rayleigh_threshold_numeric(RayleighAwgnSpec(1e-310, 1e307, 2.0))
+            density = rayleigh_density_of(RayleighAwgnSpec(1e-8, 1e-320, 1e-155))
+            assert density(0.5) == 0.0
+            assert density(1e-300) == math.inf
 
     def test_quadratures_equal_those_of_the_array_composition(self, monkeypatch):
-        import framesync.continuous
-
         spec = RayleighAwgnSpec(power=100.0, noise_var=1.0, scale=1.0)
         ys, grid = (-3.0, 0.5, 10.0, 30.0), QuantizationGrid(-8.0, 36.0, 32)
 
@@ -294,9 +412,10 @@ class TestRayleighKernels:
 
         kernels = outputs()
         root_p = math.sqrt(spec.power)
+        # the composition on arrays, one h-kernel per outer point as the table's kernels give
         monkeypatch.setattr(framesync.continuous, "_rayleigh_integrands", lambda s: (
-            lambda y, h: awgn_density(y, h * root_p, s.noise_var) * rayleigh_pdf(h, s.scale),
-            lambda e, h: rayleigh_pdf(h, s.scale) * ndtr((e - h * root_p) / s.sigma),
+            lambda y: lambda h: awgn_density(y, h * root_p, s.noise_var) * rayleigh_pdf(h, s.scale),
+            lambda e: lambda h: rayleigh_pdf(h, s.scale) * ndtr((e - h * root_p) / s.sigma),
         ))
         assert outputs() == kernels
 
