@@ -2,7 +2,7 @@ PYTHON ?= python3
 OUT ?= out
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test acceptance reproduce verify-out check bench bench-pairs bench-json clean
+.PHONY: test acceptance reproduce verify-out check loc bench bench-pairs bench-json clean
 
 test:
 	$(PYTHON) -m pytest tests -q --durations=10
@@ -33,6 +33,29 @@ verify-out:
 check:
 	@$(MAKE) --no-print-directory test; status=$$?; \
 		$(MAKE) --no-print-directory verify-out && exit $$status
+
+# code lines of each module under src/framesync: lines that hold a token other than a comment, less
+# the module, class and function docstrings that ast finds; blank and comment-only lines do not count
+define LOC
+import ast, io, sys, tokenize
+from pathlib import Path
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+total = 0
+for path in sorted(Path(sys.argv[1]).glob("*.py")):
+    text = path.read_text()
+    lines = {row for tok in tokenize.generate_tokens(io.StringIO(text).readline) if tok.type not in LAYOUT
+             for row in range(tok.start[0], tok.end[0] + 1)}
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, scopes) and ast.get_docstring(node, clean=False) is not None:
+            lines -= set(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    total += len(lines)
+    print(f"{len(lines):6d}  {path}")
+print(f"{total:6d}  total")
+endef
+export LOC
+loc:
+	@$(PYTHON) -c "$$LOC" src/framesync
 
 # one benchmark run of workload W (skip_scan, full_scan, short_batched or rayleigh); bench-pairs
 # also takes a space-separated list, W="skip_scan full_scan"

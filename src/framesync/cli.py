@@ -1,10 +1,11 @@
 """Command-line front end: thresholds, bound grids, sweeps, simulations, words.
 
 Subcommands: threshold, lemma1-grid, rayleigh-sweep, simulate, sequence.
-A command returns 0 or raises, and `main` alone turns the exception into an
-`error:` line and an exit code by its class: 2 for ValueError and OSError (an
-invalid input; nothing is written), 3 for RuntimeError and MemoryError (a run
-that failed after it started; what it finished is written first).
+A command returns nothing or raises, and `main` alone picks the exit code: 0
+when it returns, else an `error:` line and a code by the exception's class: 2
+for ValueError and OSError (an invalid input; nothing is written), 3 for
+RuntimeError and MemoryError (a run that failed after it started; what it
+finished is written first). argparse exits 2 on a command line it refuses.
 
 Every run is deterministic given its full flag set; output files are written
 atomically and contain a config echo so `simulate --replay <file>` reproduces
@@ -80,8 +81,24 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
+def _comma_list(text: str, item=float) -> list:
+    """The items of a comma-separated list, each read by item; a blank item is skipped."""
+    return [item(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _key_values(lines: list[str], source: str, comments: bool = False) -> dict[str, str]:
+    """The pairs of 'key = value' lines, key and value stripped; the value keeps every '=' after the
+    first. In a file (comments) '#' starts a comment and a blank line is skipped."""
+    cfg = {}
+    for raw in lines:
+        line = raw.split("#", 1)[0] if comments else raw
+        if comments and not line.strip():
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise CliError(f"{source}: expected key = value, got {raw!r}")
+        cfg[key.strip()] = value.strip()
+    return cfg
 
 
 def _named(name: str, parse, text):
@@ -94,10 +111,15 @@ def _named(name: str, parse, text):
 
 def _grid_option(text: str | None, default: list[float], name: str) -> list[float]:
     """The values of a list option, or its default when absent; an empty list is an error."""
-    values = default if text is None else _named(name, _float_list, text)
+    values = default if text is None else _named(name, _comma_list, text)
     if not values:
         raise CliError(f"{name} must list at least one value")
     return values
+
+
+def _onoff_bsc(p: float, eps: float):
+    """ON-OFF fading with P(on) = p, then a BSC of crossover eps."""
+    return compose(on_off_fading_matrix(p), bsc(eps))
 
 
 def _parse_channel(spec: str, bins: int):
@@ -105,17 +127,15 @@ def _parse_channel(spec: str, bins: int):
     kind, _, params = spec.partition(":")
     if kind == "file":
         return load_channel(params)
-    arity = {"bsc": 1, "onoff": 2, "awgn": 2}
-    if kind not in arity:
+    # a kind takes as many values as its builder has parameters
+    builders = {"bsc": bsc, "onoff": _onoff_bsc,
+                "awgn": lambda power, noise_var: quantized_awgn(AwgnSpec(power, noise_var), bins)}
+    if kind not in builders:
         raise CliError(f"unknown channel spec {spec!r}")
-    vals = _named("config key 'channel'", _float_list, params)
-    if len(vals) != arity[kind]:
-        raise CliError(f"channel {kind!r} takes {arity[kind]} comma-separated values, got {params!r}")
-    if kind == "bsc":
-        return bsc(vals[0])
-    if kind == "onoff":
-        return compose(on_off_fading_matrix(vals[0]), bsc(vals[1]))
-    return quantized_awgn(AwgnSpec(*vals), bins)
+    vals = _named("config key 'channel'", _comma_list, params)
+    if len(vals) != (arity := len(inspect.signature(builders[kind]).parameters)):
+        raise CliError(f"channel {kind!r} takes {arity} comma-separated values, got {params!r}")
+    return builders[kind](*vals)
 
 
 # ---------------------------------------------------------------- threshold
@@ -128,7 +148,7 @@ def _echo_number(x: float) -> str:
 
 def _onoff_values(tokens: list[str]) -> tuple[float, float]:
     """(P, EPS) of --onoff-bsc: two bare values in that order, or p=P and eps=EPS in either order."""
-    keyed = dict(tok.split("=", 1) for tok in tokens if "=" in tok)
+    keyed = _key_values([tok for tok in tokens if "=" in tok], "--onoff-bsc")
     if keyed and set(keyed) != {"p", "eps"}:  # an unknown or repeated key, or a bare value beside a keyed one
         raise CliError(f"--onoff-bsc takes P EPS or p=P eps=EPS, got {' '.join(tokens)!r}")
     return tuple(_named("--onoff-bsc", float, v) for v in ((keyed["p"], keyed["eps"]) if keyed else tokens))
@@ -160,7 +180,7 @@ def _parse_channel_args(args) -> tuple:
         name, values, report = "bsc", [args.bsc], sync_threshold(bsc(args.bsc))
     elif args.onoff_bsc is not None:
         name, values = "onoff-bsc", _onoff_values(args.onoff_bsc)
-        report = sync_threshold(compose(on_off_fading_matrix(values[0]), bsc(values[1])))
+        report = sync_threshold(_onoff_bsc(*values))
     else:
         name, values = ("awgn", args.awgn) if args.awgn is not None else ("rayleigh", args.rayleigh)
         if name == "awgn":
@@ -171,13 +191,12 @@ def _parse_channel_args(args) -> tuple:
     return {"channel": f"{name}:{','.join(map(_echo_number, values))}"}, report
 
 
-def cmd_threshold(args) -> int:
+def cmd_threshold(args) -> None:
     echo, report = _parse_channel_args(args)
     payload = {"config": echo, **report.to_json_dict()}
     if args.bits:
         payload["alpha_bits"] = "infinite" if report.is_infinite else report.alpha_bits()
     _emit(_json_dumps(payload), args.out)
-    return EXIT_OK
 
 
 # ------------------------------------------------------------- lemma1-grid
@@ -187,7 +206,7 @@ DEFAULT_P_GRID = [round(0.02 * i, 10) for i in range(1, 51)]
 DEFAULT_EPS_GRID = [round(0.01 * i, 10) for i in range(1, 50)]
 
 
-def cmd_lemma1_grid(args) -> int:
+def cmd_lemma1_grid(args) -> None:
     p_list = _grid_option(args.p_list, DEFAULT_P_GRID, "--p-list")
     eps_list = _grid_option(args.eps_list, DEFAULT_EPS_GRID, "--eps-list")
     lines = ["p,eps,alpha_q,p_alpha_qn,slack,holds"]
@@ -204,7 +223,6 @@ def cmd_lemma1_grid(args) -> int:
     if violated:
         # a violated bound means a bug, not a finding
         raise RuntimeError("fading bound violated on the grid")
-    return EXIT_OK
 
 
 # ----------------------------------------------------------- rayleigh-sweep
@@ -214,7 +232,7 @@ DEFAULT_SNR_GRID = [1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0]
 DEFAULT_SIGMA_H = [1.0, 2.0, 3.0]
 
 
-def cmd_rayleigh_sweep(args) -> int:
+def cmd_rayleigh_sweep(args) -> None:
     snr_list = _grid_option(args.snr_list, DEFAULT_SNR_GRID, "--snr-list")
     sigma_h_list = _grid_option(args.sigma_h_list, DEFAULT_SIGMA_H, "--sigma-h-list")
     cells = rayleigh_ratio_sweep(snr_list, sigma_h_list, noise_var=args.sigma2)
@@ -222,23 +240,9 @@ def cmd_rayleigh_sweep(args) -> int:
     failed = sum(math.isnan(c.ratio) for c in cells)
     if failed:
         raise RuntimeError(f"{failed} of {len(cells)} sweep cells failed (written as nan)")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- simulate
-
-
-def _parse_config_text(text: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise CliError(f"bad config line (expected key = value): {raw!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
-    return cfg
 
 
 def _load_preset(name: str) -> dict[str, str]:
@@ -247,7 +251,7 @@ def _load_preset(name: str) -> dict[str, str]:
         text = resources.files("framesync").joinpath(f"presets/{fname}.cfg").read_text()
     except FileNotFoundError:
         raise CliError(f"unknown preset {name!r}") from None
-    return _parse_config_text(text)
+    return _key_values(text.splitlines(), f"preset {name!r}", comments=True)
 
 
 def _config_from_replay(path: str) -> dict[str, str]:
@@ -259,11 +263,7 @@ def _config_from_replay(path: str) -> dict[str, str]:
         if not isinstance(cfg, dict):
             raise CliError(f"{path} carries no config echo")
         return {k: str(v) for k, v in cfg.items()}
-    cfg = {}
-    for line in head.splitlines():
-        if line.startswith("# ") and " = " in line:
-            key, value = line[2:].split(" = ", 1)
-            cfg[key.strip()] = value.strip()
+    cfg = _key_values([line[2:] for line in head.splitlines() if line.startswith("# ") and " = " in line], path)
     if not cfg:
         raise CliError(f"{path} carries no config echo")
     return cfg
@@ -275,7 +275,7 @@ def _config_from_replay(path: str) -> dict[str, str]:
 KEY_PARSERS = dict(
     mode=str, trials=int, seed=int, workers=int, channel=str, n=int, k=int, a=int, beta=float, mu=float, norm=str,
     bins=int, eps=float, energy=float, sigma2=float, mu_coeff=float,
-    n_list=lambda text: [int(tok) for tok in text.split(",") if tok.strip()],
+    n_list=functools.partial(_comma_list, item=int),
 )
 # looked up by name at each call, so a wrapper set on this module's attribute is the one called
 ROW_BUILDERS = {
@@ -316,22 +316,18 @@ def _echo_dict(cfg: dict[str, str]) -> dict[str, str]:
     return {k: v for k, v in cfg.items() if k != "workers"}
 
 
-def cmd_simulate(args) -> int:
-    sources = [s for s in (args.preset, args.config, args.replay) if s]
-    if len(sources) != 1:
-        raise CliError("simulate needs exactly one of --preset, --config, --replay")
-    if args.preset:
-        cfg = _load_preset(args.preset)
-    elif args.config:
+def _source_config(args) -> dict[str, str]:
+    """The config of the one source flag argparse admits."""
+    if args.preset is not None:
+        return _load_preset(args.preset)
+    if args.config is not None:
         with open(args.config) as fh:
-            cfg = _parse_config_text(fh.read())
-    else:
-        cfg = _config_from_replay(args.replay)
-    for override in args.set or []:
-        if "=" not in override:
-            raise CliError(f"--set expects key=value, got {override!r}")
-        key, value = override.split("=", 1)
-        cfg[key.strip()] = value.strip()
+            return _key_values(fh.read().splitlines(), args.config, comments=True)
+    return _config_from_replay(args.replay)
+
+
+def cmd_simulate(args) -> None:
+    cfg = {**_source_config(args), **_key_values(args.set or [], "--set")}
 
     t0 = time.monotonic()
     mode, rows, run = _config_rows(cfg)
@@ -353,13 +349,12 @@ def cmd_simulate(args) -> int:
     print(f"wall_time_s {time.monotonic() - t0:.3f}", file=sys.stderr)
     if failure is not None:
         raise RuntimeError(f"{failure} (partial results flushed)") from failure
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------- sequence
 
 
-def cmd_sequence(args) -> int:
+def cmd_sequence(args) -> None:
     n = nearest_valid_length(args.n, args.k) if not args.exact else args.n
     word = build_sync_word(n, args.k, seed=args.seed)
     dist, shift = min_shift_hamming_distance(word)
@@ -374,7 +369,6 @@ def cmd_sequence(args) -> int:
         "distance_over_n": dist / n,
     }
     _emit(_json_dumps(payload), args.out)
-    return EXIT_OK
 
 
 # -------------------------------------------------------------------- main
@@ -397,28 +391,25 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--file", metavar="PATH")
     source.add_argument("--inline", metavar="ROWS", help="rows 'a,b;c,d'")
     p.add_argument("--bits", action="store_true", help="also report alpha in bits")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_threshold)
 
     p = sub.add_parser("lemma1-grid", help="fading bound alpha(Q) <= p alpha(Qn) on a grid")
     p.add_argument("--p-list", metavar="P1,P2,...")
     p.add_argument("--eps-list", metavar="E1,E2,...")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_lemma1_grid)
 
     p = sub.add_parser("rayleigh-sweep", help="fading/AWGN threshold ratio vs SNR")
     p.add_argument("--snr-list", metavar="S1,S2,...")
     p.add_argument("--sigma-h-list", metavar="H1,H2,...")
     p.add_argument("--sigma2", type=float, default=1.0)
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_rayleigh_sweep)
 
     p = sub.add_parser("simulate", help="Monte Carlo decoder simulation")
-    p.add_argument("--preset", metavar="NAME")
-    p.add_argument("--config", metavar="PATH")
-    p.add_argument("--replay", metavar="OUTPUT", help="reproduce a previous run from its echo")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", metavar="NAME")
+    source.add_argument("--config", metavar="PATH")
+    source.add_argument("--replay", metavar="OUTPUT", help="reproduce a previous run from its echo")
     p.add_argument("--set", action="append", metavar="KEY=VALUE")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("sequence", help="build a sync word and analyze shift distances")
@@ -426,19 +417,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=8, metavar="K")
     p.add_argument("--seed", type=int, default=1, help="nonzero register seed")
     p.add_argument("--exact", action="store_true", help="use N exactly instead of the nearest valid length")
-    p.add_argument("--out", metavar="PATH")
     p.set_defaults(fn=cmd_sequence)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", metavar="PATH")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        args.fn(args)
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME if isinstance(exc, (RuntimeError, MemoryError)) else EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

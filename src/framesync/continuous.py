@@ -173,10 +173,11 @@ def default_grid(spec: AwgnSpec | RayleighAwgnSpec, bins: int = DEFAULT_BINS) ->
 
 
 def awgn_density(y, mean: float, noise_var: float):
-    """Gaussian density at y."""
+    """Gaussian density at y, the same bits for a scalar y as for y inside an array: the square is
+    d * d, as numpy squares an array, where d**2 on a numpy scalar calls libm's pow."""
     AwgnSpec(0.0, noise_var)  # the spec's check: finite and > 0, so NaN and inf fail too
-    y = np.asarray(y, dtype=np.float64)
-    out = np.exp(-((y - mean) ** 2) / (2.0 * noise_var)) / math.sqrt(2.0 * math.pi * noise_var)
+    d = np.asarray(y, dtype=np.float64) - mean
+    out = np.exp(-(d * d) / (2.0 * noise_var)) / math.sqrt(2.0 * math.pi * noise_var)
     return float(out) if out.ndim == 0 else out
 
 

@@ -19,6 +19,7 @@ from framesync.channels import Dmc
 from framesync.cli import main as cli_main
 
 from exact_oracle import exact_error_probability_dp, exact_error_probability_enum
+from small_configs import random_small_config
 
 
 @contextmanager
@@ -147,24 +148,6 @@ def test_criterion_08_sync_word_shift_distance():
                     assert dist / n >= floor, (k, n, dist)
 
 
-def _random_small_config(rng):
-    a = int(rng.integers(1, 7))
-    n = int(rng.integers(2, 5))
-    sym = rng.integers(0, 2, size=n)
-    if sym.sum() == 0:
-        sym[int(rng.integers(0, n))] = 1
-    eps = float(rng.uniform(0.02, 0.45))
-    mu = float(rng.uniform(0.08, 0.7))
-    norm = "linf" if rng.random() < 0.5 else "l1"
-    return fs.TrialConfig(
-        a=a,
-        word=fs.SyncWord(sym.astype(np.int8), 0, 0),
-        channel=fs.bsc(eps),
-        mu=mu,
-        norm=norm,
-    )
-
-
 def test_criterion_09_exact_small_instance_oracle():
     # The 40 configurations are drawn with a frozen seed so the suite is
     # deterministic; nominal 95% coverage makes >= 38/40 sensitive to the
@@ -173,7 +156,7 @@ def test_criterion_09_exact_small_instance_oracle():
         rng = np.random.default_rng(777)
         inside = 0
         for i in range(40):
-            cfg = _random_small_config(rng)
+            cfg = random_small_config(rng)
             p_dp = exact_error_probability_dp(cfg)
             p_enum = exact_error_probability_enum(cfg)
             assert abs(p_dp - p_enum) <= 1e-12, i

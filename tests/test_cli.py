@@ -585,6 +585,72 @@ class TestSimulate:
         assert _config_from_replay(str(out)) == {**_config_from_replay(path), "trials": "20"}
 
 
+class TestSimulateInputs:
+    """One key = value grammar for config files, --set and a CSV's echo; exactly one source flag."""
+
+    # pairs of a mode that writes JSON and of one that writes CSV; each run takes a fraction of a second
+    PAIRS = {
+        "single_bsc": {"mode": "single", "channel": "bsc:0.1", "n": "21", "k": "3", "beta": "0.1", "mu": "0.08",
+                       "norm": "l1", "trials": "40", "seed": "5"},
+        "bsc_scaling": {"mode": "bsc-scaling", "eps": "0.05", "k": "3", "beta": "0.25", "n_list": "21,45",
+                        "mu": "0.05", "norm": "l1", "trials": "40", "seed": "5"},
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PAIRS))
+    def test_config_file_set_and_replay_give_one_echo(self, capsys, tmp_path, preset):
+        pairs = self.PAIRS[preset]
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment line\n\n" + "".join(f"  {k} =  {v}  # {k}\n" for k, v in pairs.items()))
+        by_file, by_set, by_replay = (tmp_path / name for name in ("file", "set", "replay"))
+        assert run_cli(capsys, "simulate", "--config", str(cfg), "--out", str(by_file))[0] == 0
+        overrides = [arg for k, v in pairs.items() for arg in ("--set", f"{k}={v}")]
+        assert run_cli(capsys, "simulate", "--preset", preset, *overrides, "--out", str(by_set))[0] == 0
+        assert run_cli(capsys, "simulate", "--replay", str(by_file), "--out", str(by_replay))[0] == 0
+        assert by_file.read_bytes() == by_set.read_bytes() == by_replay.read_bytes()
+        assert _config_from_replay(str(by_file)) == pairs
+
+    def test_set_value_keeps_hash_and_equals_through_replay(self, capsys, tmp_path):
+        # '#' starts a comment only in a file: a --set value and an echoed one keep it, and ' = '
+        table = tmp_path / "bsc # 0.1 = q.mat"
+        table.write_text("2 2\n0.9 0.1\n0.1 0.9\n")
+        first, by_json, by_csv = (tmp_path / name for name in ("first.json", "json.json", "csv.json"))
+        code, _, _ = run_cli(capsys, "simulate", "--preset", "single_bsc", "--set", f"channel=file:{table}",
+                             "--set", "n=21", "--set", "k=3", "--set", "beta=0.1", "--set", "trials=40",
+                             "--out", str(first))
+        assert code == 0
+        cfg = json.loads(first.read_text())["config"]
+        assert cfg["channel"] == f"file:{table}"
+        echo = tmp_path / "echo.csv"  # the config as a CSV output echoes it
+        echo.write_text("".join(f"# {k} = {v}\n" for k, v in sorted(cfg.items())) + "n,a\n")
+        for replayed, source in ((by_json, first), (by_csv, echo)):
+            assert run_cli(capsys, "simulate", "--replay", str(source), "--out", str(replayed))[0] == 0
+            assert replayed.read_bytes() == first.read_bytes(), source.name
+
+    def test_line_without_equals_is_named_by_its_source(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("mode = single\ntrials 40  # no '='\n")
+        out = tmp_path / "o.json"
+        for source, line in ((["--config", str(cfg)], "trials 40  # no '='"),
+                             (["--preset", "single_bsc", "--set", "trials"], "trials")):
+            code, stdout, err = run_cli(capsys, "simulate", *source, "--out", str(out))
+            where = str(cfg) if source[0] == "--config" else "--set"
+            assert (code, stdout, err) == (2, "", f"error: {where}: expected key = value, got {line!r}\n")
+            assert not out.exists()
+
+    @pytest.mark.parametrize("sources", [
+        (),
+        ("--preset", "single_bsc", "--config", "run.cfg"),
+        ("--config", "run.cfg", "--replay", "out.json"),
+    ])
+    def test_not_exactly_one_source_exits_2(self, capsys, tmp_path, sources):
+        out = tmp_path / "o.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", *sources, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == "" and not out.exists()
+        assert any("error:" in line for line in captured.err.splitlines()), captured.err
+
+
 class TestStartup:
     """A fresh process loads scipy only where its command computes with it.
 

@@ -187,6 +187,13 @@ class TestDensities:
             0.24197072451914337, abs=1e-15
         )
 
+    def test_scalar_gives_the_bits_of_the_array(self):
+        # a scalar y was squared by libm's pow, 68 of these draws an ulp off their array value
+        ys = np.random.default_rng(0).normal(0.0, 10.0, 100_000)
+        densities = awgn_density(ys, 0.0, 4.0)
+        assert sum(awgn_density(y, 0.0, 4.0) != d for y, d in zip(ys, densities)) == 0
+        assert np.array_equal(densities, np.exp(-(ys * ys) / 8.0) / math.sqrt(8.0 * math.pi))
+
     def test_non_finite_or_nonpositive_variance_rejected(self):
         # NaN returned nan and inf returned 0.0, where AwgnSpec rejects both
         for bad in (math.nan, math.inf, -math.inf, 0.0, -1.0):

@@ -66,6 +66,7 @@ from naive_trials import (
     typicality_distance,
     window_distances,
 )
+from small_configs import random_small_config
 
 
 def word_from_bits(bits):
@@ -75,20 +76,6 @@ def word_from_bits(bits):
 def exact_distances(dec, outputs):
     """The reference's distances of every window of each row of outputs."""
     return window_distances(dec.word.symbols, dec.channel.rows, dec.norm, np.atleast_2d(outputs))
-
-
-def random_small_config(rng, a_max=6, n_max=4):
-    a = int(rng.integers(1, a_max + 1))
-    n = int(rng.integers(2, n_max + 1))
-    sym = rng.integers(0, 2, size=n)
-    if sym.sum() == 0:
-        sym[int(rng.integers(0, n))] = 1
-    eps = float(rng.uniform(0.02, 0.45))
-    mu = float(rng.uniform(0.08, 0.7))
-    norm = "linf" if rng.random() < 0.5 else "l1"
-    return TrialConfig(
-        a=a, word=word_from_bits(sym), channel=bsc(eps), mu=mu, norm=norm
-    )
 
 
 class TestEmpiricalJoint:
