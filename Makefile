@@ -69,7 +69,7 @@ bench:
 # so their outputs compare byte for byte. BASE's records are copied to .perfbench/pairs/ before
 # the directory goes; after each workload's pairs, its records on this checkout are summarized
 # against BASE's. The paths of both sides' records, all workloads', go to $(RECORDS)change.txt and
-# $(RECORDS)base.txt, one a line, for bench-json.
+# $(RECORDS)base.txt, one a line, and BASE's commit to $(RECORDS)base-commit.txt, for bench-json.
 BASE ?= HEAD
 PAIRS ?= 10
 SEED ?= 1000
@@ -78,7 +78,7 @@ bench-pairs:
 	@set -e; tmp=$$(mktemp -d); tree=$$tmp/base; here=$$(pwd); \
 	trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tree"; git archive $(BASE) | tar -x -C "$$tree"; mkdir -p .perfbench/pairs; \
-	: > $(RECORDS)change.txt; : > $(RECORDS)base.txt; \
+	: > $(RECORDS)change.txt; : > $(RECORDS)base.txt; git rev-parse $(BASE) > $(RECORDS)base-commit.txt; \
 	for w in $(W); do \
 		new=; old=; \
 		for i in $$(seq 0 $$(($(PAIRS) - 1))); do \
@@ -101,20 +101,27 @@ bench-pairs:
 
 # BENCH_$(PR).json at the repository root from the records the last bench-pairs listed: under
 # "summary", summarize.py's JSON of this checkout's records against BASE's; under "change" and
-# "base", each record's workload, seed, seconds and run stamp (commit, source sha256, versions,
-# CPUs used, load average); under "pairs", the seeds each workload ran on both sides; under
-# "tier1", the wall seconds of one `$(PYTHON) -m pytest tests -q` run on this checkout, its passed
-# and failed counts, and the host's nproc
+# "base", each record's workload, seed, seconds and run stamp (source sha256, versions, CPUs used,
+# load average; not the stamp's commit, which names HEAD for an uncommitted change and nothing for
+# BASE's exported tree); under "base_commit", the commit bench-pairs ran as BASE; under
+# "change_commit" and "change_src_uncommitted", this checkout's HEAD and whether src/ differs from
+# it; under "pairs", the seeds each workload ran on both sides; under "tier1", the wall seconds of
+# one `$(PYTHON) -m pytest tests -q` run on this checkout, its passed and failed counts, and the
+# host's nproc
 define BENCH_STAMPS
 import json, os, re, subprocess, sys, time
-path, change, base = sys.argv[1:]
-keys = ("git_commit", "source_sha256", "python", "numpy", "scipy", "nproc", "cpus_used", "loadavg_before",
+path, change, base, base_commit = sys.argv[1:]
+keys = ("source_sha256", "python", "numpy", "scipy", "nproc", "cpus_used", "loadavg_before",
         "loadavg_after")
 def side(listing):
     records = [json.load(open(rec)) for rec in open(listing).read().split()]
     return [{"workload": r["workload"], "seed": r["seed"], "seconds": r["seconds"],
              **{k: r["stamp"][k] for k in keys}} for r in records]
 bench = {"summary": json.load(open(path)), "change": side(change), "base": side(base)}
+git = lambda *args: subprocess.run(["git", *args], capture_output=True, text=True, check=True).stdout.strip()
+bench["base_commit"] = open(base_commit).read().strip()
+bench["change_commit"] = git("rev-parse", "HEAD")
+bench["change_src_uncommitted"] = bool(git("status", "--porcelain", "--", "src"))
 seeds = {s: {(r["workload"], r["seed"]) for r in bench[s]} for s in ("change", "base")}
 bench["pairs"] = {}
 for workload, seed in sorted(seeds["change"] & seeds["base"]):
@@ -134,7 +141,7 @@ bench-json:
 	@test -n "$(PR)" || { echo "usage: make bench-json PR=n" >&2; exit 2; }
 	$(PYTHON) perfbench/summarize.py $$(cat $(RECORDS)change.txt) --against $$(cat $(RECORDS)base.txt) \
 		--json BENCH_$(PR).json
-	$(PYTHON) -c "$$BENCH_STAMPS" BENCH_$(PR).json $(RECORDS)change.txt $(RECORDS)base.txt
+	$(PYTHON) -c "$$BENCH_STAMPS" BENCH_$(PR).json $(RECORDS)change.txt $(RECORDS)base.txt $(RECORDS)base-commit.txt
 
 clean:
 	rm -rf out

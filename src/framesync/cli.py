@@ -187,7 +187,7 @@ def _parse_channel_args(args) -> tuple:
             alpha, method = awgn_threshold(AwgnSpec(*values)), "closed-form"
         else:
             alpha, method = rayleigh_threshold_numeric(RayleighAwgnSpec(*values)), "quadrature"
-        report = ThresholdReport(alpha=alpha, argmax_symbol=1, method=method, per_symbol_divergences=(0.0, alpha))
+        report = ThresholdReport(argmax_symbol=1, method=method, per_symbol_divergences=(0.0, alpha))
     return {"channel": f"{name}:{','.join(map(_echo_number, values))}"}, report
 
 

@@ -477,11 +477,11 @@ def _philox_layout_known() -> bool:
 
 def _trial_draws(master_seed: int):
     """fill(u, first), which fills row r of u with the first doubles of trial_rng(master_seed,
-    first + r) from one Philox, re-keyed per trial and far cheaper than a new generator: key
-    word 1 to the trial, counter 0 and an empty buffer. Three stores into its philox_state where
-    the layout is known, else through the public state setter."""
-    bit_gen = np.random.Philox(key=np.array([master_seed % 2**64, 0], dtype=np.uint64))
-    random = np.random.Generator(bit_gen).random
+    first + r) from trial_rng(master_seed, 0), its Philox re-keyed per trial and far cheaper than
+    a new generator: key word 1 to the trial, counter 0 and an empty buffer. Three stores into its
+    philox_state where the layout is known, else through the public state setter."""
+    generator = trial_rng(master_seed, 0)
+    bit_gen, random = generator.bit_generator, generator.random
     if _philox_layout_known():
         words = _philox_words(bit_gen)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -53,19 +53,23 @@ def _kl(p: np.ndarray, q: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ThresholdReport:
-    """Threshold value, the maximizing input, and how it was computed."""
+    """Each input's divergence from the idle law, the maximizing input, and how they were computed."""
 
-    alpha: float
     argmax_symbol: int
     method: str
     per_symbol_divergences: tuple[float, ...]
+
+    @property
+    def alpha(self) -> float:
+        """The threshold in nats: the divergence at the maximizing input."""
+        return self.per_symbol_divergences[self.argmax_symbol]
 
     @property
     def is_infinite(self) -> bool:
         return math.isinf(self.alpha)
 
     def alpha_bits(self) -> float:
-        return self.alpha / NATS_PER_BIT if not self.is_infinite else math.inf
+        return self.alpha / NATS_PER_BIT
 
     def to_json_dict(self) -> dict:
         def enc(x: float):
@@ -81,18 +85,9 @@ class ThresholdReport:
 
 def sync_threshold(channel: Dmc) -> ThresholdReport:
     """Maximize D(Q(.|x) || Q(.|x(0))) over inputs, x(0) being row 0; ties break to the lowest index."""
-    base = channel.rows[0]
-    divs = [_kl(row, base) for row in channel.rows]
-    best = 0
-    for x in range(1, channel.n_inputs):
-        if divs[x] > divs[best]:
-            best = x
+    divs = [_kl(row, channel.rows[0]) for row in channel.rows]
     return ThresholdReport(
-        alpha=divs[best],
-        argmax_symbol=best,
-        method="exact-discrete",
-        per_symbol_divergences=tuple(divs),
-    )
+        argmax_symbol=divs.index(max(divs)), method="exact-discrete", per_symbol_divergences=tuple(divs))
 
 
 def bsc_threshold_closed_form(eps: float) -> float:
@@ -120,47 +115,34 @@ def composite_binary_threshold_closed_form(p: float, eps: float) -> float:
 
 @dataclass(frozen=True)
 class FadingBoundReport:
-    """Both sides of the fading bound alpha(Q) <= p * alpha(Qn), with slack."""
+    """Both sides of the fading bound alpha(Q) <= p * alpha(Qn), from which its bound, slack and verdict follow."""
 
     p: float
     alpha_composite: float
     alpha_noise: float
-    p_alpha_noise: float
-    slack: float
-    holds: bool
     argmax_composite: int
     argmax_noise: int
+
+    @property
+    def p_alpha_noise(self) -> float:
+        """p * alpha(Qn), and 0.0 at p = 0, where the product with an infinite alpha(Qn) is nan."""
+        return self.p * self.alpha_noise if self.p else 0.0
+
+    @property
+    def slack(self) -> float:
+        """p * alpha(Qn) - alpha(Q), or inf where the bound is infinite and so holds vacuously."""
+        return math.inf if math.isinf(self.p_alpha_noise) else self.p_alpha_noise - self.alpha_composite
+
+    @property
+    def holds(self) -> bool:
+        return self.alpha_composite <= self.p_alpha_noise + FADING_BOUND_TOL
 
 
 def fading_bound_check(p: float, noise: Dmc) -> FadingBoundReport:
     """Verify the ON-OFF fading bound for a given noise channel; p outside [0, 1] raises ChannelError."""
-    fading = on_off_fading_matrix(p, noise.n_inputs)
-    composite = compose(fading, noise)
-    rep_c = sync_threshold(composite)
+    rep_c = sync_threshold(compose(on_off_fading_matrix(p, noise.n_inputs), noise))
     rep_n = sync_threshold(noise)
-    if p == 0.0:
-        p_alpha = 0.0
-    elif rep_n.is_infinite:
-        p_alpha = math.inf
-    else:
-        p_alpha = p * rep_n.alpha
-    if math.isinf(p_alpha):
-        holds, slack = True, math.inf  # bound vacuous
-    elif rep_c.is_infinite:
-        holds, slack = False, -math.inf
-    else:
-        slack = p_alpha - rep_c.alpha
-        holds = rep_c.alpha <= p_alpha + FADING_BOUND_TOL
-    return FadingBoundReport(
-        p=p,
-        alpha_composite=rep_c.alpha,
-        alpha_noise=rep_n.alpha,
-        p_alpha_noise=p_alpha,
-        slack=slack,
-        holds=holds,
-        argmax_composite=rep_c.argmax_symbol,
-        argmax_noise=rep_n.argmax_symbol,
-    )
+    return FadingBoundReport(p, rep_c.alpha, rep_n.alpha, rep_c.argmax_symbol, rep_n.argmax_symbol)
 
 
 def awgn_threshold(spec: AwgnSpec) -> float:
@@ -241,9 +223,7 @@ def rayleigh_ratio_sweep(
 
 
 def sweep_to_csv(cells: list[SweepCell]) -> str:
-    lines = ["snr,sigma_h,alpha_q,alpha_qn,ratio"]
-    for c in cells:
-        lines.append(
-            f"{c.snr:.15g},{c.sigma_h:.15g},{c.alpha_q:.15g},{c.alpha_qn:.15g},{c.ratio:.15g}"
-        )
-    return "\n".join(lines) + "\n"
+    """One CSV row per cell, its columns SweepCell's fields in order, each written with 15 significant digits."""
+    names = [field.name for field in fields(SweepCell)]
+    rows = [",".join(f"{getattr(cell, name):.15g}" for name in names) for cell in cells]
+    return "\n".join([",".join(names), *rows]) + "\n"

@@ -280,6 +280,13 @@ class TestSerialization:
         assert lines[0] == "2 2"
         assert "0.33333333333333331" in lines[1]
 
+    @pytest.mark.parametrize("text", ["", "2\n"])
+    def test_file_shorter_than_its_header(self, tmp_path, text):
+        path = tmp_path / "short.mat"
+        path.write_text(text)
+        with pytest.raises(ChannelError, match="matrix file too short"):
+            load_channel(path)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.mat"
         path.write_text("2 2\n0.5 0.5\n")

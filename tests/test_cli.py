@@ -84,13 +84,23 @@ class TestExitPolicy:
 
         def violated_at_half(p, noise):
             rep = real(p, noise)
-            return dataclasses.replace(rep, holds=False) if p == 0.5 else rep
+            return dataclasses.replace(rep, alpha_composite=math.inf) if p == 0.5 else rep
 
         monkeypatch.setattr(cli, "fading_bound_check", violated_at_half)
         out = tmp_path / "grid.csv"
         code, _, err = run_cli(capsys, "lemma1-grid", "--p-list", "0.5,1", "--eps-list", "0.1", "--out", str(out))
         assert code == 3 and err == "error: fading bound violated on the grid\n"
         assert [line.rsplit(",", 1)[1] for line in out.read_text().splitlines()] == ["holds", "false", "true"]
+
+    def test_failed_replace_removes_the_temporary_and_exits_2(self, capsys, monkeypatch, tmp_path):
+        def refuse(src, dst):
+            raise PermissionError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        out = tmp_path / "word.json"
+        code, _, err = run_cli(capsys, "sequence", "--n", "63", "--k", "4", "--out", str(out))
+        assert code == 2 and err == f"error: cannot replace {out}\n"
+        assert list(tmp_path.iterdir()) == []  # neither the target nor a .tmp-framesync-* file
 
     def test_memory_error_at_a_row_flushes_the_rows_before_it(self, capsys, monkeypatch, tmp_path):
         real, calls = cli.monte_carlo, []
@@ -625,6 +635,17 @@ class TestSimulateInputs:
         for replayed, source in ((by_json, first), (by_csv, echo)):
             assert run_cli(capsys, "simulate", "--replay", str(source), "--out", str(replayed))[0] == 0
             assert replayed.read_bytes() == first.read_bytes(), source.name
+
+    @pytest.mark.parametrize("name, text", [
+        ("report.json", '{"report": {"trials": 10}}\n'),
+        ("config-not-an-object.json", '{"config": "mode = single"}\n'),
+        ("rows.csv", "# a comment without a key\nn,a,alpha,p_err\n21,5,1.0,0.5\n"),
+    ])
+    def test_replay_without_a_config_echo_exits_2(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "simulate", "--replay", str(path))
+        assert (code, out, err) == (2, "", f"error: {path} carries no config echo\n")
 
     def test_line_without_equals_is_named_by_its_source(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -69,6 +69,14 @@ class TestQuadrature:
         with pytest.raises(QuadratureNonConvergence):
             adaptive_quad(needle, 0.0, 1.0)
 
+    def test_error_estimate_beyond_tolerance_raises(self, monkeypatch):
+        import scipy.integrate
+
+        # QUADPACK reports no message, yet an error estimate far beyond abs_tol + 10 rel_tol |value|
+        monkeypatch.setattr(scipy.integrate, "quad", lambda fn, lo, hi, **options: (1.0, 1e-3, {"last": 1}))
+        with pytest.raises(QuadratureNonConvergence, match="reports error 0.001 beyond tolerance"):
+            adaptive_quad(math.sin, 0.0, 1.0)
+
     # Gaussian needles and sin(kx)^2 on [0, 1]. At the Rayleigh tolerance pairs their
     # subinterval counts run from 1 past FIRST_LIMIT // 2 + 2 = 102: sin(442x)^2 and
     # sin(444x)^2 stop at 101 and 102 under (1e-12, 1e-9), sin(410x)^2 at 103 under

@@ -242,6 +242,11 @@ class TestRunDecoder:
                 truncated = stream[: v_hat + 21 - 1]
                 assert run_decoder(dec, truncated, scan_limit=v_hat) == v_hat
 
+    def test_scan_limit_below_one_rejected(self):
+        dec = TypicalityDecoder(word=build_sync_word(7, 2), channel=bsc(0.0), mu=0.01)
+        with pytest.raises(ValueError, match="scan limit must be >= 1, got 0"):
+            run_decoder(dec, np.zeros(20, dtype=np.int64), scan_limit=0)
+
     def test_non_integer_outputs_rejected(self):
         # symbols are never rounded or truncated: a float stream is refused, even one of whole numbers
         word = build_sync_word(7, 2)
@@ -357,6 +362,10 @@ class TestMonteCarlo:
         assert lo < 0.5 < hi
         lo, hi = wilson_interval(100, 100)
         assert lo > 0.95 and hi == 1.0
+
+    def test_wilson_interval_rejects_zero_trials(self):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            wilson_interval(0, 0)
 
     def test_wilson_interval_rejects_successes_outside_the_trials(self):
         # these died inside math.sqrt with "math domain error"

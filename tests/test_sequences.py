@@ -142,6 +142,17 @@ class TestBuildSyncWord:
         with pytest.raises(SequenceError, match="0 or 1"):
             SyncWord(symbols, 0, 0)
 
+    @pytest.mark.parametrize("symbols", [[], np.zeros(0, dtype=np.int8), np.ones((2, 3), dtype=np.int8)],
+                             ids=["empty-list", "empty-array", "2-D"])
+    def test_empty_or_2d_symbols_rejected(self, symbols):
+        with pytest.raises(SequenceError, match="non-empty 1-D"):
+            SyncWord(symbols, 0, 0)
+
+    @pytest.mark.parametrize("prefix_len", [-1, 4])
+    def test_prefix_length_outside_the_word_rejected(self, prefix_len):
+        with pytest.raises(SequenceError, match="prefix length out of range"):
+            SyncWord([0, 1, 1], prefix_len, 0)
+
     def test_exact_symbols_of_any_type_accepted(self):
         for symbols in ([0, 1, 1], np.array([0.0, 1.0, 1.0]), np.array([False, True, True]), np.array([0, 1, 1])):
             assert SyncWord(symbols, 0, 0).symbols.tolist() == [0, 1, 1]
@@ -205,6 +216,11 @@ class TestMinShiftDistance:
     def test_constant_word_is_shift_invariant(self, n, symbol):
         word = SyncWord(np.full(n, symbol, dtype=np.int8), prefix_len=0, k=0)
         assert min_shift_hamming_distance(word) == (0, 1)
+
+    @pytest.mark.parametrize("symbol", [0, 1])
+    def test_one_symbol_word_rejected(self, symbol):
+        with pytest.raises(SequenceError, match="word length must be >= 2"):
+            min_shift_hamming_distance(SyncWord([symbol], prefix_len=0, k=0))
 
     def test_constructed_word_strictly_positive(self):
         word = build_sync_word(21, 3)

@@ -1,12 +1,17 @@
+import dataclasses
 import math
+import struct
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framesync import (
     AwgnSpec,
+    FadingBoundReport,
     RayleighAwgnSpec,
     awgn_threshold,
     bsc,
@@ -25,6 +30,7 @@ from framesync import (
     sync_threshold,
 )
 from framesync.channels import ChannelError, Dmc, NegativeEntry, NonStochasticRow
+from framesync.thresholds import FADING_BOUND_TOL
 
 
 def random_full_support_channel(rng, n_in=None, n_out=None):
@@ -155,6 +161,11 @@ class TestClosedForms:
                 bsc_threshold_closed_form(eps), abs=1e-14
             )
 
+    def test_composite_domain(self):
+        for p, eps in ((0.5, 0.0), (0.5, 1.0), (0.5, math.nan), (-0.1, 0.1), (1.5, 0.1), (math.nan, 0.1)):
+            with pytest.raises(ValueError, match="must be"):
+                composite_binary_threshold_closed_form(p, eps)
+
     def test_composite_zero_at_p_zero(self):
         assert composite_binary_threshold_closed_form(0.0, 0.3) == pytest.approx(
             0.0, abs=1e-15
@@ -230,6 +241,55 @@ class TestLemma1:
         assert rep.holds
         assert rep.argmax_noise == 3
         assert rep.argmax_composite == 1
+
+    @staticmethod
+    def case_analysis(p, alpha_composite, alpha_noise):
+        """The bound, slack and verdict as fading_bound_check once spelled them out, case by case."""
+        if p == 0.0:
+            p_alpha = 0.0
+        elif math.isinf(alpha_noise):
+            p_alpha = math.inf
+        else:
+            p_alpha = p * alpha_noise
+        if math.isinf(p_alpha):
+            holds, slack = True, math.inf  # bound vacuous
+        elif math.isinf(alpha_composite):
+            holds, slack = False, -math.inf
+        else:
+            slack = p_alpha - alpha_composite
+            holds = alpha_composite <= p_alpha + FADING_BOUND_TOL
+        return p_alpha, slack, holds
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32),
+        n_in=st.integers(2, 4),
+        n_out=st.integers(2, 5),
+        p=st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_derived_verdict_equals_the_case_analysis_bit_for_bit(self, seed, n_in, n_out, p):
+        # zero entries put mass outside row 0's support, so alpha(Qn) is infinite in many draws
+        rng = np.random.default_rng(seed)
+        rows = rng.dirichlet(np.full(n_out, 0.5), size=n_in)
+        rows[rng.random(rows.shape) < 0.3] = 0.0
+        rows[rows.sum(axis=1) == 0.0, 0] = 1.0
+        noise = dmc_new(rows / rows.sum(axis=1, keepdims=True))
+        alpha_composite = sync_threshold(compose(on_off_fading_matrix(p, n_in), noise)).alpha
+        rep = fading_bound_check(p, noise)
+        bits = lambda *xs: [struct.pack("<d", x) for x in xs]
+        assert bits(rep.alpha_composite, rep.alpha_noise) == bits(alpha_composite, sync_threshold(noise).alpha)
+        p_alpha, slack, holds = self.case_analysis(p, rep.alpha_composite, rep.alpha_noise)
+        assert bits(rep.p_alpha_noise, rep.slack) == bits(p_alpha, slack)
+        assert type(rep.holds) is bool and rep.holds == holds
+
+    def test_infinite_composite_threshold(self):
+        # no composite fading_bound_check builds has it: its row leaves row 0's support only where the
+        # noise row does, and then p * alpha(Qn) is infinite too
+        report = FadingBoundReport(p=0.5, alpha_composite=math.inf, alpha_noise=1.0, argmax_composite=1,
+                                   argmax_noise=1)
+        assert (report.holds, report.slack) == (False, -math.inf)
+        vacuous = dataclasses.replace(report, alpha_noise=math.inf)
+        assert (vacuous.holds, vacuous.slack) == (True, math.inf)
 
     def test_limit_rate_toward_p(self):
         # ratio -> p as eps -> 0 at the entropy-over-log rate:
