@@ -5,7 +5,9 @@ A command returns nothing or raises, and `main` alone picks the exit code: 0
 when it returns, else an `error:` line and a code by the exception's class: 2
 for ValueError and OSError (an invalid input; nothing is written), 3 for
 RuntimeError and MemoryError (a run that failed after it started; what it
-finished is written first). argparse exits 2 on a command line it refuses.
+finished is written first), 130 for KeyboardInterrupt (Ctrl-C; a scaling
+simulate writes its finished rows first). argparse exits 2 on a command line
+it refuses.
 
 Every run is deterministic given its full flag set; output files are written
 atomically and contain a config echo so `simulate --replay <file>` reproduces
@@ -51,6 +53,7 @@ from .thresholds import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, as a shell reports a process Ctrl-C ended
 
 
 class CliError(ValueError):
@@ -335,7 +338,7 @@ def cmd_simulate(args) -> None:
     try:
         for row in rows:
             results.append((row, monte_carlo(row.config, **run)))
-    except (RuntimeError, MemoryError) as exc:  # the rows finished before it are still written
+    except (RuntimeError, MemoryError, KeyboardInterrupt) as exc:  # the rows finished before it are still written
         failure = exc
     if mode == "single":
         if failure is not None:
@@ -347,6 +350,8 @@ def cmd_simulate(args) -> None:
         text = echo + scaling_to_csv(results)
     _emit(text, args.out)
     print(f"wall_time_s {time.monotonic() - t0:.3f}", file=sys.stderr)
+    if isinstance(failure, KeyboardInterrupt):
+        raise failure
     if failure is not None:
         raise RuntimeError(f"{failure} (partial results flushed)") from failure
 
@@ -431,6 +436,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME if isinstance(exc, (RuntimeError, MemoryError)) else EXIT_VALIDATION
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
     return EXIT_OK
 
 

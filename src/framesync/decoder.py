@@ -15,13 +15,15 @@ x(0), scans slots 1..A + N - 1 and classifies the outcome:
 
 One engine runs every trial, a block of trials at a time. Trial i draws from
 the Philox stream keyed by (master seed, i), which run_batch gets by re-keying
-one Philox (three integer stores into its state where numpy's layout of it is
-confirmed, else its state setter): one uniform places the word at
-slot v, the rest drive an inverse-CDF channel pass over the trial's segment
-(every slot through x(0)'s CDF, then the word's x(1) slots through x(1)'s;
-channels.InverseCdf, exact, in the narrowest unsigned type of the outputs).
-A block is one flat stream: trial i's segment starts at slot i * stride, the
-slot after it pads it, and every stage indexes it by flat positions.
+one Philox (two integer stores into its state per trial where numpy's layout of
+it is confirmed, else its state setter; each row of draws is a whole number of
+Philox blocks, so no trial leaves a draw behind for the next): one uniform
+places the word at slot v, the rest drive an inverse-CDF channel pass over the
+trial's segment (every slot through x(0)'s CDF, then the word's x(1) slots
+through x(1)'s; channels.InverseCdf, exact, in the narrowest unsigned type of
+the outputs). A block is one flat stream: trial i's segment starts at slot
+i * stride, the slots after it pad it, and every stage indexes it by flat
+positions.
 Windows are decided in two stages, with no float arithmetic per window or
 per cell: the decoder evaluates its float expressions once, over every
 integer they can be given. A screen gives each window an integer screen sum
@@ -82,6 +84,17 @@ _BLOCK_SLOTS = 2**15
 _FOLD_CELLS = 2**17
 # a window is pruned when its screen bound exceeds mu by more than this float margin
 _SCREEN_SLACK = 1e-9
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int, through operator.index; a bool, a float or any other non-integer
+    is a ValueError naming the parameter."""
+    if not isinstance(value, (bool, np.bool_)):  # a bool indexes as 0 or 1, but is never a count or a seed
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class StreamExhausted(RuntimeError):
@@ -282,6 +295,7 @@ class TrialConfig:
     norm: str = "linf"
 
     def __post_init__(self):
+        object.__setattr__(self, "a", _integer("a", self.a))
         if self.a < 1:
             raise ValueError(f"asynchronism window must be >= 1, got {self.a}")
         if self.a >= 2**1023:  # A must convert to a float
@@ -403,7 +417,8 @@ class TrialEngine:
         """Per row of uniforms (v's draw, then the segment's): v_hat - v, or _MISS.
 
         The block is one flat stream: row i's segment starts at slot i * stride, and
-        the slot after it, the next row's draw for v, pads it; no window reaches it.
+        the slots after it, draws that round the row up to whole Philox blocks and then
+        the next row's draw for v, pad it; no window reaches them.
         """
         offset, windows = self._geometry(u[:, 0])
         stride = u.shape[1]
@@ -427,13 +442,16 @@ class TrialEngine:
         """Class counts of trials [lo, hi); trial i is run(trial_rng(master_seed, i))."""
         counts = np.zeros(len(CLASSES), dtype=np.int64)
         block = max(1, _BLOCK_SLOTS // self.segment)
-        # a trial's draws are a prefix of its row of the longest segment
+        # a trial's draws are a prefix of its row of the longest segment, rounded up to whole
+        # Philox blocks: the extra doubles are the same stream's next draws, past every window
+        width = -(-(1 + self.segment) // _PHILOX_BLOCK) * _PHILOX_BLOCK
         fill = _trial_draws(master_seed)
-        blocks = np.empty((min(block, hi - lo), 1 + self.segment))  # one buffer for every block
+        blocks = np.empty((min(block, hi - lo), width))  # one buffer for every block
+        rows = list(blocks)  # its row views, made once
         for start in range(lo, hi, block):
-            u = blocks[: min(block, hi - start)]
-            fill(u, start)
-            counts += np.bincount(_class_index(self._decide(u), self.n), minlength=len(CLASSES))
+            size = min(block, hi - start)
+            fill(rows[:size], start)
+            counts += np.bincount(_class_index(self._decide(blocks[:size]), self.n), minlength=len(CLASSES))
         return dict(zip(CLASSES, counts.tolist()))
 
 
@@ -448,6 +466,7 @@ def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
 # (2 words) and counter (4 words), at which the two pointers point
 _PHILOX_WORDS = 14
 _BUFFER_POS, _KEY, _CTR = 2, 8, 10
+_PHILOX_BLOCK = 4  # doubles per Philox block, the buffer's size
 
 
 def _philox_words(bit_gen: np.random.Philox) -> np.ndarray:
@@ -476,20 +495,24 @@ def _philox_layout_known() -> bool:
 
 
 def _trial_draws(master_seed: int):
-    """fill(u, first), which fills row r of u with the first doubles of trial_rng(master_seed,
+    """fill(rows, first), which fills rows[r] with the first doubles of trial_rng(master_seed,
     first + r) from trial_rng(master_seed, 0), its Philox re-keyed per trial and far cheaper than
-    a new generator: key word 1 to the trial, counter 0 and an empty buffer. Three stores into its
+    a new generator: key word 1 to the trial and counter word 0 to 0. Every row must be a whole
+    number of Philox blocks, so that each draw leaves the buffer used up, as a new generator
+    has it, and the next trial's first draw runs a new block. Two stores per trial into its
     philox_state where the layout is known, else through the public state setter."""
     generator = trial_rng(master_seed, 0)
     bit_gen, random = generator.bit_generator, generator.random
     if _philox_layout_known():
-        words = _philox_words(bit_gen)
+        # a format-Q memoryview stores a Python int in about half the time the uint64 array takes
+        words = memoryview(_philox_words(bit_gen)).cast("B").cast("Q")
+        words[_BUFFER_POS] = _PHILOX_BLOCK  # the buffer used up, once per batch: whole-block rows keep it so
+        key, ctr = _KEY + 1, _CTR
 
-        def fill(u: np.ndarray, first: int) -> None:
-            for i, row in enumerate(u, first):
-                words[_KEY + 1] = i % 2**64
-                words[_CTR] = 0  # counter words 1-3 stay 0: word 0 carries into them only past 2^64 blocks
-                words[_BUFFER_POS] = 4  # the buffer's 4 words used up: the next draw runs a new block
+        def fill(rows: list[np.ndarray], first: int) -> None:
+            for i, row in enumerate(rows, first):
+                words[key] = i % 2**64
+                words[ctr] = 0  # counter words 1-3 stay 0: word 0 carries into them only past 2^64 blocks
                 random(out=row)
 
         return fill
@@ -499,8 +522,8 @@ def _trial_draws(master_seed: int):
              "buffer": state["buffer"].tolist()}
     key = state["state"]["key"]
 
-    def fill(u: np.ndarray, first: int) -> None:
-        for i, row in enumerate(u, first):
+    def fill(rows: list[np.ndarray], first: int) -> None:
+        for i, row in enumerate(rows, first):
             key[1] = i % 2**64
             bit_gen.state = state
             random(out=row)
@@ -570,6 +593,8 @@ def monte_carlo(config: TrialConfig, trials: int, master_seed: int, workers: int
     Trial i draws from a Philox stream keyed by (master_seed, i), so the
     report is bit-identical for any worker count or chunking.
     """
+    trials, master_seed, workers = (_integer(name, value) for name, value in
+                                    (("trials", trials), ("master_seed", master_seed), ("workers", workers)))
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if workers < 1:

@@ -53,6 +53,14 @@ class TestExitPolicy:
         monkeypatch.setattr(cli, name, fail)
         assert run_cli(capsys, *argv) == (code, "", f"error: {exc}\n")
 
+    @pytest.mark.parametrize("argv, name", COMMANDS, ids=[argv[0] for argv, _ in COMMANDS])
+    def test_interrupt_exits_130(self, capsys, monkeypatch, argv, name):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, name, interrupted)
+        assert run_cli(capsys, *argv) == (130, "", "error: interrupted\n")
+
     # a value its parser refuses; these printed the bare Python message, naming no key or flag
     MALFORMED = [
         (["simulate", "--preset", "single_bsc", "--set", "seed=1e3"],
@@ -120,6 +128,54 @@ class TestExitPolicy:
         ]
         rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         assert len(rows) == 2 and rows[1].startswith("63,")  # the header and the N = 63 row
+
+
+    def test_interrupt_at_a_row_flushes_the_rows_before_it_and_exits_130(self, capsys, monkeypatch, tmp_path):
+        real, calls = cli.monte_carlo, []
+
+        def second_row_interrupted(config, **run):
+            calls.append(config)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(config, **run)
+
+        monkeypatch.setattr(cli, "monte_carlo", second_row_interrupted)
+        out = tmp_path / "o.csv"
+        code, _, err = run_cli(capsys, "simulate", "--preset", "bsc_scaling", "--set", "trials=20", "--out", str(out))
+        assert code == 130
+        assert [line for line in err.splitlines() if line.startswith("error:")] == ["error: interrupted"]
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert len(rows) == 2 and rows[1].startswith("63,")  # the header and the N = 63 row
+        assert list(tmp_path.iterdir()) == [out]  # no .tmp-framesync-* file
+
+    # SIGINT raised in a child at its second row, as Ctrl-C would deliver it, through Python's own handler
+    INTERRUPTED_MAIN = """
+import signal, sys
+import framesync.cli as cli
+real, calls = cli.monte_carlo, []
+def second_row_interrupted(config, **run):
+    calls.append(config)
+    if len(calls) == 2:
+        signal.raise_signal(signal.SIGINT)
+    return real(config, **run)
+cli.monte_carlo = second_row_interrupted
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    def test_sigint_at_a_row_flushes_the_rows_before_it_and_exits_130(self, tmp_path):
+        out = tmp_path / "o.csv"
+        src = os.path.dirname(os.path.dirname(framesync.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.INTERRUPTED_MAIN, "simulate", "--preset", "bsc_scaling",
+             "--set", "trials=20", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 130, proc.stderr
+        assert [line for line in proc.stderr.splitlines() if line.startswith("error:")] == ["error: interrupted"]
+        assert "Traceback" not in proc.stderr
+        rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+        assert len(rows) == 2 and rows[1].startswith("63,")
+        assert list(tmp_path.iterdir()) == [out]
 
 
 class TestThreshold:

@@ -355,6 +355,29 @@ class TestMonteCarlo:
         assert monte_carlo(cfg, trials, master_seed=77, workers=workers) == monte_carlo(cfg, trials, master_seed=77)
         assert sizes == [pool]
 
+    # each of these ran or failed late: master_seed 1.5 ran as seed 1 and True as 1, while 2.5 and
+    # 1.5 as a count reached a TypeError deep in numpy or range
+    @pytest.mark.parametrize("name, value", [
+        ("a", True), ("a", 1.5), ("a", np.float64(3.0)), ("trials", True), ("trials", 2.5),
+        ("master_seed", 1.5), ("master_seed", True), ("master_seed", np.True_), ("master_seed", "1"),
+        ("workers", True), ("workers", 1.5),
+    ], ids=repr)
+    def test_integer_inputs_refuse_other_values(self, name, value):
+        word = build_sync_word(14, 2)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            if name == "a":
+                TrialConfig(a=value, word=word, channel=bsc(0.1), mu=0.15)
+            else:
+                cfg = TrialConfig(a=30, word=word, channel=bsc(0.1), mu=0.15)
+                monte_carlo(cfg, **{"trials": 20, "master_seed": 1, "workers": 1, name: value})
+
+    def test_numpy_integers_run_as_ints(self):
+        word = build_sync_word(14, 2)
+        cfg = TrialConfig(a=np.int64(30), word=word, channel=bsc(0.1), mu=0.15)
+        assert type(cfg.a) is int and cfg == TrialConfig(a=30, word=word, channel=bsc(0.1), mu=0.15)
+        five, one = np.int64(5), np.int64(1)
+        assert monte_carlo(cfg, 200 * five, five, one) == monte_carlo(cfg, 1000, 5, 1)
+
     def test_wilson_interval(self):
         lo, hi = wilson_interval(0, 100)
         assert lo == 0.0 and hi < 0.05
