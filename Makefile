@@ -64,50 +64,50 @@ bench:
 	$(PYTHON) perfbench/run.py --workload $(W) --seed 1 --seconds 30 --trace 0
 
 # PAIRS pairs of benchmark runs of each workload in W (a space-separated list, run workload by
-# workload), one on revision BASE (exported with git archive into a temporary directory) and one
-# on this checkout, the side that runs first alternating; pair i runs both sides at seed SEED + i,
-# so their outputs compare byte for byte. BASE's records are copied to .perfbench/pairs/ before
-# the directory goes; after each workload's pairs, its records on this checkout are summarized
-# against BASE's. The paths of both sides' records, all workloads', go to $(RECORDS)change.txt and
-# $(RECORDS)base.txt, one a line, and BASE's commit to $(RECORDS)base-commit.txt, for bench-json.
+# workload), one on revision BASE and one on this checkout's working tree (its uncommitted edits and
+# its untracked files that are not ignored included, through a temporary index), each exported with
+# git archive into the same temporary directory and run from there the same way, the side that runs
+# first alternating; pair i runs both sides at seed SEED + i, so their outputs compare byte for byte.
+# Both sides' records are copied to .perfbench/pairs/ before the directory goes; after each
+# workload's pairs, its records of this checkout are summarized against BASE's. The paths of both
+# sides' records, all workloads', go to $(RECORDS)change.txt and $(RECORDS)base.txt, one a line, and
+# BASE's commit to $(RECORDS)base-commit.txt, for bench-json.
 BASE ?= HEAD
 PAIRS ?= 10
 SEED ?= 1000
 RECORDS := .perfbench/records-
 bench-pairs:
-	@set -e; tmp=$$(mktemp -d); tree=$$tmp/base; here=$$(pwd); \
-	trap 'rm -rf "$$tmp"' EXIT; \
-	mkdir "$$tree"; git archive $(BASE) | tar -x -C "$$tree"; mkdir -p .perfbench/pairs; \
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	mkdir "$$tmp/base" "$$tmp/change"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
+	export GIT_INDEX_FILE="$$tmp/index"; git read-tree HEAD; git add -A; tree=$$(git write-tree); \
+	unset GIT_INDEX_FILE; git archive "$$tree" | tar -x -C "$$tmp/change"; mkdir -p .perfbench/pairs; \
 	: > $(RECORDS)change.txt; : > $(RECORDS)base.txt; git rev-parse $(BASE) > $(RECORDS)base-commit.txt; \
 	for w in $(W); do \
-		new=; old=; \
 		for i in $$(seq 0 $$(($(PAIRS) - 1))); do \
 			if [ $$((i % 2)) -eq 0 ]; then sides="base change"; else sides="change base"; fi; \
 			for side in $$sides; do \
-				dir=$$here; [ $$side = base ] && dir=$$tree; \
 				echo "== $$w, pair $$i, $$side, seed $$(($(SEED) + i))"; \
-				log=$$(cd "$$dir" && $(PYTHON) perfbench/run.py --workload $$w --seed $$(($(SEED) + i)) \
+				log=$$(cd "$$tmp/$$side" && $(PYTHON) perfbench/run.py --workload $$w --seed $$(($(SEED) + i)) \
 					--seconds 30 --trace 0); \
 				echo "$$log"; rec=$$(echo "$$log" | sed -n 's/^.* record: //p'); \
-				if [ $$side = base ]; then \
-					cp "$$tree/$$rec" .perfbench/pairs/; old="$$old .perfbench/pairs/$$(basename $$rec)"; \
-				else new="$$new $$rec"; fi; \
+				cp "$$tmp/$$side/$$rec" .perfbench/pairs/; \
+				echo ".perfbench/pairs/$$(basename $$rec)" >> "$$tmp/$$w-$$side"; \
 			done; \
 		done; \
-		$(PYTHON) perfbench/summarize.py $$new --against $$old; \
-		printf '%s\n' $$new >> $(RECORDS)change.txt; printf '%s\n' $$old >> $(RECORDS)base.txt; \
+		$(PYTHON) perfbench/summarize.py $$(cat "$$tmp/$$w-change") --against $$(cat "$$tmp/$$w-base"); \
+		cat "$$tmp/$$w-change" >> $(RECORDS)change.txt; cat "$$tmp/$$w-base" >> $(RECORDS)base.txt; \
 	done; \
 	echo "records: $(RECORDS)change.txt (this checkout), $(RECORDS)base.txt ($(BASE))"
 
 # BENCH_$(PR).json at the repository root from the records the last bench-pairs listed: under
 # "summary", summarize.py's JSON of this checkout's records against BASE's; under "change" and
 # "base", each record's workload, seed, seconds and run stamp (source sha256, versions, CPUs used,
-# load average; not the stamp's commit, which names HEAD for an uncommitted change and nothing for
-# BASE's exported tree); under "base_commit", the commit bench-pairs ran as BASE; under
-# "change_commit" and "change_src_uncommitted", this checkout's HEAD and whether src/ differs from
-# it; under "pairs", the seeds each workload ran on both sides; under "tier1", the wall seconds of
-# one `$(PYTHON) -m pytest tests -q` run on this checkout, its passed and failed counts, and the
-# host's nproc
+# load average; not the stamp's commit, which an exported tree does not have); under
+# "base_commit", the commit bench-pairs ran as BASE; under "change_commit" and
+# "change_src_uncommitted", this checkout's HEAD and whether src/ differs from it; under "pairs",
+# the seeds each workload ran on both sides; under "tier1", the wall seconds of one
+# `$(PYTHON) -m pytest tests -q` run on this checkout, its passed and failed counts, and the host's
+# nproc
 define BENCH_STAMPS
 import json, os, re, subprocess, sys, time
 path, change, base, base_commit = sys.argv[1:]

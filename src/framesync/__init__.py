@@ -24,8 +24,6 @@ from .continuous import (
     MassLoss,
     QuantizationGrid,
     RayleighAwgnSpec,
-    awgn_density,
-    default_grid,
     quantize_to_dmc,
     quantized_awgn,
     rayleigh_density_of,
@@ -66,7 +64,6 @@ from .thresholds import (
     SweepCell,
     ThresholdReport,
     awgn_threshold,
-    bsc_threshold_closed_form,
     composite_binary_threshold_closed_form,
     kl_divergence,
     fading_bound_check,

@@ -13,12 +13,25 @@ O(log |Y|) passes.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 ROW_SUM_TOL = 1e-12
 NORMALIZE_TOL = 1e-9
+
+
+def _integer(name: str, value) -> int:
+    """value as a Python int, through operator.index; a bool, a float or any other non-integer
+    is a ValueError naming the parameter. The package's one rule for an integer argument (a count,
+    a length, a degree or a seed), here in the module every other imports first."""
+    if not isinstance(value, (bool, np.bool_)):  # a bool indexes as 0 or 1, but is never a count or a seed
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class ChannelError(ValueError):

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc, dmc_new
+from .channels import Dmc, _integer, dmc_new
 from .quadrature import ABS_TOL, QuadratureNonConvergence, adaptive_quad
 
 # Quadratures over the amplitude h stop at h_max, where its tail mass drops to RAYLEIGH_TAIL.
@@ -34,7 +34,6 @@ from .quadrature import ABS_TOL, QuadratureNonConvergence, adaptive_quad
 RAYLEIGH_TAIL = 1e-16
 MAX_SCALE_WIDTHS = 32.0
 MASS_LOSS_TOL = 1e-6
-DEFAULT_BINS = 4096
 
 
 # Cephes ndtr.c: erfc(x) on [1, 8) as exp(-x^2) P(x)/Q(x), on [8, inf) as exp(-x^2) R(x)/S(x),
@@ -151,6 +150,7 @@ class QuantizationGrid:
     bins: int
 
     def __post_init__(self):
+        object.__setattr__(self, "bins", _integer("bins", self.bins))
         if not -math.inf < self.lo < self.hi < math.inf:
             raise ValueError(f"grid needs finite lo < hi, got [{self.lo}, {self.hi}]")
         if self.bins < 2:
@@ -161,30 +161,11 @@ class QuantizationGrid:
         return np.linspace(self.lo, self.hi, self.bins + 1)
 
 
-def default_grid(spec: AwgnSpec | RayleighAwgnSpec, bins: int = DEFAULT_BINS) -> QuantizationGrid:
-    """Grid spanning both conditional densities to ~1e-7 tail mass."""
-    s = spec.sigma
-    lo = -8.0 * s
-    if isinstance(spec, RayleighAwgnSpec):
-        hi = 8.0 * s + 6.0 * spec.scale * math.sqrt(spec.power)
-    else:
-        hi = 8.0 * s + math.sqrt(spec.power)
-    return QuantizationGrid(lo, hi, bins)
-
-
-def awgn_density(y, mean: float, noise_var: float):
-    """Gaussian density at y, the same bits for a scalar y as for y inside an array: the square is
-    d * d, as numpy squares an array, where d**2 on a numpy scalar calls libm's pow."""
-    AwgnSpec(0.0, noise_var)  # the spec's check: finite and > 0, so NaN and inf fail too
-    d = np.asarray(y, dtype=np.float64) - mean
-    out = np.exp(-(d * d) / (2.0 * noise_var)) / math.sqrt(2.0 * math.pi * noise_var)
-    return float(out) if out.ndim == 0 else out
-
-
 def _density_node(y: float, shift: float, w: float, twice_var: float, norm: float) -> float:
-    """N(y; shift, sigma^2) w on floats, shift = h sqrt(P), in awgn_density's operations and order
-    on arrays. Its square is d * d, numpy's square of an array: libm's pow, which d**2 calls on a
-    float or a numpy scalar, is an ulp off on about one d in a thousand."""
+    """N(y; shift, sigma^2) w on floats, shift = h sqrt(P), in the operations and order of the
+    Gaussian density on arrays (awgn_density in tests/closed_forms.py). Its square is d * d, numpy's
+    square of an array: libm's pow, which d**2 calls on a float or a numpy scalar, is an ulp off on
+    about one d in a thousand."""
     d = y - shift
     if (square := d * d) == math.inf:
         square = d**2  # Python's pow raises OverflowError where a finite d squares past DBL_MAX
@@ -207,76 +188,68 @@ def _cdf_row(e: float, shifts: np.ndarray, weights: np.ndarray, sigma: float, nd
     return weights * ndtr((e - shifts) / sigma)
 
 
-def _rayleigh_integrands(spec: RayleighAwgnSpec):
-    """The kernels over the amplitude h as functions of the outer point: density_at(y) is
-    h -> N(y; h sqrt(P), sigma^2) w(h) and cdf_at(e) is h -> w(h) P(h sqrt(P) + n <= e), w the
-    Rayleigh amplitude density (0 for h < 0).
+def _rayleigh_kernel(spec: RayleighAwgnSpec, node_form, row_form, *consts) -> Callable[[float], Callable]:
+    """A kernel over the amplitude h as a function of the outer point x: h -> node_form(x, h sqrt(P),
+    w(h), *consts), w the Rayleigh amplitude density (0 for h < 0). The density kernel is
+    h -> N(y; h sqrt(P), sigma^2) w(h) (_density_node), the CDF kernel h -> w(h) P(h sqrt(P) + n <= e)
+    (_cdf_node).
 
-    QUADPACK asks for the same h nodes at every y and every edge, one node per callback. The two
-    kernels share a table of the nodes met so far, holding h sqrt(P) and w(h) per node. At each
-    outer point a kernel evaluates its array form (_density_row, _cdf_row) over the whole table
-    and turns it into a list once; a callback at a node of that row returns its entry. A node the
-    row lacks goes through the float form (_density_node, _cdf_node) and joins the table, so the
-    float form runs once per distinct node. Both forms run the same operations in the same order
-    with numpy's exp and scipy's ndtr, which return the same double for an array element as for a
-    float (math.exp differs in the last bit): every value is bit-identical to awgn_density * w on
-    arrays, hit or miss. Zero never joins the table: +0.0 and -0.0 share a key but not a sign. A
-    row on which numpy overflows or goes invalid is left to the float form, which raises
-    OverflowError or returns inf or nan silently, as it always has. The table lives as long as
-    these two kernels. Raises QuadratureNonConvergence past MAX_SCALE_WIDTHS, where the
-    quadratures go wrong."""
-    from scipy.special import ndtr  # scipy loads only where a command computes with it
-
-    root_p, sigma, scale2, var = math.sqrt(spec.power), spec.sigma, spec.scale**2, spec.noise_var
-    if not (widths := spec.scale * root_p / sigma) <= MAX_SCALE_WIDTHS:
+    QUADPACK asks for the same h nodes at every outer point, one node per callback. The kernel keeps
+    its own table of the nodes met so far, holding h sqrt(P) and w(h) per node. At each outer point
+    it evaluates row_form, node_form's array form, over the whole table and turns it into a list
+    once; a callback at a node of that row returns its entry. A node the row lacks goes through
+    node_form and joins the table, so the float form runs once per distinct node. Both forms run the
+    same operations in the same order with numpy's exp and scipy's ndtr, which return the same double
+    for an array element as for a float (math.exp differs in the last bit): every value is
+    bit-identical to the array formula, hit or miss. Zero never joins the table: +0.0 and -0.0 share
+    a key but not a sign. A row on which numpy overflows or goes invalid is left to the float form,
+    which raises OverflowError or returns inf or nan silently, as it always has. The table lives as
+    long as the kernel. Raises QuadratureNonConvergence past MAX_SCALE_WIDTHS, where the quadratures
+    go wrong."""
+    root_p, scale2, twice_scale2 = math.sqrt(spec.power), spec.scale**2, 2.0 * spec.scale**2
+    if not (widths := spec.scale * root_p / spec.sigma) <= MAX_SCALE_WIDTHS:
         raise QuadratureNonConvergence(
             f"sigma_H sqrt(P) / sigma = {widths:.4g} exceeds {MAX_SCALE_WIDTHS:g}: the Rayleigh quadratures fail")
-    twice_scale2, twice_var, norm = 2.0 * scale2, 2.0 * var, math.sqrt(2.0 * math.pi * var)
     columns: dict[float, int] = {}  # node h -> its index in shifts and weights
     shifts: list[float] = []  # h sqrt(P)
     weights: list[float] = []  # w(h)
     table = [np.empty(0), np.empty(0)]  # shifts and weights as arrays, rebuilt after nodes join
 
-    def at_node(node_form, x: float, h: float, *consts) -> float:
+    def at_node(x: float, h: float) -> float:
         """The kernel at a node the row lacks, by its float form; a new node joins the table."""
-        if (i := columns.get(h)) is not None:
-            return node_form(x, shifts[i], weights[i], *consts)
         w = h / scale2 * float(np.exp(-(h * h) / twice_scale2)) if h >= 0.0 else 0.0
-        if h:
+        if h and h not in columns:  # a node that joined after the row is in the table already
             columns[h] = len(weights)
             shifts.append(h * root_p)
             weights.append(w)
         return node_form(x, h * root_p, w, *consts)
 
-    def kernel_at(node_form, row_form, *consts) -> Callable[[float], Callable[[float], float]]:
-        def at(x: float) -> Callable[[float], float]:
-            if len(table[1]) < len(weights):
-                table[:] = np.array(shifts), np.array(weights)
-            try:
-                with np.errstate(over="raise", invalid="raise"):
-                    row = row_form(x, *table, *consts).tolist()
-            except FloatingPointError:
-                row = []  # every node by the float form
-            n, column = len(row), columns.get
+    def at(x: float) -> Callable[[float], float]:
+        if len(table[1]) < len(weights):
+            table[:] = np.array(shifts), np.array(weights)
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                row = row_form(x, *table, *consts).tolist()
+        except FloatingPointError:
+            row = []  # every node by the float form
+        n, column = len(row), columns.get
 
-            def kernel(h: float) -> float:
-                i = column(h, n)  # >= n for a node that joined after this row, or not at all
-                return row[i] if i < n else at_node(node_form, x, h, *consts)
+        def kernel(h: float) -> float:
+            i = column(h, n)  # >= n for a node that joined after this row, or not at all
+            return row[i] if i < n else at_node(x, h)
 
-            return kernel
+        return kernel
 
-        return at
-
-    return kernel_at(_density_node, _density_row, twice_var, norm), kernel_at(_cdf_node, _cdf_row, sigma, ndtr)
+    return at
 
 
 def rayleigh_density_of(spec: RayleighAwgnSpec) -> Callable[[float], float]:
-    """y -> the density of h*sqrt(P) + n at y, every y sharing one spec's kernels.
+    """y -> the density of h*sqrt(P) + n at y, every y sharing one spec's kernel.
 
     Its absolute tolerance scales as 1/sigma like the density (ABS_TOL at sigma = 1), which
     leaves sigma_H sqrt(P) / sigma the one parameter the quadrature sees."""
-    density_at, _ = _rayleigh_integrands(spec)
-    h_max, abs_tol = spec.h_max, ABS_TOL / spec.sigma
+    h_max, abs_tol, var = spec.h_max, ABS_TOL / spec.sigma, spec.noise_var
+    density_at = _rayleigh_kernel(spec, _density_node, _density_row, 2.0 * var, math.sqrt(2.0 * math.pi * var))
     return lambda y: adaptive_quad(density_at(y), 0.0, h_max, abs_tol=abs_tol)
 
 
@@ -299,8 +272,7 @@ def quantize_to_dmc(
     grid: QuantizationGrid,
     mass_loss_tol: float = MASS_LOSS_TOL,
 ) -> Dmc:
-    """Quantize the channel into a 2-input Dmc over the cells of grid (default_grid(spec)
-    spans both conditional laws).
+    """Quantize the channel into a 2-input Dmc over the cells of grid.
 
     Cell probabilities are the conditional laws integrated over each cell, the
     outermost cells absorbing all beyond-grid mass. Raises :class:`MassLoss`
@@ -313,7 +285,10 @@ def quantize_to_dmc(
     edges = grid.edges
     idle, idle_tail = _gaussian_row(edges, 0.0, spec.sigma)  # pure noise
     if isinstance(spec, RayleighAwgnSpec):
-        _, cdf_at = _rayleigh_integrands(spec)  # the faded-signal law's CDF at each edge
+        from scipy.special import ndtr  # scipy loads only where a command computes with it
+
+        # the faded-signal law's CDF at each edge
+        cdf_at = _rayleigh_kernel(spec, _cdf_node, _cdf_row, spec.sigma, ndtr)
         cdf = np.array([adaptive_quad(cdf_at(e), 0.0, spec.h_max, abs_tol=1e-13,
                                       rel_tol=1e-10) for e in edges.tolist()])
         sync_tail = 1.0 - (cdf[-1] - cdf[0])

@@ -68,7 +68,7 @@ from numpy.lib.stride_tricks import as_strided
 
 # the row builders call their helpers through these modules, on which perfbench/tracing.py wraps them
 from . import sequences, thresholds
-from .channels import Dmc, IndexOutOfRange, InverseCdf, bsc
+from .channels import Dmc, IndexOutOfRange, InverseCdf, _integer, bsc
 from .continuous import AwgnSpec, quantized_awgn
 from .sequences import SyncWord
 
@@ -86,27 +86,12 @@ _FOLD_CELLS = 2**17
 _SCREEN_SLACK = 1e-9
 
 
-def _integer(name: str, value) -> int:
-    """value as a Python int, through operator.index; a bool, a float or any other non-integer
-    is a ValueError naming the parameter."""
-    if not isinstance(value, (bool, np.bool_)):  # a bool indexes as 0 or 1, but is never a count or a seed
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 class StreamExhausted(RuntimeError):
     """The stream ended before the decoder could evaluate a required window."""
 
 
 class SimulationInfeasible(RuntimeError):
     """A is too large for a full scan and the far-window skip cannot be certified."""
-
-
-def default_mu(channel: Dmc) -> float:
-    return 0.1 / channel.n_outputs
 
 
 @dataclass(frozen=True)
@@ -120,7 +105,7 @@ class TypicalityDecoder:
     reference: np.ndarray = field(init=False, repr=False, compare=False)  # a function of the rest
 
     def __post_init__(self):
-        mu = default_mu(self.channel) if self.mu is None else self.mu
+        mu = 0.1 / self.channel.n_outputs if self.mu is None else self.mu
         if not 0.0 < mu < math.inf:
             raise ValueError(f"mu must be finite and > 0, got {mu}")
         object.__setattr__(self, "mu", float(mu))
@@ -154,13 +139,13 @@ class TypicalityDecoder:
         pieces = sorted((j, a + (b - a) % 2**j) for a, b in zip(runs[::2], runs[1::2])
                         for j in range((b - a).bit_length()) if (b - a) >> j & 1)
         object.__setattr__(self, "_screen", (weights, pieces))
-        # the screen bound of every screen sum k in [-N, N], index k + N, and the sums it keeps:
-        # k / N - c rounds monotonically in k, so its absolute value falls, then rises, and the
-        # kept sums are one interval [lo, hi] (None when it is empty)
+        # the screen sums k in [-N, N] whose bound |k / N - sum_y w_y reference[1, y]| is within mu:
+        # a lower bound on the window's distance, since the weights w_y in {-1, 0, 1} (l1) or one-hot
+        # (linf) bound the x(1) cells' part of it. k / N - c rounds monotonically in k, so the bound
+        # falls, then rises, and the kept sums are one interval [lo, hi] (None when it is empty)
         bounds = np.abs(np.arange(-n, n + 1) / n - float(weights @ ref[1]))
         kept = np.flatnonzero(bounds <= self.mu + _SCREEN_SLACK) - n
         assert kept.size == 0 or kept[-1] - kept[0] + 1 == kept.size
-        object.__setattr__(self, "_screen_bounds", bounds)
         object.__setattr__(self, "_kept", (int(kept[0]), int(kept[-1])) if kept.size else None)
         # each cell's |count / N - reference| for counts 0..N: row x * |Y| + y for x(0) and x(1)
         object.__setattr__(self, "_terms", np.abs(np.arange(n + 1) / n - ref[:2].reshape(-1, 1)))
@@ -189,16 +174,6 @@ class TypicalityDecoder:
             at = j
             acc += level[a : a + width]
         return acc
-
-    def screen_bound(self, stream: np.ndarray) -> np.ndarray:
-        """Lower bound on the distance of every window of a flat output stream.
-
-        |k / N - sum_y w_y reference[1, y]| of each window's screen sum k, with
-        weights w_y in {-1, 0, 1} (l1) or one-hot (linf): it bounds the x(1)
-        cells' part of the distance, hence the whole. first_typical keeps the
-        windows whose bound is within mu + _SCREEN_SLACK by their sums alone.
-        """
-        return self._screen_bounds[self._screen_sums(stream).astype(np.intp) + len(self.word)]
 
     def _fold(self, stream: np.ndarray, starts: np.ndarray) -> np.ndarray:
         """Distances of the windows of a flat output stream at starts, from their joint counts.
@@ -293,6 +268,8 @@ class TrialConfig:
     channel: Dmc
     mu: float | None = None
     norm: str = "linf"
+    # built, and so checked (mu, norm, two inputs), with the config; a function of the rest
+    decoder: TypicalityDecoder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "a", _integer("a", self.a))
@@ -300,9 +277,7 @@ class TrialConfig:
             raise ValueError(f"asynchronism window must be >= 1, got {self.a}")
         if self.a >= 2**1023:  # A must convert to a float
             raise ValueError("asynchronism window too large (2^1023 or more)")
-
-    def decoder(self) -> TypicalityDecoder:
-        return TypicalityDecoder(word=self.word, channel=self.channel, mu=self.mu, norm=self.norm)
+        object.__setattr__(self, "decoder", TypicalityDecoder(self.word, self.channel, self.mu, self.norm))
 
 
 CLASSES = ("Correct", "E1", "E2", "E3")
@@ -373,7 +348,6 @@ class TrialEngine:
 
     def __init__(self, config: TrialConfig):
         self.config = config
-        self.decoder = config.decoder()
         self.n = len(config.word)
         self.scan_limit = config.a + self.n - 1
         self.full_mode = config.a <= FULL_SIM_MAX_A
@@ -382,7 +356,7 @@ class TrialEngine:
         stream_len = self.scan_limit + self.n - 1
         self.segment = stream_len if self.full_mode else min(stream_len, 3 * self.n - 2)
         if not self.full_mode:
-            log_bound = _noise_window_log_bound(self.decoder)
+            log_bound = _noise_window_log_bound(config.decoder)
             n_far = math.log(2 * config.a + 2 * self.n)  # exact: 2A + 2N may pass the largest double
             if n_far + log_bound > math.log(CERT_SLIP):
                 # the reach, the A where ln(2A + 2N) + log_bound = ln CERT_SLIP: under config.a, so exp is finite
@@ -423,7 +397,7 @@ class TrialEngine:
         offset, windows = self._geometry(u[:, 0])
         stride = u.shape[1]
         outputs = self._outputs(u.ravel()[1:], stride, offset)
-        first = self.decoder.first_typical(outputs, stride, windows)
+        first = self.config.decoder.first_typical(outputs, stride, windows)
         return np.where(first < 0, _MISS, first - offset)
 
     def run(self, rng: np.random.Generator) -> TrialOutcome:

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import _integer
+
 # One canonical primitive polynomial per degree, exponent tuples for
 # x^m + ... + 1. Standard PRBS feedback taps (Golomb, "Shift Register
 # Sequences"; also the common PRBS tap tables).
@@ -67,6 +69,7 @@ class Lfsr:
     """Fibonacci LFSR over GF(2) with a primitive feedback polynomial."""
 
     def __init__(self, degree: int, seed: int = 1):
+        degree, seed = _integer("degree", degree), _integer("seed", seed)
         if degree not in PRIMITIVE_POLYS:
             raise UnsupportedDegree(f"degree must be in {_DEGREES}, got {degree}")
         if not 0 < seed < (1 << degree):
@@ -136,9 +139,6 @@ class SyncWord:
     def __len__(self) -> int:
         return int(self.symbols.size)
 
-    def active_fraction(self) -> float:
-        return float(self.symbols.mean())
-
     def to_line(self) -> str:
         return "".join(str(int(b)) for b in self.symbols)
 
@@ -156,6 +156,7 @@ def _degree(prefix: int) -> int | None:
 
 def build_sync_word(n: int, k: int, seed: int = 1) -> SyncWord:
     """Construct the word: mapped m-sequence prefix of length floor(n/k), all-x(1) tail."""
+    n, k, seed = _integer("n", n), _integer("k", k), _integer("seed", seed)
     if n < 1 or k < 1:
         raise SequenceError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
     if n > MAX_N:
@@ -172,6 +173,7 @@ def build_sync_word(n: int, k: int, seed: int = 1) -> SyncWord:
 
 def nearest_valid_length(n_target: int, k: int) -> int:
     """Largest N <= n_target whose floor(N/k) passes `_degree`."""
+    n_target, k = _integer("n_target", n_target), _integer("k", k)
     if k < 1:
         raise SequenceError(f"k must be >= 1, got {k}")
     # floor(N/k) = 2^m - 1 on N in [k(2^m - 1), k 2^m - 1]; m starts at the largest run beginning by n_target
@@ -183,6 +185,7 @@ def nearest_valid_length(n_target: int, k: int) -> int:
 
 def smallest_valid_k(n: int) -> int:
     """Smallest K >= 2 whose floor(n/K) passes `_degree`."""
+    n = _integer("n", n)
     # K <= n / 2^16 gives floor(n/K) >= 2^16, past every table degree; past n, floor(n/K) = 0
     for k in range(max(2, n >> max(PRIMITIVE_POLYS)), n + 1):
         if _degree(n // k):

@@ -90,13 +90,6 @@ def sync_threshold(channel: Dmc) -> ThresholdReport:
         argmax_symbol=divs.index(max(divs)), method="exact-discrete", per_symbol_divergences=tuple(divs))
 
 
-def bsc_threshold_closed_form(eps: float) -> float:
-    """Threshold of the binary symmetric channel, in nats."""
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be strictly inside (0,1), got {eps}")
-    return (1.0 - eps) * math.log((1.0 - eps) / eps) + eps * math.log(eps / (1.0 - eps))
-
-
 def composite_binary_threshold_closed_form(p: float, eps: float) -> float:
     """Threshold of ON-OFF fading cascaded with a BSC, in nats.
 

@@ -35,7 +35,7 @@ def _reference(config: TrialConfig) -> dict[tuple[int, int], float]:
 
 
 def _mu(config: TrialConfig) -> float:
-    return config.decoder().mu
+    return config.decoder.mu
 
 
 def _fires(window: tuple[int, ...], w: list[int], ref, mu: float, norm: str) -> bool:
@@ -126,7 +126,7 @@ def exact_error_probability_enum(config: TrialConfig) -> float:
     length = t_max + n - 1
     rows = config.channel.rows
     n_out = config.channel.n_outputs
-    decoder = config.decoder()
+    decoder = config.decoder
     err_total = 0.0
     for y_seq in product(range(n_out), repeat=length):
         v_hat = run_decoder(decoder, np.array(y_seq), scan_limit=t_max)

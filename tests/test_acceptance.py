@@ -18,6 +18,7 @@ import framesync as fs
 from framesync.channels import Dmc
 from framesync.cli import main as cli_main
 
+from closed_forms import bsc_threshold_closed_form, default_grid
 from exact_oracle import exact_error_probability_dp, exact_error_probability_enum
 from small_configs import random_small_config
 
@@ -45,7 +46,7 @@ def test_criterion_01_bsc_closed_form():
     with criterion(1, "BSC threshold matches the closed form to 1e-12", 1.0):
         for eps in EPS_GRID:
             rep = fs.sync_threshold(fs.bsc(eps))
-            assert abs(rep.alpha - fs.bsc_threshold_closed_form(eps)) <= 1e-12
+            assert abs(rep.alpha - bsc_threshold_closed_form(eps)) <= 1e-12
 
 
 def test_criterion_02_composite_closed_form():
@@ -83,7 +84,7 @@ def test_criterion_04_epsilon_limit():
     # expected to fail; see README.
     with criterion(4, "ratio within 1e-3 of p at eps = 1e-6 (unreachable target, expected FAIL)", 1.0):
         eps = 1e-6
-        alpha_n = fs.bsc_threshold_closed_form(eps)
+        alpha_n = bsc_threshold_closed_form(eps)
         for p in [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]:
             ratio = fs.composite_binary_threshold_closed_form(p, eps) / alpha_n
             entropy = -(p * math.log(p) + (1 - p) * math.log(1 - p))
@@ -98,7 +99,7 @@ def test_criterion_05_awgn_threshold():
     with criterion(5, "quantized AWGN threshold within 1% of P/(2 sigma^2)", 10.0):
         for power, s2 in ((1.0, 1.0), (4.0, 1.0), (10.0, 2.0)):
             spec = fs.AwgnSpec(power=power, noise_var=s2)
-            dmc = fs.quantize_to_dmc(spec, fs.default_grid(spec))
+            dmc = fs.quantize_to_dmc(spec, default_grid(spec))
             alpha = fs.sync_threshold(dmc).alpha
             exact = power / (2.0 * s2)
             assert abs(alpha - exact) / exact <= 0.01, (power, s2)

@@ -13,10 +13,11 @@ import framesync.thresholds
 from framesync import (
     QuadratureNonConvergence,
     SimulationInfeasible,
-    bsc_threshold_closed_form,
     composite_binary_threshold_closed_form,
 )
 from framesync.cli import _config_from_replay, main
+
+from closed_forms import bsc_threshold_closed_form
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +177,40 @@ sys.exit(cli.main(sys.argv[1:]))
         rows = [line for line in out.read_text().splitlines() if not line.startswith("#")]
         assert len(rows) == 2 and rows[1].startswith("63,")
         assert list(tmp_path.iterdir()) == [out]
+
+    # every forked pool child dies at its first batch, with no word, as a killed process would
+    DYING_CHILD_MAIN = """
+import os, sys
+import framesync.cli as cli
+from framesync.decoder import TrialEngine
+parent = os.getpid()
+def run_batch(*args):  # its own name: the pool sends engine.run_batch to a child by name
+    assert os.getpid() != parent, "no batch runs in the parent at workers 2"
+    os._exit(1)
+TrialEngine.run_batch = run_batch
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    @pytest.mark.parametrize("preset", ["single_bsc", "bsc_scaling"])
+    def test_a_dead_pool_child_exits_3(self, tmp_path, preset):
+        # BrokenProcessPool is a RuntimeError: one error line, exit 3, and no traceback from the pool
+        out = tmp_path / "o.out"
+        src = os.path.dirname(os.path.dirname(framesync.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.DYING_CHILD_MAIN, "simulate", "--preset", preset,
+             "--set", "trials=20", "--set", "workers=2", "--out", str(out)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3, proc.stderr
+        errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+        assert len(errors) == 1 and "terminated abruptly" in errors[0], proc.stderr
+        assert "Traceback" not in proc.stderr
+        # a scaling run writes the rows it finished, none here: its header alone
+        written = [] if preset == "single_bsc" else [out]
+        assert list(tmp_path.iterdir()) == written  # no .tmp-framesync-* file
+        if written:
+            assert [line for line in out.read_text().splitlines() if not line.startswith("#")] == [
+                "n,a,alpha,p_err,ci_lo,ci_hi,p_e1,p_e2,p_e3"]
 
 
 class TestThreshold:

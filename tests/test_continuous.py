@@ -19,15 +19,15 @@ from framesync import (
     QuantizationGrid,
     RayleighAwgnSpec,
     adaptive_quad,
-    awgn_density,
-    default_grid,
     quantize_to_dmc,
     quantized_awgn,
     rayleigh_density_of,
     rayleigh_threshold_numeric,
     sync_threshold,
 )
-from framesync.continuous import MAX_SCALE_WIDTHS, _rayleigh_integrands, phi
+from framesync.continuous import MAX_SCALE_WIDTHS, _rayleigh_kernel, phi
+
+from closed_forms import awgn_density, default_grid
 
 
 def rayleigh_pdf(h, scale: float):
@@ -177,6 +177,16 @@ class TestSpecs:
             with pytest.raises(ValueError):
                 QuantizationGrid(lo, hi, 8)
 
+    def test_bins_are_an_integer(self):
+        # 2.5, 8.0 and "8" raised TypeError from numpy.linspace or a comparison
+        spec = AwgnSpec(power=2.0, noise_var=1.0)
+        for bins in (2.5, 8.0, True, "8"):
+            with pytest.raises(ValueError, match="^bins must be an integer, got "):
+                quantized_awgn(spec, bins)
+        grid = QuantizationGrid(0.0, 1.0, np.int64(8))
+        assert type(grid.bins) is int and grid == QuantizationGrid(0.0, 1.0, 8)
+        assert quantized_awgn(spec, np.int32(8)) == quantized_awgn(spec, 8)
+
 
 class TestDensities:
     def test_standard_normal_mode(self):
@@ -289,6 +299,15 @@ def counted_float_forms():
         yield counts
 
 
+def kernel_of(spec, kernel: str):
+    """The Rayleigh kernel of that name ("density" or "cdf") over a table of its own, with the
+    constants rayleigh_density_of and quantize_to_dmc give it; its forms looked up at this call."""
+    forms = (getattr(framesync.continuous, f"_{kernel}_{form}") for form in ("node", "row"))
+    consts = ((2.0 * spec.noise_var, math.sqrt(2.0 * math.pi * spec.noise_var)) if kernel == "density"
+              else (spec.sigma, ndtr))
+    return _rayleigh_kernel(spec, *forms, *consts)
+
+
 def recorded(kernel, calls: list):
     """kernel, appending (h, value) to calls at each node QUADPACK asks for."""
 
@@ -324,8 +343,7 @@ class TestRayleighKernels:
                   for h, y, e in draws.tolist()]
         spec = RayleighAwgnSpec(power, noise_var, scale)
         with counted_float_forms() as counts:
-            # one table each, as the two kernels of one spec share theirs
-            density_at, cdf_at = _rayleigh_integrands(spec)[0], _rayleigh_integrands(spec)[1]
+            density_at, cdf_at = kernel_of(spec, "density"), kernel_of(spec, "cdf")
             # the first pass meets each node by the float form, the second reads it from a row
             passes = [[(density_at(y)(h), cdf_at(e)(h)) for h, y, e in points] for _ in range(2)]
         # the zeros never join the table: both passes take them by the float form
@@ -341,8 +359,8 @@ class TestRayleighKernels:
     def test_nodes_met_at_one_outer_point_read_the_same_bits_at_the_next(self):
         spec = RayleighAwgnSpec(power=100.0, noise_var=1.0, scale=1.0)
         with counted_float_forms() as counts:
-            for i, kernel in enumerate(counts):
-                kernel_at = _rayleigh_integrands(spec)[i]  # a table of its own
+            for kernel in counts:
+                kernel_at = kernel_of(spec, kernel)
                 met, read = [], []
                 first = adaptive_quad(recorded(kernel_at(10.0), met), 0.0, spec.h_max)
                 assert counts[kernel] == len({h for h, _ in met}) == len(met)  # all misses
@@ -353,10 +371,10 @@ class TestRayleighKernels:
 
     def test_a_row_lacks_the_nodes_that_joined_after_it(self):
         spec = RayleighAwgnSpec(power=100.0, noise_var=1.0, scale=1.0)
-        density_at, _ = _rayleigh_integrands(spec)
+        density_at = kernel_of(spec, "density")
         first, second = density_at(0.5), density_at(10.0)  # two rows of the empty table
         adaptive_quad(first, 0.0, spec.h_max)  # its nodes join the table, not second's row
-        alone = adaptive_quad(_rayleigh_integrands(spec)[0](10.0), 0.0, spec.h_max)
+        alone = adaptive_quad(kernel_of(spec, "density")(10.0), 0.0, spec.h_max)
         assert same_bits(adaptive_quad(second, 0.0, spec.h_max), alone)
 
     def test_interleaved_specs_give_the_bits_of_each_alone(self):
@@ -367,11 +385,11 @@ class TestRayleighKernels:
             return adaptive_quad(kernel_at(x), 0.0, spec.h_max)
 
         # each spec alone: its density at every x, then its CDF at every x
-        alone = [[integral(spec, kernel_at, x) for kernel_at in _rayleigh_integrands(spec) for x in xs]
+        alone = [[integral(spec, kernel_of(spec, kernel), x) for kernel in ("density", "cdf") for x in xs]
                  for spec in specs]
         # interleaved: at each x, one spec's density and CDF, then the other's
         interleaved = [[], []]
-        kernels = [_rayleigh_integrands(spec) for spec in specs]
+        kernels = [(kernel_of(spec, "density"), kernel_of(spec, "cdf")) for spec in specs]
         for x in xs:
             for spec, ats, out in zip(specs, kernels, interleaved):
                 out.extend(integral(spec, kernel_at, x) for kernel_at in ats)
@@ -428,10 +446,14 @@ class TestRayleighKernels:
         kernels = outputs()
         root_p = math.sqrt(spec.power)
         # the composition on arrays, one h-kernel per outer point as the table's kernels give
-        monkeypatch.setattr(framesync.continuous, "_rayleigh_integrands", lambda s: (
-            lambda y: lambda h: awgn_density(y, h * root_p, s.noise_var) * rayleigh_pdf(h, s.scale),
-            lambda e: lambda h: rayleigh_pdf(h, s.scale) * ndtr((e - h * root_p) / s.sigma),
-        ))
+        compositions = {
+            framesync.continuous._density_node:
+                lambda s: lambda y: lambda h: awgn_density(y, h * root_p, s.noise_var) * rayleigh_pdf(h, s.scale),
+            framesync.continuous._cdf_node:
+                lambda s: lambda e: lambda h: rayleigh_pdf(h, s.scale) * ndtr((e - h * root_p) / s.sigma),
+        }
+        monkeypatch.setattr(framesync.continuous, "_rayleigh_kernel",
+                            lambda s, node_form, *_: compositions[node_form](s))
         assert outputs() == kernels
 
 

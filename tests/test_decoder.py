@@ -66,11 +66,19 @@ from naive_trials import (
     typicality_distance,
     window_distances,
 )
+from closed_forms import bsc_threshold_closed_form
 from small_configs import random_small_config
 
 
 def word_from_bits(bits):
     return SyncWord(np.array(bits, dtype=np.int8), prefix_len=0, k=0)
+
+
+def screen_bound(dec, stream):
+    """|k / N - sum_y w_y reference[1, y]| of each window's screen sum k, the lower bound on its
+    distance by which first_typical keeps the sums in dec._kept."""
+    weights = dec._screen[0]
+    return np.abs(dec._screen_sums(stream) / len(dec.word) - float(weights @ dec.reference[1]))
 
 
 def exact_distances(dec, outputs):
@@ -174,13 +182,31 @@ class TestDecoderState:
         for other in (decoder(n=14), decoder(eps=0.2), decoder(mu=0.2), decoder(norm="l1")):
             assert decoder() != other
         assert len({decoder(), decoder(), decoder(norm="l1")}) == 2
-        assert TrialConfig(a=30, word=build_sync_word(15, 2), channel=bsc(0.1)).decoder() == decoder()
+        assert TrialConfig(a=30, word=build_sync_word(15, 2), channel=bsc(0.1)).decoder == decoder()
 
     def test_window_must_fit_a_float(self):
         word = build_sync_word(21, 3)
         for a in (0, 2**1023):
             with pytest.raises(ValueError):
                 TrialConfig(a=a, word=word, channel=bsc(0.1))
+
+    # each of these constructed, and failed only inside monte_carlo
+    @pytest.mark.parametrize("bad, message", [
+        ({"mu": -1.0}, "mu must be finite and > 0, got -1.0"),
+        ({"mu": math.nan}, "mu must be finite and > 0, got nan"),
+        ({"mu": math.inf}, "mu must be finite and > 0, got inf"),
+        ({"norm": "l2"}, "unknown norm 'l2'"),
+        ({"channel": dmc_new([[0.5, 0.5]])}, "the sync word needs inputs x(0) and x(1); the channel has 1"),
+    ], ids=repr)
+    def test_config_is_checked_when_it_is_built(self, bad, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrialConfig(**{"a": 30, "word": build_sync_word(21, 3), "channel": bsc(0.1), **bad})
+
+    def test_config_holds_its_decoder(self):
+        cfg = TrialConfig(a=30, word=build_sync_word(21, 3), channel=bsc(0.1), mu=0.15, norm="l1")
+        assert TrialEngine(cfg).config.decoder is cfg.decoder
+        assert cfg.decoder == TypicalityDecoder(cfg.word, cfg.channel, 0.15, "l1")
+        assert "decoder" not in repr(cfg)
 
 
 class TestRunDecoder:
@@ -221,7 +247,7 @@ class TestRunDecoder:
         dec = TypicalityDecoder(word=word, channel=bsc(0.1), mu=0.1, norm=norm)
         for m in range(len(word)):
             stream = np.random.default_rng(m).integers(0, 2, size=m)
-            assert dec.screen_bound(stream).shape == (0,) and dec._screen_sums(stream).dtype == np.int16
+            assert screen_bound(dec, stream).shape == (0,) and dec._screen_sums(stream).dtype == np.int16
             with pytest.raises(StreamExhausted):
                 run_decoder(dec, stream, scan_limit=1)
 
@@ -571,7 +597,7 @@ class TestCertificateTail:
     def test_preset_rows_keep_their_decisions(self, preset):
         _, rows, _ = _config_rows(_load_preset(preset))
         for row in rows:
-            dec = row.config.decoder()
+            dec = row.config.decoder
             ours, theirs = _noise_window_log_bound(dec), scipy_noise_window_log_bound(dec)
             assert ours == pytest.approx(theirs, rel=1e-14, abs=0)
             n_far = math.log(2.0 * float(row.a) + 2.0 * row.n)
@@ -684,8 +710,6 @@ class TestScaling:
 
     def test_bsc_rows_window_formula(self):
         rows = bsc_scaling_rows(0.05, 4, [63, 127], beta=0.5, mu=0.05)
-        from framesync import bsc_threshold_closed_form
-
         alpha = bsc_threshold_closed_form(0.05)
         for row in rows:
             assert row.a == int(round(math.exp(0.5 * alpha * row.n)))
@@ -894,7 +918,7 @@ class TestWindowScreen:
         dists = dists.ravel()
         # the bound is tight for some windows (binary outputs), so allow rounding; the engine
         # prunes only past 1e-9
-        assert np.all(dec.screen_bound(outputs.ravel())[starts] <= dists + 1e-12)
+        assert np.all(screen_bound(dec, outputs.ravel())[starts] <= dists + 1e-12)
         assert np.array_equal(dec._fold(outputs.ravel(), starts), dists)
 
     @PROPERTY
@@ -1067,13 +1091,13 @@ class TestEngineProperties:
         # of that edge, and the engine must count as the naive trials do
         cfg = TrialConfig(a=a, word=build_sync_word(15, 2), channel=bsc(0.02), mu=0.2)
         engine = engine_at(cfg, cfg.a)
-        weights = engine.decoder._screen[0]
+        weights = engine.config.decoder._screen[0]
         outputs = engine._outputs(np.zeros(engine.segment), engine.segment, np.zeros(1, int))
         assert engine.full_mode and len(outputs) == a + 28 and not outputs.any()
         w = np.take(weights, outputs)
         assert weights.tolist() == [1, 0] and np.cumsum(w, dtype=dtype)[-1] == len(outputs)
         assert (np.cumsum(w, dtype=np.int16)[-1] < 0) == (dtype is np.int32)
-        sums = engine.decoder._screen_sums(outputs)
+        sums = engine.config.decoder._screen_sums(outputs)
         assert sums.dtype == np.int16
         assert np.array_equal(sums, sliding_window_view(w.astype(dtype), 15) @ cfg.word.symbols.astype(dtype))
         assert engine.run_batch(3, 0, 3) == naive_counts(cfg, 3, 0, 3, True)
@@ -1084,10 +1108,10 @@ class TestEngineProperties:
         # within [-N, N], must come out exact over a stream that long
         cfg = TrialConfig(a=70_000, word=build_sync_word(15, 2), channel=bsc(0.02), mu=0.2)
         engine = engine_at(cfg, cfg.a)
-        assert engine.full_mode and engine.decoder._screen[0].tolist() == [1, 0]
+        assert engine.full_mode and engine.config.decoder._screen[0].tolist() == [1, 0]
         outputs = engine._outputs(np.random.default_rng(3).random(engine.segment), engine.segment, np.zeros(1, int))
         assert np.count_nonzero(outputs == 0) > 2**16
-        sums = engine.decoder._screen_sums(outputs)
+        sums = engine.config.decoder._screen_sums(outputs)
         assert sums.dtype == np.int16
         assert np.array_equal(sums, sliding_window_view(outputs == 0, 15) @ cfg.word.symbols)
         assert engine.run_batch(3, 0, 2) == naive_counts(cfg, 3, 0, 2, True)
@@ -1151,7 +1175,7 @@ class TestEngineProperties:
         # run_decoder over the whole long stream, with mu at the least distance so that the first
         # typical window lies deep in it
         dists = exact_distances(dec, long_stream)[0]
-        assert np.all(dec.screen_bound(long_stream[0]) <= dists + 1e-12)
+        assert np.all(screen_bound(dec, long_stream[0]) <= dists + 1e-12)
         dec = TypicalityDecoder(word=word, channel=channel, mu=float(dists.min()), norm="l1")
         assert run_decoder(dec, long_stream[0], scan_limit=dists.size) == int(dists.argmin()) + 1
 

@@ -126,7 +126,7 @@ class TestBuildSyncWord:
         n = k * (2**m - 1)
         word = build_sync_word(n, k)
         bound = 1.0 - (1.0 / k) * (2 ** (m - 1)) / (2**m - 1)
-        assert word.active_fraction() >= bound - 1e-12
+        assert word.symbols.mean() >= bound - 1e-12
 
     def test_line_round_trip(self):
         word = build_sync_word(45, 3)
@@ -279,6 +279,40 @@ BOUNDARY_PAIRS = [
     for m in range(1, 19)
     for n in range(k * ((1 << m) - 1) - k, k * ((1 << m) - 1) + k + 1)
 ]
+
+
+class TestIntegerArguments:
+    """Every integer argument is read by one rule: a numpy integer as the int it holds, and a bool,
+    a float or a string as a ValueError naming the parameter. Each of these raised AttributeError
+    or TypeError, or ran."""
+
+    def test_numpy_integers_give_what_ints_give(self):
+        assert build_sync_word(np.int64(63), np.int32(4), np.uint8(3)) == build_sync_word(63, 4, 3)
+        assert nearest_valid_length(np.int64(100), np.int16(4)) == nearest_valid_length(100, 4) == 63
+        assert smallest_valid_k(np.int64(128)) == smallest_valid_k(128)
+        reg = Lfsr(np.int64(5), np.int32(7))
+        assert (reg.degree, reg.state) == (5, 7) and type(reg.state) is int
+        assert np.array_equal(generate_mlsr(np.int64(5), np.int64(7)), generate_mlsr(5, 7))
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: build_sync_word(np.int64(63), 4.0), "k"),
+        (lambda: build_sync_word(63.0, 4), "n"),
+        (lambda: build_sync_word(7.5, 2), "n"),
+        (lambda: build_sync_word(True, 1), "n"),
+        (lambda: build_sync_word("63", 4), "n"),
+        (lambda: build_sync_word(63, np.True_), "k"),
+        (lambda: build_sync_word(63, 4, seed=1.0), "seed"),
+        (lambda: nearest_valid_length(100.0, 4), "n_target"),
+        (lambda: nearest_valid_length(100, False), "k"),
+        (lambda: smallest_valid_k(63.0), "n"),
+        (lambda: smallest_valid_k("63"), "n"),
+        (lambda: Lfsr(4.0), "degree"),
+        (lambda: Lfsr(4, seed=True), "seed"),
+        (lambda: generate_mlsr(5, 1.5), "seed"),
+    ])
+    def test_other_values_name_the_parameter(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
 
 
 class TestOneRule:

@@ -15,10 +15,8 @@ from framesync import (
     RayleighAwgnSpec,
     awgn_threshold,
     bsc,
-    bsc_threshold_closed_form,
     compose,
     composite_binary_threshold_closed_form,
-    default_grid,
     dmc_new,
     kl_divergence,
     fading_bound_check,
@@ -31,6 +29,8 @@ from framesync import (
 )
 from framesync.channels import ChannelError, Dmc, NegativeEntry, NonStochasticRow
 from framesync.thresholds import FADING_BOUND_TOL
+
+from closed_forms import bsc_threshold_closed_form, default_grid
 
 
 def random_full_support_channel(rng, n_in=None, n_out=None):
