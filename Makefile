@@ -57,32 +57,33 @@ export LOC
 loc:
 	@$(PYTHON) -c "$$LOC" src/framesync
 
-# one benchmark run of workload W (skip_scan, full_scan, short_batched or rayleigh); bench-pairs
-# also takes a space-separated list, W="skip_scan full_scan"
-W ?= full_scan
+# one benchmark run of workload W (skip_scan, full_scan, short_batched or rayleigh; full_scan when
+# W is not set)
 bench:
-	$(PYTHON) perfbench/run.py --workload $(W) --seed 1 --seconds 30 --trace 0
+	$(PYTHON) perfbench/run.py --workload $(or $(W),full_scan) --seed 1 --seconds 30 --trace 0
 
 # PAIRS pairs of benchmark runs of each workload in W (a space-separated list, run workload by
-# workload), one on revision BASE and one on this checkout's working tree (its uncommitted edits and
-# its untracked files that are not ignored included, through a temporary index), each exported with
-# git archive into the same temporary directory and run from there the same way, the side that runs
-# first alternating; pair i runs both sides at seed SEED + i, so their outputs compare byte for byte.
-# Both sides' records are copied to .perfbench/pairs/ before the directory goes; after each
-# workload's pairs, its records of this checkout are summarized against BASE's. The paths of both
-# sides' records, all workloads', go to $(RECORDS)change.txt and $(RECORDS)base.txt, one a line, and
-# BASE's commit to $(RECORDS)base-commit.txt, for bench-json.
+# workload; with no W, the workloads BENCHMARK.json lists), one on revision BASE and one on this
+# checkout's working tree (its uncommitted edits and its untracked files that are not ignored
+# included, through a temporary index), each exported with git archive into the same temporary
+# directory and run from there the same way, the side that runs first alternating; pair i runs both
+# sides at seed SEED + i, so their outputs compare byte for byte. Both sides' records are copied to
+# .perfbench/pairs/ before the directory goes; after each workload's pairs, its records of this
+# checkout are summarized against BASE's. The paths of both sides' records, all workloads', go to
+# $(RECORDS)change.txt and $(RECORDS)base.txt, one a line, and BASE's commit to
+# $(RECORDS)base-commit.txt, for bench-json.
 BASE ?= HEAD
 PAIRS ?= 10
 SEED ?= 1000
 RECORDS := .perfbench/records-
+WORKLOADS = $(shell $(PYTHON) -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
 bench-pairs:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	mkdir "$$tmp/base" "$$tmp/change"; git archive $(BASE) | tar -x -C "$$tmp/base"; \
 	export GIT_INDEX_FILE="$$tmp/index"; git read-tree HEAD; git add -A; tree=$$(git write-tree); \
 	unset GIT_INDEX_FILE; git archive "$$tree" | tar -x -C "$$tmp/change"; mkdir -p .perfbench/pairs; \
 	: > $(RECORDS)change.txt; : > $(RECORDS)base.txt; git rev-parse $(BASE) > $(RECORDS)base-commit.txt; \
-	for w in $(W); do \
+	for w in $(or $(W),$(WORKLOADS)); do \
 		for i in $$(seq 0 $$(($(PAIRS) - 1))); do \
 			if [ $$((i % 2)) -eq 0 ]; then sides="base change"; else sides="change base"; fi; \
 			for side in $$sides; do \

@@ -135,6 +135,7 @@ def bsc(eps: float) -> Dmc:
     """Binary symmetric channel with crossover probability eps."""
     if not 0.0 <= eps <= 1.0:
         raise ChannelError(f"crossover probability must be in [0,1], got {eps}")
+    eps = float(eps)  # a float32 eps would make a float32 table, whose rows miss 1 by ~1e-8
     return Dmc(np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
 
 

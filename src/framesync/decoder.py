@@ -236,6 +236,7 @@ def run_decoder(decoder: TypicalityDecoder, output_stream, scan_limit: int) -> i
     """
     stream = np.asarray(output_stream)
     n = len(decoder.word)
+    scan_limit = _integer("scan_limit", scan_limit)
     if scan_limit < 1:
         raise ValueError(f"scan limit must be >= 1, got {scan_limit}")
     if stream.ndim != 1:
@@ -512,6 +513,7 @@ def simulate_trial(config: TrialConfig, rng: np.random.Generator) -> TrialOutcom
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
+    successes, trials = _integer("successes", successes), _integer("trials", trials)
     if trials <= 0:
         raise ValueError("trials must be >= 1")
     if not 0 <= successes <= trials:
@@ -561,6 +563,15 @@ class ErrorReport:
         }
 
 
+def _exit_on_interrupt() -> None:
+    """A pool child's initializer: SIGINT (Ctrl-C reaches the whole process group) ends the child at
+    once and silently, whether it runs a chunk or waits for one, so the parent alone reports it.
+    Ignoring SIGINT instead would leave the parent's pool waiting for the busy chunks."""
+    import signal  # loaded with the pool's multiprocessing; a single worker never needs it
+
+    signal.signal(signal.SIGINT, lambda signum, frame: os._exit(128 + signum))
+
+
 def monte_carlo(config: TrialConfig, trials: int, master_seed: int, workers: int = 1) -> ErrorReport:
     """Estimate error rates over independent trials.
 
@@ -582,7 +593,7 @@ def monte_carlo(config: TrialConfig, trials: int, master_seed: int, workers: int
         bounds = np.linspace(0, trials, workers + 1).astype(int).tolist()
         chunks = [(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
         # a forked pool starts all its processes at the first submit: no more than there are chunks or CPUs
-        with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
+        with ProcessPoolExecutor(min(len(chunks), os.cpu_count() or 1), initializer=_exit_on_interrupt) as pool:
             futures = [pool.submit(engine.run_batch, master_seed, lo, hi) for lo, hi in chunks]
             parts = [fut.result() for fut in futures]
     return ErrorReport(trials, tuple(sum(part[k] for part in parts) for k in CLASSES))
@@ -612,8 +623,6 @@ def _check_n_list(n_list: list[int]) -> None:
 
 def _window_from_exponent(ln_a: float) -> int:
     """round(e^ln_a), at least 1; TrialConfig alone bounds it above."""
-    if math.isnan(ln_a):  # beta = nan, or beta = 0 with alpha = inf
-        raise ValueError("the exponent beta * alpha * N of A is undefined (NaN)")
     try:
         return max(1, round(math.exp(ln_a)))
     except OverflowError:  # from exp past the largest double, or from round(inf)
@@ -631,19 +640,18 @@ def single_rows(
 ) -> list[ScalingRow]:
     """The one row builder: a row over a given channel, A as given, else round(exp(beta * alpha * N))
     for beta in (0, 1)."""
-    word = sequences.build_sync_word(n, k)
-    alpha = thresholds.sync_threshold(channel).alpha
     if a is None:
         if beta is None:
             raise ValueError("single mode needs either 'a' or 'beta'")
-        ln_a = beta * alpha * n
-        if not math.isnan(ln_a):  # beta = NaN, or 0 against an infinite alpha: named as such below
-            if not 0.0 < beta < 1.0:
-                raise ValueError(f"beta must be in (0,1), got {beta}")
-            if alpha == math.inf:
-                raise ValueError("the channel's threshold alpha is infinite, so exp(beta * alpha * N) is "
-                                 "undefined; give 'a' instead")
-        a = _window_from_exponent(ln_a)
+        if not 0.0 < beta < 1.0:  # NaN fails it too; refused before the word is built
+            raise ValueError(f"beta must be in (0,1), got {beta}")
+    word = sequences.build_sync_word(n, k)
+    alpha = thresholds.sync_threshold(channel).alpha
+    if a is None and alpha == math.inf:
+        raise ValueError("the channel's threshold alpha is infinite, so exp(beta * alpha * N) is "
+                         "undefined; give 'a' instead")
+    # given, a is the window; else beta is in (0, 1) and alpha finite, so the exponent is a number
+    a = _window_from_exponent(beta * alpha * n) if a is None else a
     config = TrialConfig(a=a, word=word, channel=channel, mu=mu, norm=norm)
     return [ScalingRow(alpha, config)]
 
@@ -679,7 +687,12 @@ def energy_scaling_rows(
     The feasibility threshold exp(E / (2 sigma^2)) is carried per row so
     reports can print it against A.
     """
-    AwgnSpec(power=energy, noise_var=sigma2)  # checks E and sigma^2 before they divide
+    # each key by its own name, as the user set it, before A is formed; chained, so NaN fails too
+    if not 0.0 <= energy < math.inf:
+        raise ValueError(f"energy must be finite and >= 0, got {energy}")
+    if not 0.0 < mu_coeff < math.inf:
+        raise ValueError(f"mu_coeff must be finite and > 0, got {mu_coeff}")
+    AwgnSpec(power=energy, noise_var=sigma2)  # checks sigma^2 before it divides
     _check_n_list(n_list)
     a = _window_from_exponent(energy / (4.0 * sigma2))
     try:

@@ -100,6 +100,7 @@ def composite_binary_threshold_closed_form(p: float, eps: float) -> float:
         raise ValueError(f"eps must be strictly inside (0,1), got {eps}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0,1], got {p}")
+    p, eps = float(p), float(eps)  # computed in float64, whatever float type they come in
     eps_p = (1.0 - p) * (1.0 - eps) + p * eps
     return (1.0 - eps_p) * math.log((1.0 - eps_p) / eps) + eps_p * math.log(
         eps_p / (1.0 - eps)

@@ -108,6 +108,17 @@ class TestDmcValue:
         assert eval(repr(table), {"Dmc": Dmc}) == table
 
 
+class TestFloatArguments:
+    def test_float32_eps_gives_what_its_float_gives(self):
+        # computed in float32, these raised NonStochasticRow ("row 0 sums to 0.9999999776482582")
+        eps = np.float32(0.1)
+        assert bsc(eps) == bsc(float(eps)) and bsc(eps).rows.dtype == np.float64
+        fading = on_off_fading_matrix(0.5)
+        assert compose(fading, bsc(eps)) == compose(fading, bsc(float(eps)))
+        with pytest.raises(TypeError):  # converted after the range check, which a string still fails
+            bsc("0.1")
+
+
 class TestOnOffFading:
     def test_p_one_is_identity(self):
         dmc = on_off_fading_matrix(1.0)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -211,6 +212,58 @@ sys.exit(cli.main(sys.argv[1:]))
         if written:
             assert [line for line in out.read_text().splitlines() if not line.startswith("#")] == [
                 "n,a,alpha,p_err,ci_lo,ci_hi,p_e1,p_e2,p_e3"]
+
+    # SIGINT to the whole process group while one pool child runs a chunk and the other waits idle for a
+    # next one, where Python's own handler printed "Process ForkProcess-2:" and a KeyboardInterrupt
+    # traceback. Each chunk marks its start and waits for the other's, so they run in two children (a
+    # child held there takes no second chunk) that both ran the pool's initializer; the other chunk then
+    # returns. The first chunk's worker pauses, so that child reaches its wait (the test passes in either
+    # state), sends SIGINT as Ctrl-C would, and holds its chunk: a child that only ignored SIGINT would
+    # keep the pool's shutdown waiting past the timeout
+    INTERRUPTING_CHILD_MAIN = """
+import os, signal, sys, time
+import framesync.cli as cli
+from framesync.decoder import CLASSES, TrialEngine
+marks = sys.argv.pop(1)
+def run_batch(self, master_seed, lo, hi):  # its own name: the pool sends engine.run_batch to a child by name
+    open(os.path.join(marks, str(lo)), "w").close()
+    while len(os.listdir(marks)) < 2:
+        time.sleep(0.01)
+    if lo:
+        return dict.fromkeys(CLASSES, 0)
+    time.sleep(0.2)
+    os.killpg(0, signal.SIGINT)
+    time.sleep(600)
+TrialEngine.run_batch = run_batch
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="the pool runs both chunks in one child on one CPU")
+    def test_sigint_to_the_pool_exits_130_without_a_child_traceback(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(framesync.__file__))
+        for run in range(3):
+            marks, out = tmp_path / f"marks{run}", tmp_path / f"o{run}.csv"
+            marks.mkdir()
+            proc = subprocess.Popen(
+                [sys.executable, "-c", self.INTERRUPTING_CHILD_MAIN, str(marks), "simulate", "--preset",
+                 "bsc_scaling", "--set", "trials=2000", "--set", "workers=2", "--out", str(out)],
+                env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                start_new_session=True,  # its own process group, which the SIGINT reaches and no other
+            )
+            try:
+                _, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:  # a child that outlived SIGINT, its chunk holding the pool's shutdown
+                os.killpg(proc.pid, signal.SIGKILL)
+                raise
+            assert proc.returncode == 130, (run, err)
+            assert err.splitlines()[-1] == "error: interrupted", (run, err)
+            assert "Traceback" not in err and "ForkProcess" not in err, (run, err)
+            assert sorted(marks.iterdir()) == [marks / "0", marks / "1000"], run
+            assert not list(tmp_path.glob(".tmp-framesync-*")), run
+            assert [line for line in out.read_text().splitlines() if not line.startswith("#")] == [
+                "n,a,alpha,p_err,ci_lo,ci_hi,p_e1,p_e2,p_e3"], run  # interrupted at the first row
+            with pytest.raises(ProcessLookupError):  # no pool child outlived the run
+                os.killpg(proc.pid, 0)
 
 
 class TestThreshold:
@@ -571,12 +624,13 @@ class TestSimulate:
         assert not out.exists()
 
     def test_undefined_window_exponent_is_validation_error(self, capsys, tmp_path):
-        # beta = nan, and beta = 0 against alpha = inf (a noiseless BSC): beta * alpha * N is NaN
-        for settings in (("beta=nan",), ("channel=bsc:0", "beta=0")):
+        # beta = nan, and beta = 0 against alpha = inf (a noiseless BSC), where beta * alpha * N is NaN:
+        # these exited 2 naming that NaN exponent; beta's one range check now refuses both
+        for settings, beta in ((("beta=nan",), "nan"), (("channel=bsc:0", "beta=0"), "0.0")):
             argv = [arg for setting in settings for arg in ("--set", setting)]
             code, out, err = run_cli(capsys, "simulate", "--preset", "single_bsc", *argv)
             assert code == 2 and out == "", settings
-            assert err.startswith("error:") and "beta * alpha * N" in err and "undefined" in err, settings
+            assert err == f"error: beta must be in (0,1), got {beta}\n", settings
         # beta > 0 against alpha = inf: exp(beta * alpha * N) is undefined, not a window too large; these
         # exited 2 with "exp(inf) overflows; asynchronism window too large"
         path = tmp_path / "outside.mat"
@@ -597,6 +651,38 @@ class TestSimulate:
         code, out, _ = run_cli(capsys, "simulate", "--preset", "single_bsc", "--set", f"beta={beta}",
                                "--set", "a=5", "--set", "trials=10")
         assert code == 0 and json.loads(out)["a"] == 5
+
+    @pytest.mark.parametrize("preset, beta, settings", [
+        *(("single_bsc", beta, ()) for beta in ("nan", "-1", "0", "1", "2", "inf", "-inf")),
+        ("single_bsc", "0", ("channel=bsc:0",)),
+        ("bsc_scaling", "nan", ()),
+    ])
+    def test_beta_is_refused_before_the_word_is_built(self, capsys, monkeypatch, tmp_path, preset, beta, settings):
+        # beta's range was checked after the word (up to 2^31 - 1 symbols) and alpha were computed
+        def unbuilt(*args, **kwargs):
+            raise AssertionError("computed for a beta outside (0, 1)")
+
+        monkeypatch.setattr("framesync.sequences.build_sync_word", unbuilt)
+        monkeypatch.setattr("framesync.thresholds.sync_threshold", unbuilt)
+        argv = [arg for setting in (f"beta={beta}", *settings) for arg in ("--set", setting)]
+        code, out, err = run_cli(capsys, "simulate", "--preset", preset, *argv, "--out", str(tmp_path / "o"))
+        assert (code, out, err) == (2, "", f"error: beta must be in (0,1), got {float(beta)}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("setting, message", [
+        ("energy=-1", "energy must be finite and >= 0, got -1.0"),
+        ("energy=nan", "energy must be finite and >= 0, got nan"),
+        ("energy=inf", "energy must be finite and >= 0, got inf"),
+        ("mu_coeff=-1", "mu_coeff must be finite and > 0, got -1.0"),
+        ("mu_coeff=0", "mu_coeff must be finite and > 0, got 0.0"),
+        ("mu_coeff=nan", "mu_coeff must be finite and > 0, got nan"),
+    ])
+    def test_energy_sweep_input_names_its_key(self, capsys, tmp_path, setting, message):
+        # these named power, or mu with a value derived from mu_coeff (-0.17677669529663687 for -1)
+        out = tmp_path / "never.csv"
+        result = run_cli(capsys, "simulate", "--preset", "energy_scaling", "--set", setting, "--out", str(out))
+        assert result == (2, "", f"error: {message}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_window_past_e_to_the_700_runs_as_its_a_twin(self, capsys):
         # beta * alpha * N = 703.08 gives A = 2.2e305, under the 2^1023 ceiling: this exited 2 with

@@ -273,6 +273,15 @@ class TestRunDecoder:
         with pytest.raises(ValueError, match="scan limit must be >= 1, got 0"):
             run_decoder(dec, np.zeros(20, dtype=np.int64), scan_limit=0)
 
+    def test_scan_limit_is_an_integer(self):
+        dec = TypicalityDecoder(word=build_sync_word(7, 2), channel=bsc(0.0), mu=0.01)
+        stream = np.concatenate([np.zeros(4, dtype=np.int64), dec.word.symbols, np.zeros(6, dtype=np.int64)])
+        assert run_decoder(dec, stream, scan_limit=np.int64(6)) == run_decoder(dec, stream, scan_limit=6) == 5
+        # 2.5 raised TypeError from a slice
+        for scan_limit in (2.5, 6.0, True, np.True_, "6"):
+            with pytest.raises(ValueError, match="^scan_limit must be an integer, got "):
+                run_decoder(dec, stream, scan_limit=scan_limit)
+
     def test_non_integer_outputs_rejected(self):
         # symbols are never rounded or truncated: a float stream is refused, even one of whole numbers
         word = build_sync_word(7, 2)
@@ -361,7 +370,7 @@ class TestMonteCarlo:
         sizes = []
 
         class InlinePool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 sizes.append(max_workers)
 
             def __enter__(self):
@@ -415,6 +424,14 @@ class TestMonteCarlo:
     def test_wilson_interval_rejects_zero_trials(self):
         with pytest.raises(ValueError, match="trials must be >= 1"):
             wilson_interval(0, 0)
+
+    def test_wilson_interval_reads_integers(self):
+        assert wilson_interval(np.int64(3), np.int32(10)) == wilson_interval(3, 10)
+        # the first two returned intervals
+        for successes, trials, name in ((1.5, 10, "successes"), (True, 10, "successes"), (3, 10.0, "trials"),
+                                        (3, np.True_, "trials"), ("3", 10, "successes")):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+                wilson_interval(successes, trials)
 
     def test_wilson_interval_rejects_successes_outside_the_trials(self):
         # these died inside math.sqrt with "math domain error"
@@ -744,17 +761,18 @@ class TestScaling:
         (row,) = energy_scaling_rows(1424.0, n_list=[255])
         assert row.extra["feasibility_threshold"] == math.inf
 
+    # no NaN: single_rows refuses a beta outside (0, 1) and an infinite alpha before it forms the exponent
     @pytest.mark.parametrize("ln_a", [-math.inf, 0.0, 699.9, 700.0, 703.08, 709.08, 709.1, 709.79, 1355.0,
-                                      math.inf, math.nan])
+                                      math.inf])
     def test_window_from_exponent_is_bounded_by_the_config_alone(self, ln_a):
-        # A is round(e^x) for TrialConfig to accept, or a ValueError that names NaN, the overflow of
+        # A is round(e^x) for TrialConfig to accept, or a ValueError that names the overflow of
         # e^x or TrialConfig's 2^1023 ceiling; never an OverflowError
         try:
             a = _window_from_exponent(ln_a)
             TrialConfig(a=a, word=build_sync_word(7, 2), channel=bsc(0.1))
         except ValueError as exc:  # an OverflowError is no ValueError: it fails the test
-            assert re.search(r"\(NaN\)|overflows|2\^1023", str(exc)), ln_a
-            assert math.isnan(ln_a) or ln_a > math.log(2.0**1023), ln_a
+            assert re.search(r"overflows|2\^1023", str(exc)), ln_a
+            assert ln_a > math.log(2.0**1023), ln_a
         else:
             assert a == max(1, round(math.exp(ln_a))) and ln_a < math.log(2.0**1023)
 

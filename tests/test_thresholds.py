@@ -166,6 +166,12 @@ class TestClosedForms:
             with pytest.raises(ValueError, match="must be"):
                 composite_binary_threshold_closed_form(p, eps)
 
+    def test_composite_float32_arguments_give_what_their_floats_give(self):
+        # this returned np.float32(0.51082563), computed in float32
+        p, eps = np.float32(0.5), np.float32(0.1)
+        value = composite_binary_threshold_closed_form(p, eps)
+        assert type(value) is float and value == composite_binary_threshold_closed_form(float(p), float(eps))
+
     def test_composite_zero_at_p_zero(self):
         assert composite_binary_threshold_closed_form(0.0, 0.3) == pytest.approx(
             0.0, abs=1e-15
