@@ -2,7 +2,7 @@ PYTHON ?= python3
 OUT ?= out
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test acceptance reproduce verify-out check loc bench bench-pairs bench-json clean
+.PHONY: test acceptance reproduce verify-out check loc mutants bench bench-pairs bench-json clean
 
 test:
 	$(PYTHON) -m pytest tests -q --durations=10
@@ -56,6 +56,11 @@ endef
 export LOC
 loc:
 	@$(PYTHON) -c "$$LOC" src/framesync
+
+# every mutant of tests/mutants.py applied to its own temporary copy of this checkout, only its
+# tests run there with -x; fails if one survives, or if those tests fail unmutated
+mutants:
+	$(PYTHON) tests/mutants.py
 
 # one benchmark run of workload W (skip_scan, full_scan, short_batched or rayleigh; full_scan when
 # W is not set)

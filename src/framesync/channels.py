@@ -13,7 +13,8 @@ O(log |Y|) passes.
 
 from __future__ import annotations
 
-import operator
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,16 +23,43 @@ ROW_SUM_TOL = 1e-12
 NORMALIZE_TOL = 1e-9
 
 
-def _integer(name: str, value) -> int:
-    """value as a Python int, through operator.index; a bool, a float or any other non-integer
-    is a ValueError naming the parameter. The package's one rule for an integer argument (a count,
-    a length, a degree or a seed), here in the module every other imports first."""
-    if not isinstance(value, (bool, np.bool_)):  # a bool indexes as 0 or 1, but is never a count or a seed
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+def _integer(name: str, value, lo=-math.inf, hi=math.inf, ends="[]", error=ValueError) -> int:
+    """value as a Python int within lo..hi, as _within reads them. A bool, a float or any other
+    non-integer, or an integer out of range, raises error (a ValueError) naming the parameter. The
+    package's one rule for an integer argument (a count, a length or a seed); _real is its twin."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):  # numpy integers are Integral
+        raise error(f"{name} must be an integer, got {value!r}")
+    return _within(name, int(value), lo, hi, ends, error)
+
+
+def _real(name: str, value, lo=-math.inf, hi=math.inf, ends="[]", error=ValueError) -> float:
+    """value as a Python float within lo..hi, as _within reads them, so that it computes in float64
+    whatever float type came in; an integer past the largest double reads as an infinity. A bool,
+    None, a string or any other non-real, or a value out of range (NaN always is), raises error (a
+    ValueError) naming the parameter. The package's one rule for a real argument."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):  # numpy floats and integers are Real
+        raise error(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf if value > 0 else -math.inf
+    return _within(name, x, lo, hi, ends, error)
+
+
+def _within(name: str, x, lo, hi, ends: str, error):
+    """x if it lies between lo and hi, each end closed or open as ends says ("[]", "(]", "[)" or
+    "()"), an infinite end always open; else error naming the parameter and the range."""
+    low = lo < x if ends[0] == "(" or lo == -math.inf else lo <= x
+    if low and (x < hi if ends[1] == ")" or hi == math.inf else x <= hi):
+        return x
+    if hi != math.inf:  # an integer power of two past 2^53, such as A's ceiling, shows as 2^k
+        shown = f"2^{hi.bit_length() - 1}" if type(hi) is int and hi > 2**53 and not hi & hi - 1 else hi
+        text = f"in {ends[0]}{lo},{shown}{ends[1]}"
+    elif lo != -math.inf:  # a real is finite too, an integer always
+        text = f"{'finite and ' if type(x) is float else ''}{'>' if ends[0] == '(' else '>='} {lo}"
+    else:
+        text = "finite"
+    raise error(f"{name} must be {text}, got {x}")
 
 
 class ChannelError(ValueError):
@@ -133,16 +161,14 @@ def dmc_new(rows, normalize: bool = False) -> Dmc:
 
 def bsc(eps: float) -> Dmc:
     """Binary symmetric channel with crossover probability eps."""
-    if not 0.0 <= eps <= 1.0:
-        raise ChannelError(f"crossover probability must be in [0,1], got {eps}")
-    eps = float(eps)  # a float32 eps would make a float32 table, whose rows miss 1 by ~1e-8
+    eps = _real("crossover probability", eps, 0, 1, error=ChannelError)
     return Dmc(np.array([[1.0 - eps, eps], [eps, 1.0 - eps]]))
 
 
 def on_off_fading_matrix(p: float, n_inputs: int = 2) -> Dmc:
     """ON-OFF fading table over n_inputs symbols: x passes with probability p, else drops to x(0)."""
-    if not 0.0 <= p <= 1.0:
-        raise ChannelError(f"ON probability must be in [0,1], got {p}")
+    p = _real("ON probability", p, 0, 1, error=ChannelError)
+    n_inputs = _integer("n_inputs", n_inputs, 1, error=ChannelError)
     rows = p * np.eye(n_inputs)
     rows[:, :1] += 1.0 - p  # column x(0); a slice, so Dmc reports an empty table
     return Dmc(rows)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Dmc, _integer, dmc_new
+from .channels import Dmc, _integer, _real, dmc_new
 from .quadrature import ABS_TOL, QuadratureNonConvergence, adaptive_quad
 
 # Quadratures over the amplitude h stop at h_max, where its tail mass drops to RAYLEIGH_TAIL.
@@ -109,11 +109,8 @@ class AwgnSpec:
     noise_var: float
 
     def __post_init__(self):
-        # chained comparisons against inf, so NaN and inf fail them too
-        if not 0.0 < self.noise_var < math.inf:
-            raise ValueError(f"noise variance must be finite and > 0, got {self.noise_var}")
-        if not 0.0 <= self.power < math.inf:
-            raise ValueError(f"power must be finite and >= 0, got {self.power}")
+        object.__setattr__(self, "noise_var", _real("noise variance", self.noise_var, 0, ends="(]"))
+        object.__setattr__(self, "power", _real("power", self.power, 0))
 
     @property
     def sigma(self) -> float:
@@ -129,10 +126,10 @@ class RayleighAwgnSpec:
     scale: float
 
     def __post_init__(self):
-        AwgnSpec(self.power, self.noise_var)  # the same checks on P and sigma^2
-        # the kernels divide by sigma_H^2: a square that underflows to 0 or overflows fails too
-        if not (0.0 < self.scale and 0.0 < self.scale * self.scale < math.inf):
-            raise ValueError(f"Rayleigh scale must be > 0 with a square finite and > 0, got {self.scale}")
+        AwgnSpec.__post_init__(self)  # the same rules on P and sigma^2
+        object.__setattr__(self, "scale", scale := _real("Rayleigh scale", self.scale, 0, ends="(]"))
+        if not 0.0 < scale * scale < math.inf:  # the kernels divide by sigma_H^2
+            raise ValueError(f"Rayleigh scale must have a square finite and > 0, got {scale}")
 
     sigma = AwgnSpec.sigma
 
@@ -150,11 +147,11 @@ class QuantizationGrid:
     bins: int
 
     def __post_init__(self):
-        object.__setattr__(self, "bins", _integer("bins", self.bins))
-        if not -math.inf < self.lo < self.hi < math.inf:
-            raise ValueError(f"grid needs finite lo < hi, got [{self.lo}, {self.hi}]")
-        if self.bins < 2:
-            raise ValueError(f"grid needs at least 2 bins, got {self.bins}")
+        object.__setattr__(self, "lo", _real("lo", self.lo))
+        object.__setattr__(self, "hi", _real("hi", self.hi))
+        object.__setattr__(self, "bins", _integer("bins", self.bins, 2))
+        if not self.lo < self.hi:
+            raise ValueError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
 
     @property
     def edges(self) -> np.ndarray:
@@ -282,6 +279,7 @@ def quantize_to_dmc(
     so a deliberately larger budget may be passed to study clipped tails.) A
     Rayleigh spec past MAX_SCALE_WIDTHS raises :class:`QuadratureNonConvergence`.
     """
+    mass_loss_tol = _real("mass_loss_tol", mass_loss_tol, 0)
     edges = grid.edges
     idle, idle_tail = _gaussian_row(edges, 0.0, spec.sigma)  # pure noise
     if isinstance(spec, RayleighAwgnSpec):

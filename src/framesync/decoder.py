@@ -68,7 +68,7 @@ from numpy.lib.stride_tricks import as_strided
 
 # the row builders call their helpers through these modules, on which perfbench/tracing.py wraps them
 from . import sequences, thresholds
-from .channels import Dmc, IndexOutOfRange, InverseCdf, _integer, bsc
+from .channels import Dmc, IndexOutOfRange, InverseCdf, _integer, _real, bsc
 from .continuous import AwgnSpec, quantized_awgn
 from .sequences import SyncWord
 
@@ -105,10 +105,8 @@ class TypicalityDecoder:
     reference: np.ndarray = field(init=False, repr=False, compare=False)  # a function of the rest
 
     def __post_init__(self):
-        mu = 0.1 / self.channel.n_outputs if self.mu is None else self.mu
-        if not 0.0 < mu < math.inf:
-            raise ValueError(f"mu must be finite and > 0, got {mu}")
-        object.__setattr__(self, "mu", float(mu))
+        mu = 0.1 / self.channel.n_outputs if self.mu is None else _real("mu", self.mu, 0, ends="(]")
+        object.__setattr__(self, "mu", mu)
         if self.norm not in ("linf", "l1"):
             raise ValueError(f"unknown norm {self.norm!r}")
         if self.channel.n_inputs < 2:
@@ -236,9 +234,7 @@ def run_decoder(decoder: TypicalityDecoder, output_stream, scan_limit: int) -> i
     """
     stream = np.asarray(output_stream)
     n = len(decoder.word)
-    scan_limit = _integer("scan_limit", scan_limit)
-    if scan_limit < 1:
-        raise ValueError(f"scan limit must be >= 1, got {scan_limit}")
+    scan_limit = _integer("scan_limit", scan_limit, 1)
     if stream.ndim != 1:
         raise ValueError(f"the output stream must be one-dimensional, got shape {stream.shape}")
     if stream.size and (
@@ -273,11 +269,7 @@ class TrialConfig:
     decoder: TypicalityDecoder = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _integer("a", self.a))
-        if self.a < 1:
-            raise ValueError(f"asynchronism window must be >= 1, got {self.a}")
-        if self.a >= 2**1023:  # A must convert to a float
-            raise ValueError("asynchronism window too large (2^1023 or more)")
+        object.__setattr__(self, "a", _integer("a", self.a, 1, 2**1023, "[)"))  # A must convert to a float
         object.__setattr__(self, "decoder", TypicalityDecoder(self.word, self.channel, self.mu, self.norm))
 
 
@@ -432,6 +424,7 @@ class TrialEngine:
 
 def trial_rng(master_seed: int, trial_index: int) -> np.random.Generator:
     """Counter-based per-trial stream keyed by (master_seed, trial_index)."""
+    master_seed, trial_index = _integer("master_seed", master_seed), _integer("trial_index", trial_index)
     key = np.array([master_seed % 2**64, trial_index % 2**64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -513,16 +506,14 @@ def simulate_trial(config: TrialConfig, rng: np.random.Generator) -> TrialOutcom
 
 def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
     """95% Wilson score interval for a binomial proportion."""
-    successes, trials = _integer("successes", successes), _integer("trials", trials)
-    if trials <= 0:
-        raise ValueError("trials must be >= 1")
-    if not 0 <= successes <= trials:
-        raise ValueError(f"successes must be in [0, trials] = [0, {trials}], got {successes}")
+    trials = _integer("trials", trials, 1)
+    successes = _integer("successes", successes, 0, trials)
+    n = _real("trials", trials)  # the double the formula divides by, exact below 2^53; finite
     z = Z_95
     p = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (p + z * z / (2 * trials)) / denom
-    half = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4 * trials * trials)) / denom
+    denom = 1.0 + z * z / n
+    center = (p + z * z / (2 * n)) / denom
+    half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4 * n * n)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return (lo, hi)
@@ -578,12 +569,9 @@ def monte_carlo(config: TrialConfig, trials: int, master_seed: int, workers: int
     Trial i draws from a Philox stream keyed by (master_seed, i), so the
     report is bit-identical for any worker count or chunking.
     """
-    trials, master_seed, workers = (_integer(name, value) for name, value in
-                                    (("trials", trials), ("master_seed", master_seed), ("workers", workers)))
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    # below 2^63: int64 counts and chunk bounds hold every count, and no two trials share a key
+    trials, master_seed = _integer("trials", trials, 1, 2**63, "[)"), _integer("master_seed", master_seed)
+    workers = _integer("workers", workers, 1)
     engine = TrialEngine(config)
     if workers == 1:
         parts = [engine.run_batch(master_seed, 0, trials)]
@@ -643,8 +631,7 @@ def single_rows(
     if a is None:
         if beta is None:
             raise ValueError("single mode needs either 'a' or 'beta'")
-        if not 0.0 < beta < 1.0:  # NaN fails it too; refused before the word is built
-            raise ValueError(f"beta must be in (0,1), got {beta}")
+        beta = _real("beta", beta, 0, 1, "()")  # refused before the word is built
     word = sequences.build_sync_word(n, k)
     alpha = thresholds.sync_threshold(channel).alpha
     if a is None and alpha == math.inf:
@@ -666,9 +653,7 @@ def bsc_scaling_rows(
 ) -> list[ScalingRow]:
     """Achievability sweep rows: single_rows over a fixed BSC, A = round(exp(beta * alpha * N))."""
     _check_n_list(n_list)
-    if not 0.0 < eps < 1.0:  # bsc() takes 0 and 1, whose threshold is infinite
-        raise ValueError(f"eps must be strictly inside (0,1), got {eps}")
-    channel = bsc(eps)
+    channel = bsc(_real("eps", eps, 0, 1, "()"))  # bsc() takes 0 and 1, whose threshold is infinite
     return [row for n in n_list for row in single_rows(channel, n, k, mu, norm, beta=beta)]
 
 
@@ -687,12 +672,9 @@ def energy_scaling_rows(
     The feasibility threshold exp(E / (2 sigma^2)) is carried per row so
     reports can print it against A.
     """
-    # each key by its own name, as the user set it, before A is formed; chained, so NaN fails too
-    if not 0.0 <= energy < math.inf:
-        raise ValueError(f"energy must be finite and >= 0, got {energy}")
-    if not 0.0 < mu_coeff < math.inf:
-        raise ValueError(f"mu_coeff must be finite and > 0, got {mu_coeff}")
-    AwgnSpec(power=energy, noise_var=sigma2)  # checks sigma^2 before it divides
+    # each key by its own name, as the user set it, before A is formed
+    energy, mu_coeff = _real("energy", energy, 0), _real("mu_coeff", mu_coeff, 0, ends="(]")
+    sigma2 = _real("sigma2", sigma2, 0, ends="(]")
     _check_n_list(n_list)
     a = _window_from_exponent(energy / (4.0 * sigma2))
     try:
@@ -702,7 +684,7 @@ def energy_scaling_rows(
     rows = []
     for n in n_list:
         k = sequences.smallest_valid_k(n)  # rejects n < 1 before P = E/N
-        power = energy / n
+        power = energy / _real("n", n)  # a float: an n past the largest double is refused, not an OverflowError
         channel = quantized_awgn(AwgnSpec(power=power, noise_var=sigma2), bins)
         (row,) = single_rows(channel, n, k, mu_coeff / math.sqrt(n), norm, a=a)
         rows.append(replace(row, extra={"feasibility_threshold": feas, "energy": energy, "power": power}))

@@ -156,9 +156,8 @@ def _degree(prefix: int) -> int | None:
 
 def build_sync_word(n: int, k: int, seed: int = 1) -> SyncWord:
     """Construct the word: mapped m-sequence prefix of length floor(n/k), all-x(1) tail."""
-    n, k, seed = _integer("n", n), _integer("k", k), _integer("seed", seed)
-    if n < 1 or k < 1:
-        raise SequenceError(f"need n >= 1 and k >= 1, got n={n}, k={k}")
+    n, k = _integer("n", n, 1, error=SequenceError), _integer("k", k, 1, error=SequenceError)
+    seed = _integer("seed", seed)
     if n > MAX_N:
         raise SequenceError(f"n={n} is past MAX_N = {MAX_N}, the longest word the trial engine screens exactly")
     prefix = n // k
@@ -173,9 +172,7 @@ def build_sync_word(n: int, k: int, seed: int = 1) -> SyncWord:
 
 def nearest_valid_length(n_target: int, k: int) -> int:
     """Largest N <= n_target whose floor(N/k) passes `_degree`."""
-    n_target, k = _integer("n_target", n_target), _integer("k", k)
-    if k < 1:
-        raise SequenceError(f"k must be >= 1, got {k}")
+    n_target, k = _integer("n_target", n_target), _integer("k", k, 1, error=SequenceError)
     # floor(N/k) = 2^m - 1 on N in [k(2^m - 1), k 2^m - 1]; m starts at the largest run beginning by n_target
     for m in range(max(n_target // k + 1, 1).bit_length() - 1, 0, -1):
         if _degree((1 << m) - 1):

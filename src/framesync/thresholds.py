@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .channels import Dmc, compose, dmc_new, on_off_fading_matrix
+from .channels import Dmc, _real, compose, dmc_new, on_off_fading_matrix
 from .continuous import AwgnSpec, RayleighAwgnSpec, rayleigh_density_of
 from .quadrature import QuadratureNonConvergence, adaptive_quad
 
@@ -96,15 +96,10 @@ def composite_binary_threshold_closed_form(p: float, eps: float) -> float:
     Uses the effective crossover eps_p = (1-p)(1-eps) + p*eps of the composite
     x(1) row against the clean x(0) row.
     """
-    if not 0.0 < eps < 1.0:
-        raise ValueError(f"eps must be strictly inside (0,1), got {eps}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must be in [0,1], got {p}")
-    p, eps = float(p), float(eps)  # computed in float64, whatever float type they come in
+    eps, p = _real("eps", eps, 0, 1, "()"), _real("p", p, 0, 1)
     eps_p = (1.0 - p) * (1.0 - eps) + p * eps
-    return (1.0 - eps_p) * math.log((1.0 - eps_p) / eps) + eps_p * math.log(
-        eps_p / (1.0 - eps)
-    )
+    # a divergence, so at least 0, as in _kl: at p = 0 rounding made it -2.2e-17 for eps = 0.1
+    return max((1.0 - eps_p) * math.log((1.0 - eps_p) / eps) + eps_p * math.log(eps_p / (1.0 - eps)), 0.0)
 
 
 @dataclass(frozen=True)
@@ -136,7 +131,7 @@ def fading_bound_check(p: float, noise: Dmc) -> FadingBoundReport:
     """Verify the ON-OFF fading bound for a given noise channel; p outside [0, 1] raises ChannelError."""
     rep_c = sync_threshold(compose(on_off_fading_matrix(p, noise.n_inputs), noise))
     rep_n = sync_threshold(noise)
-    return FadingBoundReport(p, rep_c.alpha, rep_n.alpha, rep_c.argmax_symbol, rep_n.argmax_symbol)
+    return FadingBoundReport(float(p), rep_c.alpha, rep_n.alpha, rep_c.argmax_symbol, rep_n.argmax_symbol)
 
 
 def awgn_threshold(spec: AwgnSpec) -> float:
@@ -195,8 +190,8 @@ def rayleigh_ratio_sweep(
     Cells where quadrature fails carry nan and a stderr warning; the sweep
     continues.
     """
-    if any(snr <= 0.0 for snr in snr_grid):
-        raise ValueError("all SNR values must be > 0")
+    snr_grid = [_real("SNR", snr, 0, ends="(]") for snr in snr_grid]
+    noise_var = _real("noise variance", noise_var, 0, ends="(]")
     cells = []
     for sigma_h in sigma_h_list:
         for snr in snr_grid:

@@ -115,7 +115,7 @@ class TestFloatArguments:
         assert bsc(eps) == bsc(float(eps)) and bsc(eps).rows.dtype == np.float64
         fading = on_off_fading_matrix(0.5)
         assert compose(fading, bsc(eps)) == compose(fading, bsc(float(eps)))
-        with pytest.raises(TypeError):  # converted after the range check, which a string still fails
+        with pytest.raises(ChannelError):  # a string is no real number; this raised TypeError
             bsc("0.1")
 
 

@@ -270,7 +270,7 @@ class TestRunDecoder:
 
     def test_scan_limit_below_one_rejected(self):
         dec = TypicalityDecoder(word=build_sync_word(7, 2), channel=bsc(0.0), mu=0.01)
-        with pytest.raises(ValueError, match="scan limit must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="scan_limit must be >= 1, got 0"):
             run_decoder(dec, np.zeros(20, dtype=np.int64), scan_limit=0)
 
     def test_scan_limit_is_an_integer(self):
@@ -436,7 +436,7 @@ class TestMonteCarlo:
     def test_wilson_interval_rejects_successes_outside_the_trials(self):
         # these died inside math.sqrt with "math domain error"
         for successes in (5, -1):
-            with pytest.raises(ValueError, match=r"successes must be in \[0, trials\]"):
+            with pytest.raises(ValueError, match=rf"^successes must be in \[0,3\], got {successes}$"):
                 wilson_interval(successes, 3)
 
 
